@@ -6,7 +6,8 @@ factor indices in the output are 0-based.  Output defaults to JSON with
 a versioned envelope; every numeric claim carries the name of the oracle
 or rule that produced it, and rationals are printed as "p/q" strings,
 never as decimals.  Exit codes: 0 ok, 2 parse error, 3 internal oracle
-disagreement (a bug trap), 4 no certificate.
+disagreement (a bug trap), 4 no certificate.  A library ValueError
+(an input outside a function's domain) exits 2 like a parse error.
 """
 
 from __future__ import annotations
@@ -20,31 +21,24 @@ import sys
 from typing import Sequence
 
 from .constructor import (
+    NotAmpleError,
     OracleDisagreement,
     SearchBox,
     brute_search,
+    certify_class,
+    checked_chi,
     default_box,
     general_beta,
 )
 from .surfacetable import generate_table
 from .syzygy import necessary_lower_bounds, np_report
-from .threshold import (
-    Bound,
-    Scope,
-    TaggedBound,
-    best_flag_bound,
-    combine_interval,
-    flag_lower_bound,
-    flag_profile,
-)
+from .threshold import InconsistentBoundsError
 from .torusmodel import (
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
     LatticeInvariantError,
     alt_form,
-    chi_multilinear,
-    chi_pfaffian,
     is_ample,
     k_group,
     polarization_type,
@@ -62,10 +56,6 @@ class CLIError(ValueError):
     """Bad command-line input (exit code 2)."""
 
 
-class NoCertificateError(ValueError):
-    """No construction certifies a bound for the request (exit code 4)."""
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -79,13 +69,8 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 def _class_from_args(args) -> DivisorClass:
     if args.g is None or args.a is None:
         raise CLIError("describing a class requires --g and --a (and --k for g >= 2)")
-    k = _parse_int_list(args.k)
-    a = _parse_int_list(args.a)
-    try:
-        space = ConstructionSpace(args.g, k)
-        return DivisorClass(space, a, args.c)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
+    space = ConstructionSpace(args.g, _parse_int_list(args.k))
+    return DivisorClass(space, _parse_int_list(args.a), args.c)
 
 
 def _class_inputs(cls: DivisorClass) -> dict:
@@ -95,16 +80,6 @@ def _class_inputs(cls: DivisorClass) -> dict:
         "a": list(cls.a),
         "c": cls.c,
     }
-
-
-def _chi_pair(cls: DivisorClass, form) -> tuple[int, int]:
-    chi_formula = chi_multilinear(cls)
-    chi_pf = chi_pfaffian(form)
-    if chi_formula != chi_pf:
-        raise OracleDisagreement(
-            f"chi oracles disagree: formula {chi_formula}, pfaffian {chi_pf}"
-        )
-    return chi_formula, chi_pf
 
 
 def _envelope(command: str, argv: Sequence[str], inputs: dict, results: dict, fmt: str) -> dict:
@@ -120,12 +95,11 @@ def _envelope(command: str, argv: Sequence[str], inputs: dict, results: dict, fm
 
 def _cmd_chi(args, argv) -> dict:
     cls = _class_from_args(args)
-    form = alt_form(cls)
-    chi_formula, chi_pf = _chi_pair(cls, form)
+    chi = checked_chi(cls, alt_form(cls))
     results = {
-        "chi": {"value": chi_pf, "by": "multilinear=pfaffian"},
-        "chi_multilinear": {"value": chi_formula, "by": "intersection-multilinear"},
-        "chi_pfaffian": {"value": chi_pf, "by": "pfaffian"},
+        "chi": {"value": chi, "by": "multilinear=pfaffian"},
+        "chi_multilinear": {"value": chi, "by": "intersection-multilinear"},
+        "chi_pfaffian": {"value": chi, "by": "pfaffian"},
     }
     return _envelope("chi", argv, _class_inputs(cls), results, args.format)
 
@@ -133,14 +107,11 @@ def _cmd_chi(args, argv) -> dict:
 def _cmd_type(args, argv) -> dict:
     cls = _class_from_args(args)
     form = alt_form(cls)
-    chi_formula, _ = _chi_pair(cls, form)
-    try:
-        ptype = polarization_type(form)
-    except DegenerateFormError as exc:
-        raise NoCertificateError(f"degenerate class has no type: {exc}") from exc
+    chi = checked_chi(cls, form)
+    ptype = polarization_type(form)
     results = {
         "type": {"value": list(ptype.d), "by": "smith-normal-form"},
-        "chi": {"value": chi_formula, "by": "multilinear=pfaffian"},
+        "chi": {"value": chi, "by": "multilinear=pfaffian"},
     }
     return _envelope("type", argv, _class_inputs(cls), results, args.format)
 
@@ -148,11 +119,8 @@ def _cmd_type(args, argv) -> dict:
 def _cmd_kgroup(args, argv) -> dict:
     cls = _class_from_args(args)
     form = alt_form(cls)
-    _chi_pair(cls, form)
-    try:
-        shape = k_group(form, full=args.full)
-    except DegenerateFormError as exc:
-        raise NoCertificateError(f"degenerate class has no finite K-group: {exc}") from exc
+    checked_chi(cls, form)
+    shape = k_group(form, full=args.full)
     results = {
         "k_group": {
             "value": list(shape.divisors),
@@ -166,7 +134,7 @@ def _cmd_kgroup(args, argv) -> dict:
 def _cmd_ample(args, argv) -> dict:
     cls = _class_from_args(args)
     form = alt_form(cls)
-    _chi_pair(cls, form)
+    checked_chi(cls, form)
     results = {"ample": {"value": is_ample(form), "by": "minor-test"}}
     return _envelope("ample", argv, _class_inputs(cls), results, args.format)
 
@@ -182,35 +150,8 @@ def _cmd_beta(args, argv) -> dict:
         return _envelope("beta", argv, {"general": {"g": g, "d": d}}, results, args.format)
 
     cls = _class_from_args(args)
-    form = alt_form(cls)
-    chi_formula, _ = _chi_pair(cls, form)
-    if not is_ample(form):
-        raise NoCertificateError("class is not ample; no threshold bound can be certified")
-    bound, order = best_flag_bound(cls, form=form)
-    chis = flag_profile(cls, order, form=form)
-    curve_lower = flag_lower_bound(cls, form=form)
-    g = cls.space.g
-    interval = combine_interval(
-        g,
-        chi_formula,
-        uppers=[TaggedBound(Bound.rational(bound), False, Scope.SPECIFIC, "flag-bound")],
-        lowers=[TaggedBound(Bound.rational(curve_lower), False, Scope.SPECIFIC, "curve-degree")]
-        + [rule.tagged() for rule in necessary_lower_bounds(g, chi_formula)],
-        scope=Scope.SPECIFIC,
-    )
-    ptype = polarization_type(form)
-    results = {
-        "chi": {"value": chi_formula, "by": "multilinear=pfaffian"},
-        "type": {"value": list(ptype.d), "by": "smith-normal-form"},
-        "flag_bound": {
-            "value": str(bound),
-            "order": list(order),
-            "chis": list(chis),
-            "by": "flag-restriction",
-        },
-        "interval": interval.to_json(),
-        "np": np_report(g, chi_formula, interval).to_json(),
-    }
+    cert = certify_class(cls, lowers=(necessary_lower_bounds,)).to_json()
+    results = {key: cert[key] for key in ("chi", "type", "flag_bound", "interval", "np")}
     return _envelope("beta", argv, _class_inputs(cls), results, args.format)
 
 
@@ -425,15 +366,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         envelope = run(argv)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OracleDisagreement, LatticeInvariantError) as exc:
+    except (OracleDisagreement, LatticeInvariantError, InconsistentBoundsError) as exc:
         print(f"internal oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except NoCertificateError as exc:
+    except (NotAmpleError, DegenerateFormError) as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         print(render(envelope))
         sys.stdout.flush()

@@ -10,21 +10,22 @@ below 1/m (the "strict" recipe).
 
 Every construction is certified before it is reported: both Euler
 characteristic oracles must agree, the type is recomputed from the
-elementary divisors of the lattice form, the finite-group order must be
-chi squared, and the flag bound is minimized over all drop orders.  A
+elementary divisors of the lattice form and its product checked against
+the Pfaffian, and the flag bound is minimized over all drop orders.  A
 disagreement between oracles is a bug and is never swallowed.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from typing import Callable, Iterable
 
 from .exactmath import integer_root
 from .surfacetable import SurfaceRuleResult, surface_beta
-from .syzygy import NpCertificate, necessary_lower_bounds, np_report
+from .syzygy import LowerBoundRule, NpCertificate, necessary_lower_bounds, np_report
 from .threshold import (
     BetaInterval,
     Bound,
@@ -37,6 +38,7 @@ from .threshold import (
     flag_profile,
 )
 from .torusmodel import (
+    AltForm,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
@@ -141,7 +143,7 @@ class TrivialBound:
 class Certificate:
     """A construction with all its independently verified invariants."""
 
-    params: ConstructionParams
+    params: ConstructionParams | None
     chi: int
     ptype: tuple[int, ...]
     kgroup: FiniteGroupShape
@@ -157,7 +159,7 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
-            "params": self.params.to_json(),
+            "params": self.params.to_json() if self.params is not None else None,
             "chi": {"value": self.chi, "by": "multilinear=pfaffian"},
             "type": {"value": list(self.ptype), "by": "smith-normal-form"},
             "k_group": {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
@@ -215,43 +217,53 @@ def recipe_strict(g: int, d: int) -> ConstructionParams:
     return ConstructionParams(g=g, k=k, a=r, b=m, case=CASE_RECIPE_STRICT, m=m, r=r, s=s)
 
 
-def certify(params: ConstructionParams) -> Certificate:
-    """Run every oracle on the construction and bundle the results.
-
-    Raises OracleDisagreement if any cross-check fails, NotAmpleError for
-    non-ample classes, DegenerateFormError for degenerate ones.
-    """
-    cls = params.divisor_class()
-    form = alt_form(cls)
+def checked_chi(cls: DivisorClass, form: AltForm) -> int:
+    """chi of the class, computed by both oracles, which must agree."""
     chi_formula = chi_multilinear(cls)
     chi_pf = chi_pfaffian(form)
     if chi_formula != chi_pf:
         raise OracleDisagreement(
-            f"chi oracles disagree on {params}: formula {chi_formula}, pfaffian {chi_pf}"
+            f"chi oracles disagree on {cls}: formula {chi_formula}, pfaffian {chi_pf}"
         )
-    if chi_pf == 0:
-        raise DegenerateFormError(f"class of {params} is degenerate")
+    return chi_pf
+
+
+def certify_class(
+    cls: DivisorClass,
+    lowers: Iterable[Callable[[int, int], Iterable[LowerBoundRule]]] = (),
+) -> Certificate:
+    """Run every oracle on a class and bundle the results.
+
+    Each entry of ``lowers`` maps (g, chi) to extra lower-bound rules for
+    the interval (e.g. ``necessary_lower_bounds``); they are built only
+    once chi is known to be nonzero.  The certificate carries no params.
+
+    Raises OracleDisagreement if the chi oracles disagree, NotAmpleError
+    for non-ample classes, DegenerateFormError for degenerate ones.
+    """
+    form = alt_form(cls)
+    chi = checked_chi(cls, form)
+    if chi == 0:
+        raise DegenerateFormError(f"class {cls} is degenerate")
     if not is_ample(form):
-        raise NotAmpleError(f"class of {params} is not ample")
+        raise NotAmpleError(f"class {cls} is not ample")
+    g = cls.space.g
     ptype = polarization_type(form)
-    if ptype.product != chi_pf:
-        raise OracleDisagreement(f"type product {ptype.product} != chi {chi_pf} for {params}")
     kgroup = k_group(form)
-    if kgroup.order != chi_pf**2:
-        raise OracleDisagreement(f"K-group order {kgroup.order} != chi^2 for {params}")
     bound, order = best_flag_bound(cls, form=form)
     chis = flag_profile(cls, order, form=form)
     curve_lower = flag_lower_bound(cls, form=form)
     interval = combine_interval(
-        cls.space.g,
-        chi_pf,
+        g,
+        chi,
         uppers=[TaggedBound(Bound.rational(bound), False, Scope.SPECIFIC, "flag-bound")],
-        lowers=[TaggedBound(Bound.rational(curve_lower), False, Scope.SPECIFIC, "curve-degree")],
+        lowers=[TaggedBound(Bound.rational(curve_lower), False, Scope.SPECIFIC, "curve-degree")]
+        + [rule.tagged() for rules in lowers for rule in rules(g, chi)],
         scope=Scope.SPECIFIC,
     )
     return Certificate(
-        params=params,
-        chi=chi_pf,
+        params=None,
+        chi=chi,
         ptype=ptype.d,
         kgroup=kgroup,
         bound=bound,
@@ -259,8 +271,13 @@ def certify(params: ConstructionParams) -> Certificate:
         flag_chis=chis,
         curve_lower=curve_lower,
         interval=interval,
-        np=np_report(cls.space.g, chi_pf, interval),
+        np=np_report(g, chi, interval),
     )
+
+
+def certify(params: ConstructionParams) -> Certificate:
+    """``certify_class`` on the class of the construction, with its params attached."""
+    return replace(certify_class(params.divisor_class()), params=params)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Exact integer/rational linear-algebra kernel.
+"""Exact integer linear-algebra kernel.
 
-Everything in this module is exact: integer matrices use Python's
-arbitrary-precision ints, rational matrices use ``fractions.Fraction``,
-and comparisons against irrational g-th roots are decided by integer
-power comparison.  No floating point anywhere.
+Everything in this module is exact: matrices hold Python's
+arbitrary-precision ints, elimination is fraction-free, and integer
+roots come from integer Newton iteration.  No floating point anywhere.
 
 The matrices handled here are tiny (at most 16x16), so the algorithms
 favour simplicity and determinism over asymptotics.
@@ -12,7 +11,6 @@ favour simplicity and determinism over asymptotics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -57,17 +55,6 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = self.to_rows()
-        cols = other.transpose().to_rows()
-        return IntMatrix(
-            self.rows,
-            other.cols,
-            tuple(sum(a * b for a, b in zip(r, c)) for r in rows for c in cols),
-        )
 
     def principal_submatrix(self, indices: Sequence[int]) -> "IntMatrix":
         idx = list(indices)
@@ -200,22 +187,6 @@ def _pfaffian_mask(flat: list[list[int]], mask: int, memo: dict[int, int]) -> in
     return total
 
 
-def pfaffian(a: IntMatrix) -> int:
-    """Pfaffian of an alternating integer matrix of even dimension.
-
-    Computed by recursive expansion along the first row, memoized over
-    index subsets.  The sign convention satisfies
-    ``pfaffian([[0, 1], [-1, 0]]) == 1`` and ``pfaffian(A)**2 == det(A)``.
-    """
-    if a.rows != a.cols:
-        raise ValueError("pfaffian requires a square matrix")
-    if a.rows % 2 != 0:
-        raise ValueError("pfaffian requires even dimension")
-    if not a.is_alternating():
-        raise ValueError("pfaffian requires an alternating matrix")
-    return _pfaffian_mask(a.to_rows(), (1 << a.rows) - 1, {})
-
-
 class PfaffianCache:
     """Pfaffians of all principal submatrices of one alternating matrix.
 
@@ -258,36 +229,6 @@ def leading_minors_all_positive(rows: list[list[int]]) -> bool:
             for j in range(k + 1, n):
                 row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
         prev = piv
-    return True
-
-
-def is_positive_definite(s: Sequence[Sequence[Fraction | int]]) -> bool:
-    """Exact positive-definiteness test via leading principal minors.
-
-    The input must be symmetric (checked; asymmetry raises, since in
-    this artifact it signals a pairing that is not compatible with the
-    complex structure).  Gaussian elimination without row exchanges
-    yields the pivots, whose running products are the leading minors;
-    the matrix is positive definite iff every pivot is positive.
-    """
-    n = len(s)
-    a = [[Fraction(x) for x in row] for row in s]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-    for k in range(n):
-        piv = a[k][k]
-        if piv <= 0:
-            return False
-        for i in range(k + 1, n):
-            if a[i][k]:
-                factor = a[i][k] / piv
-                row_i, row_k = a[i], a[k]
-                for j in range(k, n):
-                    row_i[j] -= factor * row_k[j]
     return True
 
 

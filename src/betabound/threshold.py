@@ -33,19 +33,9 @@ from .torusmodel import (
     alt_form,
     curve_degrees,
     is_ample,
-    restrict,
 )
 
 MAX_FLAG_DIMENSION = 8  # exhaustive permutation search stays trivial up to here
-
-
-class FlagAmplenessError(ValueError):
-    """A restriction along a flag failed the ampleness test."""
-
-    def __init__(self, order: tuple[int, ...], kept: tuple[int, ...]):
-        self.order = order
-        self.kept = kept
-        super().__init__(f"restriction to factors {kept} along flag order {order} is not ample")
 
 
 class InconsistentBoundsError(ValueError):
@@ -207,43 +197,33 @@ def beta_lower_chi(chi: int, g: int) -> Bound:
     return Bound.inverse_root(chi, g)
 
 
-class _FlagEvaluator:
-    """Caches restriction data of one form across flag evaluations."""
+def _ample_form(cls: DivisorClass, form: AltForm | None) -> AltForm:
+    """The form of the class, checked once for ampleness.
 
-    def __init__(self, form: AltForm):
-        self.form = form
-        self.g = form.g
-        self._pf = form.pfaffian_cache()
-        self._ample: dict[tuple[int, ...], bool] = {}
+    Restricting to kept factors takes a principal submatrix of the
+    positive-definite pairing, so every restriction of an ample class is
+    ample and needs no test of its own.
+    """
+    form = form if form is not None else alt_form(cls)
+    if not is_ample(form):
+        raise ValueError("flag bounds require an ample class")
+    return form
 
-    def chi(self, kept: tuple[int, ...]) -> int:
-        return self._pf.pfaffian_of([c for i in kept for c in (2 * i, 2 * i + 1)])
 
-    def ample(self, kept: tuple[int, ...]) -> bool:
-        hit = self._ample.get(kept)
-        if hit is None:
-            sub = self.form if len(kept) == self.g else restrict(self.form, kept)
-            hit = is_ample(sub)
-            self._ample[kept] = hit
-        return hit
-
-    def evaluate(self, order: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-        """Bound and chi chain for one drop order; raises on ampleness failure."""
-        kept = tuple(range(self.g))
-        if not self.ample(kept):
-            raise FlagAmplenessError(order, kept)
-        chis = [self.chi(kept)]
-        for dropped in order[:-1]:
-            kept = tuple(i for i in kept if i != dropped)
-            if not self.ample(kept):
-                raise FlagAmplenessError(order, kept)
-            chis.append(self.chi(kept))
-        if any(x <= 0 for x in chis):
-            raise LatticeInvariantError("ample restriction with nonpositive chi")
-        terms = [Fraction(1, chis[-1])]
-        for i in range(len(chis) - 1, 0, -1):
-            terms.append(Fraction(chis[i], chis[i - 1]))
-        return max(terms), tuple(chis)
+def _flag_chain(form: AltForm, order: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
+    """Bound and chi chain for one drop order of an ample form."""
+    pf = form.pfaffian_cache()
+    kept = list(range(form.g))
+    chis = [pf.pfaffian_of(range(2 * form.g))]
+    for dropped in order[:-1]:
+        kept.remove(dropped)
+        chis.append(pf.pfaffian_of([c for i in kept for c in (2 * i, 2 * i + 1)]))
+    if any(x <= 0 for x in chis):
+        raise LatticeInvariantError("ample restriction with nonpositive chi")
+    terms = [Fraction(1, chis[-1])]
+    for i in range(len(chis) - 1, 0, -1):
+        terms.append(Fraction(chis[i], chis[i - 1]))
+    return max(terms), tuple(chis)
 
 
 def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
@@ -260,17 +240,15 @@ def flag_upper_bound(cls: DivisorClass, order: Sequence[int], form: AltForm | No
     1/chi_last and the successive ratios chi_next/chi_prev along the
     chain of restrictions.
     """
-    form = form if form is not None else alt_form(cls)
-    order = _check_order(order, form.g)
-    bound, _ = _FlagEvaluator(form).evaluate(order)
+    form = _ample_form(cls, form)
+    bound, _ = _flag_chain(form, _check_order(order, form.g))
     return bound
 
 
 def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> tuple[int, ...]:
     """The chain of restriction Euler characteristics along one flag."""
-    form = form if form is not None else alt_form(cls)
-    order = _check_order(order, form.g)
-    _, chis = _FlagEvaluator(form).evaluate(order)
+    form = _ample_form(cls, form)
+    _, chis = _flag_chain(form, _check_order(order, form.g))
     return chis
 
 
@@ -280,26 +258,16 @@ def best_flag_bound(
     """Minimum flag bound over all drop orders, with a witness order.
 
     Ties are broken by the lexicographically smallest permutation.
-    Orders whose flag fails the ampleness check are skipped; it is an
-    error only if every order fails.
     """
-    form = form if form is not None else alt_form(cls)
+    form = _ample_form(cls, form)
     g = form.g
     if g > MAX_FLAG_DIMENSION:
         raise ValueError(f"exhaustive flag search is limited to g <= {MAX_FLAG_DIMENSION}")
-    evaluator = _FlagEvaluator(form)
     best: tuple[Fraction, tuple[int, ...]] | None = None
-    failure: FlagAmplenessError | None = None
     for order in permutations(range(g)):
-        try:
-            bound, _ = evaluator.evaluate(order)
-        except FlagAmplenessError as exc:
-            failure = exc
-            continue
+        bound, _ = _flag_chain(form, order)
         if best is None or bound < best[0]:
             best = (bound, order)
-    if best is None:
-        raise failure if failure is not None else ValueError("no flag to evaluate")
     return best
 
 
@@ -329,9 +297,7 @@ def flag_lower_bound(cls: DivisorClass, form: AltForm | None = None) -> Fraction
     an elliptic curve is exactly 1/e, so this is a lower bound for the
     specific construction (not for the general member).
     """
-    form = form if form is not None else alt_form(cls)
-    if not is_ample(form):
-        raise ValueError("lower bound via curves requires an ample class")
+    form = _ample_form(cls, form)
     return max(Fraction(1, deg) for deg in curve_degrees(form))
 
 

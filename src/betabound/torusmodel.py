@@ -27,7 +27,6 @@ group K(l)) is computed by exact integer linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -140,28 +139,18 @@ class FiniteGroupShape:
 
 
 @dataclass(frozen=True)
-class LatticeData:
-    """Per-factor bases, isogeny matrices and the complex structure."""
-
-    space: ConstructionSpace
-    basis_denominators: tuple[int, ...]
-    f_matrices: tuple[IntMatrix, ...]
-    j: tuple[tuple[Fraction, ...], ...]
-
-
-@dataclass(frozen=True)
 class AltForm:
-    """Alternating lattice form of a class, with its complex structure.
+    """Alternating lattice form of a class.
 
-    ``factor_k`` records the basis denominator of each (kept) factor, so
-    restrictions remain self-contained.  The symmetric pairing
-    S(x, y) = E(x, Jy) is validated at construction; asymmetry would mean
-    the integer form is not compatible with the complex structure, which
-    cannot happen for forms built here and therefore signals a bug.
+    ``factor_k`` records the basis denominator of each (kept) factor, which
+    fixes the complex structure J, so restrictions remain self-contained.
+    The symmetric pairing S(x, y) = E(x, Jy) is validated at construction;
+    asymmetry would mean the integer form is not compatible with the
+    complex structure, which cannot happen for forms built here and
+    therefore signals a bug.
     """
 
     e: IntMatrix
-    j: tuple[tuple[Fraction, ...], ...]
     factor_k: tuple[int, ...]
     space: ConstructionSpace | None = None
     cls: DivisorClass | None = None
@@ -182,45 +171,6 @@ class AltForm:
             _, s, _ = smith_normal_form(self.e)
             object.__setattr__(self, "_snf_diag", s.diagonal_entries())
         return self._snf_diag
-
-
-def _complex_structure(factor_k: Sequence[int]) -> tuple[tuple[Fraction, ...], ...]:
-    n = 2 * len(factor_k)
-    j = [[Fraction(0)] * n for _ in range(n)]
-    for i, k in enumerate(factor_k):
-        # multiplication by tau = sqrt(-1) in the basis (1, tau/k)
-        j[2 * i][2 * i + 1] = Fraction(-1, k)
-        j[2 * i + 1][2 * i] = Fraction(k)
-    return tuple(tuple(row) for row in j)
-
-
-def build_lattice_data(space: ConstructionSpace) -> LatticeData:
-    """Bases (1, tau/k_i), the isogeny matrices diag(k_i, 1), and J."""
-    f_matrices = tuple(IntMatrix.diagonal((k, 1)) for k in space.k)
-    return LatticeData(
-        space=space,
-        basis_denominators=space.k_full,
-        f_matrices=f_matrices,
-        j=_complex_structure(space.k_full),
-    )
-
-
-def hermitian_pairing(form: AltForm) -> tuple[tuple[Fraction, ...], ...]:
-    """The pairing S(x, y) = E(x, Jy), as the matrix product E * J.
-
-    J has two nonzero entries per factor block, so column 2i of S is
-    k_i * (column 2i+1 of E) and column 2i+1 is -(column 2i of E) / k_i.
-    """
-    e = form.e
-    n = e.rows
-    rows = []
-    for u in range(n):
-        row = []
-        for i, k in enumerate(form.factor_k):
-            row.append(Fraction(k * e.at(u, 2 * i + 1)))
-            row.append(Fraction(-e.at(u, 2 * i), k))
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 def _scaled_pairing(e: IntMatrix, factor_k: Sequence[int]) -> list[list[int]]:
@@ -257,7 +207,7 @@ def _validated_form(
         for v in range(u + 1, n):
             if s[u][v] != s[v][u]:
                 raise LatticeInvariantError("pairing E(x, Jy) is not symmetric")
-    return AltForm(e=e, j=_complex_structure(factor_k), factor_k=factor_k, space=space, cls=cls)
+    return AltForm(e=e, factor_k=factor_k, space=space, cls=cls)
 
 
 def alt_form(cls: DivisorClass) -> AltForm:
@@ -371,7 +321,7 @@ def restrict(form: AltForm, keep: Sequence[int]) -> AltForm:
     coords = [c for i in kept for c in (2 * i, 2 * i + 1)]
     e_sub = form.e.principal_submatrix(coords)
     factor_k = tuple(form.factor_k[i] for i in kept)
-    return AltForm(e=e_sub, j=_complex_structure(factor_k), factor_k=factor_k, space=form.space)
+    return AltForm(e=e_sub, factor_k=factor_k, space=form.space)
 
 
 def curve_degrees(form: AltForm) -> tuple[int, ...]:

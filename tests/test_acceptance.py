@@ -19,7 +19,6 @@ from betabound import (
     k_group,
     necessary_lower_bounds,
     np_threshold,
-    pfaffian,
     polarization_type,
     recipe_strict,
     recipe_weak,
@@ -29,7 +28,7 @@ from betabound import (
 )
 from betabound.cli import run
 from betabound.threshold import Bound
-from util import exact_det, random_alternating
+from util import exact_det, pfaffian, random_alternating
 
 TABLE_16_EXPECTED = [
     ("1", True), ("1", True), ("2/3", True), ("1/2", True),

@@ -2,14 +2,17 @@ import json
 
 import pytest
 
+import betabound.cli
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
+    EXIT_ORACLE,
     EXIT_PARSE,
     main,
     render,
     run,
 )
+from betabound.threshold import InconsistentBoundsError
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -152,6 +155,26 @@ class TestCliContract:
         code = main(["chi", "--g", "2", "--k", "2,3", "--a", "1,1", "--c", "0"])
         assert code == EXIT_PARSE
         assert "error" in capsys.readouterr().err
+
+    def test_library_value_errors_exit_two(self, capsys):
+        for argv in (
+            ["search", "--g", "1", "--d", "5"],
+            ["search", "--g", "3", "--d", "0"],
+            ["beta", "--general", "9", "600"],
+            ["beta", "--g", "9", "--k", "1,1,1,1,1,1,1,1", "--a", "1,1,1,1,1,1,1,1,1"],
+        ):
+            assert main(argv) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+
+    def test_inconsistent_bounds_exit_three(self, monkeypatch, capsys):
+        def broken(g, d):
+            raise InconsistentBoundsError("lower bound exceeds upper bound")
+
+        monkeypatch.setattr(betabound.cli, "general_beta", broken)
+        assert main(["np", "--g", "3", "--d", "40"]) == EXIT_ORACLE
+        assert "internal oracle failure" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -13,8 +13,13 @@ from betabound import (
     Scope,
     SearchBox,
     TrivialBound,
+    ConstructionSpace,
+    DivisorClass,
     brute_search,
     certify,
+    certify_class,
+    necessary_lower_bounds,
+    standard_class,
     default_box,
     general_beta,
     recipe_strict,
@@ -132,6 +137,22 @@ class TestCertify:
         monkeypatch.setattr(betabound.constructor, "chi_multilinear", lambda cls: 41)
         with pytest.raises(OracleDisagreement):
             certify(recipe_strict(3, 40))
+
+    def test_explicit_class_has_no_params(self):
+        cert = certify_class(DivisorClass(ConstructionSpace(1, ()), (5,), 0))
+        assert cert.params is None
+        assert cert.to_json()["params"] is None
+        assert (cert.chi, cert.bound, cert.flag_chis) == (5, Fraction(1, 5), (5,))
+
+    def test_lower_rules_enter_the_interval(self):
+        # chi = 11 < 2^4 - 1, so no member is projectively normal: beta >= 1/2,
+        # which beats both 11^(-1/3) and the curve bound
+        cls = standard_class(ConstructionSpace(3, (2, 2)), 1, 2)
+        plain = certify_class(cls)
+        ruled = certify_class(cls, lowers=(necessary_lower_bounds,))
+        assert plain.interval.lower_reason == "degree-root"
+        assert ruled.interval.lower == Bound.rational(Fraction(1, 2))
+        assert ruled.interval.lower_reason == "projective-normality-count"
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -3,20 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from betabound import (
-    IntMatrix,
-    integer_root,
-    is_positive_definite,
-    pfaffian,
-    smith_normal_form,
-)
-from util import exact_det, random_alternating
+from betabound import IntMatrix, integer_root, smith_normal_form
+from util import exact_det, is_positive_definite, matmul, pfaffian, random_alternating
 
 
 def snf_checks(m: IntMatrix):
     """Verify the Smith-form contract and return the diagonal."""
     u, s, v = smith_normal_form(m)
-    assert (u @ m @ v).entries == s.entries
+    assert matmul(matmul(u, m), v).entries == s.entries
     assert abs(exact_det(u)) == 1
     assert abs(exact_det(v)) == 1
     diag = s.diagonal_entries()
@@ -157,7 +151,7 @@ class TestPositiveDefinite:
         for _ in range(80):
             n = rng.randint(1, 5)
             b = IntMatrix(n, n, tuple(rng.randint(-4, 4) for _ in range(n * n)))
-            gram = b @ b.transpose()  # positive semidefinite, definite iff b invertible
+            gram = matmul(b, b.transpose())  # positive semidefinite, definite iff b invertible
             expected = exact_det(b) != 0
             assert is_positive_definite(gram.to_rows()) == expected
 

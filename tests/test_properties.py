@@ -1,0 +1,92 @@
+"""Property tests: library results against independent reference oracles."""
+
+from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from betabound import (
+    ConstructionParams,
+    ConstructionSpace,
+    DivisorClass,
+    alt_form,
+    best_flag_bound,
+    certify,
+    chi_pfaffian,
+    flag_profile,
+    is_ample,
+    restrict,
+)
+from betabound.cli import run
+from util import hermitian_pairing, is_positive_definite
+
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def classes(draw):
+    g = draw(st.integers(1, 5))
+    k = tuple(draw(st.lists(st.integers(1, 6), min_size=g - 1, max_size=g - 1)))
+    a = tuple(draw(st.lists(st.integers(0, 4), min_size=g, max_size=g)))
+    c = draw(st.integers(0, 2))
+    if not any(a) and c == 0:
+        a = (1,) + a[1:]
+    return DivisorClass(ConstructionSpace(g, k), a, c)
+
+
+def permutation_flag_oracle(form):
+    """Best flag bound by walking every drop order over explicit restrictions.
+
+    Every restriction along every flag is tested for ampleness on its
+    own, and its chi is the Pfaffian of the restricted form.
+    """
+    best = None
+    for order in permutations(range(form.g)):
+        kept = list(range(form.g))
+        chis = []
+        for dropped in order:
+            sub = restrict(form, kept)
+            assert is_ample(sub)
+            chis.append(chi_pfaffian(sub))
+            kept.remove(dropped)
+        bound = max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, len(chis))])
+        if best is None or bound < best[0]:
+            best = (bound, order, tuple(chis))
+    return best
+
+
+@SETTINGS
+@given(classes())
+def test_best_flag_bound_matches_permutation_oracle(cls):
+    form = alt_form(cls)
+    assume(is_ample(form))
+    bound, order, chis = permutation_flag_oracle(form)
+    assert best_flag_bound(cls) == (bound, order)
+    assert flag_profile(cls, order) == chis
+
+
+@SETTINGS
+@given(classes(), st.data())
+def test_is_ample_matches_fraction_pairing(cls, data):
+    form = alt_form(cls)
+    keep = data.draw(st.sets(st.integers(0, form.g - 1), min_size=1))
+    for f in (form, restrict(form, keep)):
+        assert is_ample(f) == is_positive_definite(hermitian_pairing(f))
+
+
+@SETTINGS
+@given(
+    st.integers(2, 5).flatmap(lambda g: st.lists(st.integers(1, 6), min_size=g - 1, max_size=g - 1)),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_explicit_beta_matches_certify(k, a, b):
+    assume(a or b)
+    params = ConstructionParams(g=len(k) + 1, k=k, a=a, b=b)
+    cert = certify(params).to_json()
+    argv = ["beta", "--g", str(params.g), "--k", ",".join(map(str, k)),
+            "--a", ",".join(map(str, params.coefficients())), "--c", "1"]
+    results = run(argv)["results"]
+    for key in ("chi", "type", "flag_bound"):
+        assert results[key] == cert[key]

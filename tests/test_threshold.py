@@ -93,6 +93,15 @@ class TestFlagBounds:
         with pytest.raises(ValueError):
             flag_upper_bound(THREEFOLD_40, (0, 0, 1))
 
+    def test_not_ample_rejected(self):
+        cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 0), 1)
+        with pytest.raises(ValueError):
+            best_flag_bound(cls)
+        with pytest.raises(ValueError):
+            flag_upper_bound(cls, (0, 1))
+        with pytest.raises(ValueError):
+            flag_profile(cls, (0, 1))
+
     def test_best_flag_threefold(self):
         bound, order = best_flag_bound(THREEFOLD_40)
         assert bound == Fraction(13, 40)
@@ -158,7 +167,7 @@ class TestFlagLowerBound:
             flag_lower_bound(cls)
 
     def test_restriction_chis_match_submatrix_pfaffians(self):
-        # the flag evaluator reads restriction chis off cached principal
+        # flag bounds read restriction chis off cached principal
         # sub-Pfaffians; they must agree with restrict-then-Pfaffian
         from betabound import chi_pfaffian, restrict
 

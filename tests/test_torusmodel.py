@@ -8,23 +8,19 @@ from betabound import (
     DegenerateFormError,
     DivisorClass,
     FiniteGroupShape,
-    IntMatrix,
     PolarizationType,
     alt_form,
-    build_lattice_data,
     chi_multilinear,
     chi_pfaffian,
     curve_degrees,
-    hermitian_pairing,
     is_ample,
-    is_positive_definite,
     k_group,
-    pfaffian,
     polarization_type,
     restrict,
     smith_normal_form,
     standard_class,
 )
+from util import hermitian_pairing, is_positive_definite, pfaffian
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
 
@@ -70,31 +66,6 @@ class TestSpacesAndClasses:
         with pytest.raises(ValueError):
             FiniteGroupShape((4, 6))
         assert FiniteGroupShape(()).order == 1
-
-
-class TestLatticeData:
-    def test_isogeny_matrix_degree(self):
-        data = build_lattice_data(ConstructionSpace(2, (3,)))
-        assert data.f_matrices[0].entries == IntMatrix.diagonal((3, 1)).entries
-        # the kernel of a degree-k isogeny has k elements
-        assert data.f_matrices[0].at(0, 0) * data.f_matrices[0].at(1, 1) == 3
-
-    def test_dimension_one(self):
-        data = build_lattice_data(ConstructionSpace(1, ()))
-        assert data.f_matrices == ()
-        assert data.j == ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-
-    def test_complex_structure_squares_to_minus_one(self):
-        data = build_lattice_data(ConstructionSpace(3, (9, 3)))
-        j = data.j
-        n = len(j)
-        assert j[0][1] == Fraction(-1, 9) and j[1][0] == 9
-        assert j[2][3] == Fraction(-1, 3) and j[3][2] == 3
-        assert j[4][5] == -1 and j[5][4] == 1
-        for u in range(n):
-            for v in range(n):
-                entry = sum(j[u][w] * j[w][v] for w in range(n))
-                assert entry == (-1 if u == v else 0)
 
 
 class TestAltForm:

@@ -3,12 +3,29 @@
 The determinant here is intentionally computed by plain fraction
 Gaussian elimination so that Pfaffian and Smith-form assertions are
 checked against a path that shares no code with the library kernel.
+Likewise the Fraction pairing and its positive-definiteness test are
+the reference the integer ampleness test is compared with.
 """
 
 from fractions import Fraction
 import random
+from typing import Sequence
 
-from betabound import IntMatrix
+from betabound import AltForm, IntMatrix
+from betabound.exactmath import PfaffianCache
+
+
+def pfaffian(m: IntMatrix) -> int:
+    """Pfaffian of a whole alternating matrix, through the library's cache."""
+    return PfaffianCache(m).pfaffian_of(range(m.rows))
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if a.cols != b.rows:
+        raise ValueError("dimension mismatch")
+    rows = a.to_rows()
+    cols = b.transpose().to_rows()
+    return IntMatrix(a.rows, b.cols, tuple(sum(x * y for x, y in zip(r, c)) for r in rows for c in cols))
 
 
 def exact_det(m: IntMatrix) -> Fraction:
@@ -41,3 +58,51 @@ def random_alternating(rng: random.Random, dim: int, max_entry: int = 100) -> In
             rows[i][j] = x
             rows[j][i] = -x
     return IntMatrix.from_rows(rows)
+
+
+def hermitian_pairing(form: AltForm) -> tuple[tuple[Fraction, ...], ...]:
+    """The pairing S(x, y) = E(x, Jy), as the matrix product E * J.
+
+    J has two nonzero entries per factor block, so column 2i of S is
+    k_i * (column 2i+1 of E) and column 2i+1 is -(column 2i of E) / k_i.
+    """
+    e = form.e
+    n = e.rows
+    rows = []
+    for u in range(n):
+        row = []
+        for i, k in enumerate(form.factor_k):
+            row.append(Fraction(k * e.at(u, 2 * i + 1)))
+            row.append(Fraction(-e.at(u, 2 * i), k))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def is_positive_definite(s: Sequence[Sequence[Fraction | int]]) -> bool:
+    """Exact positive-definiteness test via leading principal minors.
+
+    The input must be symmetric (checked; asymmetry raises, since in
+    this artifact it signals a pairing that is not compatible with the
+    complex structure).  Gaussian elimination without row exchanges
+    yields the pivots, whose running products are the leading minors;
+    the matrix is positive definite iff every pivot is positive.
+    """
+    n = len(s)
+    a = [[Fraction(x) for x in row] for row in s]
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix must be square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+    for k in range(n):
+        piv = a[k][k]
+        if piv <= 0:
+            return False
+        for i in range(k + 1, n):
+            if a[i][k]:
+                factor = a[i][k] / piv
+                row_i, row_k = a[i], a[k]
+                for j in range(k, n):
+                    row_i[j] -= factor * row_k[j]
+    return True
