@@ -155,19 +155,7 @@ def _cmd_beta(args, argv) -> dict:
     return _envelope("beta", argv, _class_inputs(cls), results, args.format)
 
 
-def _search_workers() -> int | None:
-    raw = os.environ.get("ABSL_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CLIError(f"ABSL_THREADS must be an integer, got {raw!r}")
-
-
 def _cmd_search(args, argv) -> dict:
-    if args.g is None or args.d is None:
-        raise CLIError("search requires --g and --d")
     base = default_box(args.g, args.d)
     box = SearchBox(
         max_a=args.max_a if args.max_a is not None else base.max_a,
@@ -175,13 +163,7 @@ def _cmd_search(args, argv) -> dict:
         max_k=args.max_k if args.max_k is not None else base.max_k,
         max_c=args.max_c if args.max_c is not None else base.max_c,
     )
-    certificates = brute_search(
-        args.g,
-        args.d,
-        box=box,
-        generalized=args.generalized,
-        workers=_search_workers(),
-    )
+    certificates = brute_search(args.g, args.d, box=box, generalized=args.generalized)
     results = {
         "count": len(certificates),
         "certificates": [cert.to_json() for cert in certificates],
@@ -198,8 +180,6 @@ def _cmd_search(args, argv) -> dict:
 
 
 def _cmd_np(args, argv) -> dict:
-    if args.g is None or args.d is None:
-        raise CLIError("np requires --g and --d")
     if args.g < 1 or args.d < 1:
         raise CLIError("np needs g >= 1 and d >= 1")
     report = general_beta(args.g, args.d)

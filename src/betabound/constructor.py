@@ -17,7 +17,6 @@ disagreement between oracles is a bug and is never swallowed.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -35,7 +34,7 @@ from .threshold import (
     combine_interval,
     exact_interval,
     flag_lower_bound,
-    flag_profile,
+    require_flag_dimension,
 )
 from .torusmodel import (
     AltForm,
@@ -250,8 +249,7 @@ def certify_class(
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
-    bound, order = best_flag_bound(cls, form=form)
-    chis = flag_profile(cls, order, form=form)
+    bound, order, chis = best_flag_bound(cls, form=form)
     curve_lower = flag_lower_bound(cls, form=form)
     interval = combine_interval(
         g,
@@ -295,19 +293,11 @@ def default_box(g: int, d: int) -> SearchBox:
     return SearchBox(max_a=limit, max_b=limit, max_k=d)
 
 
-def _certify_or_skip(params: ConstructionParams) -> Certificate | None:
-    try:
-        return certify(params)
-    except (NotAmpleError, DegenerateFormError):
-        return None
-
-
 def brute_search(
     g: int,
     d: int,
     box: SearchBox | None = None,
     generalized: bool = False,
-    workers: int | None = None,
 ) -> list[Certificate]:
     """All certified constructions of type (1, ..., 1, d) inside the box.
 
@@ -315,11 +305,12 @@ def brute_search(
     correspondence coefficient 1); ``generalized=True`` also varies the
     interior coefficients and c.  Results are ranked by flag bound, ties
     by the chi chain along the witness flag, then by parameters, so the
-    output order is deterministic.  ``workers`` > 1 evaluates grid points
-    in parallel with a deterministic merge.
+    output order is deterministic.  g above the flag-search limit is
+    refused before anything is enumerated.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
+    require_flag_dimension(g)
     box = box if box is not None else default_box(g, d)
     candidates: list[ConstructionParams] = []
     k_range = range(1, box.max_k + 1)
@@ -349,13 +340,15 @@ def brute_search(
                             g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=coeffs[1:-1], c=c
                         )
                     )
-    if workers is not None and workers > 1:
-        with multiprocessing.Pool(processes=workers) as pool:
-            certified = pool.map(_certify_or_skip, candidates)
-    else:
-        certified = [_certify_or_skip(p) for p in candidates]
     target = (1,) * (g - 1) + (d,)
-    results = [c for c in certified if c is not None and c.ptype == target]
+    results = []
+    for params in candidates:
+        try:
+            cert = certify(params)
+        except (NotAmpleError, DegenerateFormError):
+            continue
+        if cert.ptype == target:
+            results.append(cert)
     results.sort(key=Certificate.sort_key)
     return results
 
@@ -396,10 +389,12 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
     Upper bounds come from the recipe constructions (lifted to the
     general member by semicontinuity), lower bounds from the degree root
     and the necessary conditions; for surfaces the rule table supplies
-    the sharper published values.
+    the sharper published values.  g above the flag-search limit is
+    refused before any construction is built.
     """
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
+    require_flag_dimension(g)
     if g == 1:
         return GeneralBetaReport(
             g=1,

@@ -4,8 +4,9 @@ Everything in this module is exact: matrices hold Python's
 arbitrary-precision ints, elimination is fraction-free, and integer
 roots come from integer Newton iteration.  No floating point anywhere.
 
-The matrices handled here are tiny (at most 16x16), so the algorithms
-favour simplicity and determinism over asymptotics.
+The matrices handled here are small (2g x 2g, g <= torusmodel.MAX_DIMENSION),
+so the algorithms favour simplicity and determinism over asymptotics;
+only the Pfaffian memo grows exponentially in g, which is what that cap bounds.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ class IntMatrix:
         return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
         n = len(values)
         return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
@@ -68,50 +65,29 @@ class IntMatrix:
             self.at(i, j) == -self.at(j, i) for i in range(n) for j in range(i + 1, n)
         )
 
-    def diagonal_entries(self) -> tuple[int, ...]:
-        return tuple(self.at(i, i) for i in range(min(self.rows, self.cols)))
 
+def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of ``m``.
 
-def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form ``U @ m @ V = S`` with unimodular U, V.
-
-    S is diagonal with nonnegative entries, each dividing the next.
-    Pivot choice: smallest nonzero absolute value, ties broken by lowest
-    row then column index, so the elimination path is deterministic.
+    The min(rows, cols) entries are nonnegative, each dividing the next;
+    they are the invariant factors, so the product of the first k is the
+    gcd of the k x k minors.  Only the diagonal is kept: the unimodular
+    row and column transforms are never materialized.  Pivot choice:
+    smallest nonzero absolute value, ties broken by lowest row then
+    column index, so the elimination path is deterministic.
     """
     a = m.to_rows()
     nrows, ncols = m.rows, m.cols
-    u = IntMatrix.identity(nrows).to_rows()
-    v = IntMatrix.identity(ncols).to_rows()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
         # row_dst += factor * row_src
         arow, srow = a[dst], a[src]
         for jj in range(ncols):
             arow[jj] += factor * srow[jj]
-        urow, usrc = u[dst], u[src]
-        for jj in range(nrows):
-            urow[jj] += factor * usrc[jj]
 
     def add_col(src, dst, factor):
         for row in a:
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     limit = min(nrows, ncols)
@@ -126,12 +102,11 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         if pivot is None:
             break
         _, pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
 
         piv = a[t][t]
         dirty = False
@@ -159,11 +134,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             continue
         t += 1
 
-    return (
-        IntMatrix.from_rows(u),
-        IntMatrix.from_rows(a),
-        IntMatrix.from_rows(v),
-    )
+    return tuple(a[i][i] for i in range(limit))
 
 
 def _pfaffian_mask(flat: list[list[int]], mask: int, memo: dict[int, int]) -> int:

@@ -38,6 +38,12 @@ from .torusmodel import (
 MAX_FLAG_DIMENSION = 8  # exhaustive permutation search stays trivial up to here
 
 
+def require_flag_dimension(g: int) -> None:
+    """Refuse g above the flag-search limit, before any work is started."""
+    if g > MAX_FLAG_DIMENSION:
+        raise ValueError(f"exhaustive flag search is limited to g <= {MAX_FLAG_DIMENSION}")
+
+
 class InconsistentBoundsError(ValueError):
     """Lower bound exceeds upper bound; signals a bug upstream."""
 
@@ -166,7 +172,10 @@ class BetaInterval:
         if self.upper > UNIT:
             raise InconsistentBoundsError("upper bound exceeds 1")
         if self.lower > self.upper:
-            raise InconsistentBoundsError("lower bound exceeds upper bound")
+            raise InconsistentBoundsError(
+                f"lower bound {self.lower} ({self.lower_reason}) exceeds "
+                f"upper bound {self.upper} ({self.upper_reason})"
+            )
         if self.lower == self.upper and (self.lower_strict or self.upper_strict):
             raise InconsistentBoundsError("equal bounds cannot be strict")
         if self.exact and (self.lower != self.upper or self.lower_strict or self.upper_strict):
@@ -254,20 +263,19 @@ def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None =
 
 def best_flag_bound(
     cls: DivisorClass, form: AltForm | None = None
-) -> tuple[Fraction, tuple[int, ...]]:
-    """Minimum flag bound over all drop orders, with a witness order.
+) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
+    """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
 
-    Ties are broken by the lexicographically smallest permutation.
+    The chi chain is the ``flag_profile`` of the witness order.  Ties are
+    broken by the lexicographically smallest permutation.
     """
     form = _ample_form(cls, form)
-    g = form.g
-    if g > MAX_FLAG_DIMENSION:
-        raise ValueError(f"exhaustive flag search is limited to g <= {MAX_FLAG_DIMENSION}")
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for order in permutations(range(g)):
-        bound, _ = _flag_chain(form, order)
+    require_flag_dimension(form.g)
+    best: tuple[Fraction, tuple[int, ...], tuple[int, ...]] | None = None
+    for order in permutations(range(form.g)):
+        bound, chis = _flag_chain(form, order)
         if best is None or bound < best[0]:
-            best = (bound, order)
+            best = (bound, order, chis)
     return best
 
 
@@ -331,20 +339,12 @@ def combine_interval(
             )
     best_low = max(lower_pool, key=lambda t: (t.value, t.strict))
     best_up = min(upper_pool, key=lambda t: (t.value, not t.strict))
-    if best_low.value > best_up.value:
-        raise InconsistentBoundsError(
-            f"lower bound {best_low.value} ({best_low.reason}) exceeds "
-            f"upper bound {best_up.value} ({best_up.reason})"
-        )
-    if best_low.value == best_up.value and (best_low.strict or best_up.strict):
-        raise InconsistentBoundsError("bounds meet but one of them is strict")
-    exact = best_low.value == best_up.value
     return BetaInterval(
         lower=best_low.value,
         lower_strict=best_low.strict,
         upper=best_up.value,
         upper_strict=best_up.strict,
-        exact=exact,
+        exact=best_low.value == best_up.value,
         scope=scope,
         lower_reason=best_low.reason,
         upper_reason=best_up.reason,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -111,12 +112,6 @@ class TestSearchCommand:
         assert out["results"]["count"] == 0
         assert "diagnostic" in out["results"]
 
-    def test_parallel_env_var(self, monkeypatch):
-        sequential = run(["search", "--g", "3", "--d", "5"])
-        monkeypatch.setenv("ABSL_THREADS", "2")
-        parallel = run(["search", "--g", "3", "--d", "5"])
-        assert sequential["results"] == parallel["results"]
-
 
 class TestNpCommand:
     def test_threefold_forty(self):
@@ -167,6 +162,20 @@ class TestCliContract:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ")
+
+    def test_oversized_inputs_refused_before_work(self, capsys):
+        # Each of these would build a Pfaffian memo exponential in g (or
+        # enumerate a search) before failing if the size were not checked first.
+        ones = ",".join(["1"] * 29)
+        for argv in (
+            ["beta", "--general", "30", "200000"],
+            ["chi", "--g", "30", "--k", ones, "--a", ones + ",1", "--c", "1"],
+            ["search", "--g", "30", "--d", "50"],
+        ):
+            start = time.perf_counter()
+            assert main(argv) == EXIT_PARSE
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_inconsistent_bounds_exit_three(self, monkeypatch, capsys):
         def broken(g, d):

@@ -4,34 +4,36 @@ from fractions import Fraction
 import pytest
 
 from betabound import IntMatrix, integer_root, smith_normal_form
-from util import exact_det, is_positive_definite, matmul, pfaffian, random_alternating
+from util import (
+    determinantal_divisors,
+    exact_det,
+    is_positive_definite,
+    matmul,
+    pfaffian,
+    random_alternating,
+)
 
 
 def snf_checks(m: IntMatrix):
-    """Verify the Smith-form contract and return the diagonal."""
-    u, s, v = smith_normal_form(m)
-    assert matmul(matmul(u, m), v).entries == s.entries
-    assert abs(exact_det(u)) == 1
-    assert abs(exact_det(v)) == 1
-    diag = s.diagonal_entries()
+    """Verify the Smith diagonal against the determinantal divisors and return it."""
+    diag = smith_normal_form(m)
+    assert len(diag) == min(m.rows, m.cols)
     assert all(x >= 0 for x in diag)
-    for i in range(s.rows):
-        for j in range(s.cols):
-            if i != j:
-                assert s.at(i, j) == 0
     for prev, nxt in zip(diag, diag[1:]):
         if prev == 0:
             assert nxt == 0
         else:
             assert nxt % prev == 0
+    prefix = 1
+    for x, divisor in zip(diag, determinantal_divisors(m)):
+        prefix *= x
+        assert prefix == divisor
     return diag
 
 
 class TestSmithNormalForm:
     def test_identity(self):
-        m = IntMatrix.identity(4)
-        _, s, _ = smith_normal_form(m)
-        assert s.entries == m.entries
+        assert smith_normal_form(IntMatrix.diagonal((1, 1, 1, 1))) == (1, 1, 1, 1)
 
     def test_diag_2_3(self):
         # By hand: gcd(2, 3) = 1 and lcm(2, 3) = 6.
@@ -65,16 +67,14 @@ class TestSmithNormalForm:
     def test_random_alternating_pairs_up(self):
         rng = random.Random(99)
         for _ in range(60):
-            dim = rng.choice((2, 4, 6, 8))
+            dim = rng.choice((2, 4, 6))
             diag = snf_checks(random_alternating(rng, dim, 30))
             for i in range(0, dim, 2):
                 assert diag[i] == diag[i + 1]
 
     def test_deterministic(self):
         m = IntMatrix.from_rows([[12, 8, -7], [3, 0, 14], [5, 5, 5]])
-        first = smith_normal_form(m)
-        second = smith_normal_form(m)
-        assert [x.entries for x in first] == [x.entries for x in second]
+        assert smith_normal_form(m) == smith_normal_form(m)
 
 
 class TestPfaffian:

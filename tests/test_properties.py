@@ -62,7 +62,7 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
     form = alt_form(cls)
     assume(is_ample(form))
     bound, order, chis = permutation_flag_oracle(form)
-    assert best_flag_bound(cls) == (bound, order)
+    assert best_flag_bound(cls) == (bound, order, chis)
     assert flag_profile(cls, order) == chis
 
 

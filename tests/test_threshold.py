@@ -103,16 +103,15 @@ class TestFlagBounds:
             flag_profile(cls, (0, 1))
 
     def test_best_flag_threefold(self):
-        bound, order = best_flag_bound(THREEFOLD_40)
-        assert bound == Fraction(13, 40)
-        assert order == (0, 1, 2)
+        assert best_flag_bound(THREEFOLD_40) == (Fraction(13, 40), (0, 1, 2), (40, 13, 4))
 
     def test_best_flag_surface_by_hand(self):
         # class 2F_0 + F_1 + G with k = 2: curve degrees 4 and 2, chi = 6;
         # order (0, 1) gives max(1/2, 2/6) = 1/2, order (1, 0) gives
-        # max(1/4, 4/6) = 2/3, so the minimum is 1/2 with witness (0, 1).
+        # max(1/4, 4/6) = 2/3, so the minimum is 1/2 with witness (0, 1)
+        # and chi chain (6, 2).
         cls = standard_class(ConstructionSpace(2, (2,)), 2, 1)
-        assert best_flag_bound(cls) == (Fraction(1, 2), (0, 1))
+        assert best_flag_bound(cls) == (Fraction(1, 2), (0, 1), (6, 2))
 
     def test_best_flag_principal(self):
         cls = DivisorClass(ConstructionSpace(2, (1,)), (1, 1), 0)
@@ -121,7 +120,7 @@ class TestFlagBounds:
     def test_dimension_one(self):
         cls = DivisorClass(ConstructionSpace(1, ()), (5,), 0)
         assert flag_upper_bound(cls, (0,)) == Fraction(1, 5)
-        assert best_flag_bound(cls) == (Fraction(1, 5), (0,))
+        assert best_flag_bound(cls) == (Fraction(1, 5), (0,), (5,))
 
 
 class TestClosedFormBound:

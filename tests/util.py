@@ -2,12 +2,15 @@
 
 The determinant here is intentionally computed by plain fraction
 Gaussian elimination so that Pfaffian and Smith-form assertions are
-checked against a path that shares no code with the library kernel.
+checked against a path that shares no code with the library kernel;
+the Smith diagonal is checked through the gcds of minors built on it.
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with.
 """
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 import random
 from typing import Sequence
 
@@ -48,6 +51,24 @@ def exact_det(m: IntMatrix) -> Fraction:
                 for j in range(k, n):
                     a[i][j] -= factor * a[k][j]
     return det
+
+
+def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """For k = 1, ..., min(rows, cols), the gcd of all k x k minors of m.
+
+    The k-th entry equals the product of the first k Smith invariant
+    factors, so this pins down the Smith diagonal through exact_det
+    alone, sharing no code with the library's elimination.
+    """
+    divisors = []
+    for k in range(1, min(m.rows, m.cols) + 1):
+        d = 0
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                minor = exact_det(IntMatrix(k, k, tuple(m.at(i, j) for i in rows for j in cols)))
+                d = gcd(d, minor.numerator)
+        divisors.append(d)
+    return tuple(divisors)
 
 
 def random_alternating(rng: random.Random, dim: int, max_entry: int = 100) -> IntMatrix:
