@@ -18,12 +18,12 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict, replace
 from typing import Sequence
 
 from .constructor import (
     NotAmpleError,
     OracleDisagreement,
-    SearchBox,
     brute_search,
     certify_class,
     checked_chi,
@@ -156,13 +156,8 @@ def _cmd_beta(args, argv) -> dict:
 
 
 def _cmd_search(args, argv) -> dict:
-    base = default_box(args.g, args.d)
-    box = SearchBox(
-        max_a=args.max_a if args.max_a is not None else base.max_a,
-        max_b=args.max_b if args.max_b is not None else base.max_b,
-        max_k=args.max_k if args.max_k is not None else base.max_k,
-        max_c=args.max_c if args.max_c is not None else base.max_c,
-    )
+    overrides = {name: getattr(args, name) for name in ("max_a", "max_b", "max_k", "max_c")}
+    box = replace(default_box(args.g, args.d), **{k: v for k, v in overrides.items() if v is not None})
     certificates = brute_search(args.g, args.d, box=box, generalized=args.generalized)
     results = {
         "count": len(certificates),
@@ -170,12 +165,7 @@ def _cmd_search(args, argv) -> dict:
     }
     if not certificates:
         results["diagnostic"] = "no construction of the requested type inside the box"
-    inputs = {
-        "g": args.g,
-        "d": args.d,
-        "box": {"max_a": box.max_a, "max_b": box.max_b, "max_k": box.max_k, "max_c": box.max_c},
-        "generalized": args.generalized,
-    }
+    inputs = {"g": args.g, "d": args.d, "box": asdict(box), "generalized": args.generalized}
     return _envelope("search", argv, inputs, results, args.format)
 
 

@@ -8,6 +8,11 @@ a standard class with a = r, b = m-1 whose flag bound is at most 1/m
 d = ms + r with 1 <= r <= m and taking b = m pushes the bound strictly
 below 1/m (the "strict" recipe).
 
+The brute-force search runs the standard sweep (interior coefficients
+and c equal to 1) and the generalized one through one loop over
+coefficient shapes and k_2, ..., k_(g-1); chi is affine in k_1, which is
+solved from chi = d instead of enumerated.
+
 Every construction is certified before it is reported: both Euler
 characteristic oracles must agree, the type is recomputed from the
 elementary divisors of the lattice form and its product checked against
@@ -20,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Callable, Iterable
 
 from .exactmath import integer_root
@@ -43,6 +49,7 @@ from .torusmodel import (
     DivisorClass,
     FiniteGroupShape,
     alt_form,
+    chi_affine,
     chi_multilinear,
     chi_pfaffian,
     is_ample,
@@ -53,6 +60,14 @@ from .torusmodel import (
 CASE_RECIPE_WEAK = "recipe-weak"
 CASE_RECIPE_STRICT = "recipe-strict"
 CASE_EXPLICIT = "explicit"
+
+# Search limits, checked before the work they bound.  Enumeration costs about
+# 1.5 us per (shape, k_2..k_(g-1)) pair, so 10^6 pairs take 1.5-4 s; one
+# certificate costs about 0.5 ms at g = 3, 0.9 ms at g = 4 and 4 ms at g = 5,
+# so 10^4 candidates take 5-40 s.  Both stay above the largest known requests
+# (search --g 4 --d 40: 5,764 candidates) (2 cores, Python 3.11).
+MAX_SEARCH_PAIRS = 10**6
+MAX_SEARCH_CANDIDATES = 10**4
 
 
 class OracleDisagreement(RuntimeError):
@@ -238,8 +253,10 @@ def certify_class(
     once chi is known to be nonzero.  The certificate carries no params.
 
     Raises OracleDisagreement if the chi oracles disagree, NotAmpleError
-    for non-ample classes, DegenerateFormError for degenerate ones.
+    for non-ample classes, DegenerateFormError for degenerate ones.  g
+    above the flag-search limit is refused before any oracle runs.
     """
+    require_flag_dimension(cls.space.g)
     form = alt_form(cls)
     chi = checked_chi(cls, form)
     if chi == 0:
@@ -278,6 +295,13 @@ def certify(params: ConstructionParams) -> Certificate:
     return replace(certify_class(params.divisor_class()), params=params)
 
 
+def _box_too_large(size: str, limit: int) -> ValueError:
+    return ValueError(
+        f"search box has {size}, above the limit of {limit}; "
+        "shrink it with --max-a, --max-b, --max-k or --max-c"
+    )
+
+
 @dataclass(frozen=True)
 class SearchBox:
     """Coefficient and multiplier limits for the brute-force search."""
@@ -303,43 +327,45 @@ def brute_search(
 
     The default search sweeps standard classes (interior coefficients 1,
     correspondence coefficient 1); ``generalized=True`` also varies the
-    interior coefficients and c.  Results are ranked by flag bound, ties
-    by the chi chain along the witness flag, then by parameters, so the
-    output order is deterministic.  g above the flag-search limit is
-    refused before anything is enumerated.
+    interior coefficients and c.  Both run one loop over coefficient
+    shapes and k_2, ..., k_(g-1), solving k_1 from chi = d.  Results are
+    ranked by flag bound, ties by the chi chain along the witness flag,
+    then by parameters, so the output order is deterministic.  g above
+    the flag-search limit and boxes above MAX_SEARCH_PAIRS or
+    MAX_SEARCH_CANDIDATES are refused before anything is certified.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
     require_flag_dimension(g)
     box = box if box is not None else default_box(g, d)
-    candidates: list[ConstructionParams] = []
-    k_range = range(1, box.max_k + 1)
-    if not generalized:
-        for a in range(box.max_a + 1):
-            for b in range(box.max_b + 1):
-                if a == 0 and b == 0:
-                    continue
-                for k in product(k_range, repeat=g - 1):
-                    n1 = sum(k[1:]) + 1
-                    if a * (1 + b * n1) + b * k[0] != d:
-                        continue
-                    candidates.append(ConstructionParams(g=g, k=k, a=a, b=b))
+    a_range, b_range, k_range = range(box.max_a + 1), range(box.max_b + 1), range(1, box.max_k + 1)
+    if generalized:
+        coeff_ranges, c_range = [a_range] * (g - 1) + [b_range], range(box.max_c + 1)
     else:
-        coeff_ranges = [range(box.max_a + 1)] + [range(box.max_a + 1)] * (g - 2) + [range(box.max_b + 1)]
-        for coeffs in product(*coeff_ranges):
-            for c in range(box.max_c + 1):
-                if not any(coeffs) and c == 0:
-                    continue
-                for k in product(k_range, repeat=g - 1):
-                    space = ConstructionSpace(g, k)
-                    cls = DivisorClass(space, coeffs, c)
-                    if chi_multilinear(cls) != d:
-                        continue
-                    candidates.append(
-                        ConstructionParams(
-                            g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=coeffs[1:-1], c=c
-                        )
-                    )
+        coeff_ranges, c_range = [a_range] + [range(1, 2)] * (g - 2) + [b_range], range(1, 2)
+    pairs = prod(map(len, coeff_ranges)) * len(c_range) * len(k_range) ** (g - 2)
+    if pairs > MAX_SEARCH_PAIRS:
+        raise _box_too_large(f"{pairs} (shape, multiplier) pairs", MAX_SEARCH_PAIRS)
+    candidates: list[ConstructionParams] = []
+    # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.
+    for coeffs, c in product(product(*coeff_ranges), c_range):
+        constant, weights = chi_affine(coeffs, c)
+        middle = coeffs[1:-1] if generalized else None
+        for rest in product(k_range, repeat=g - 2):
+            free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))
+            if weights[0] == 0:
+                # chi does not depend on k_1: every k_1 fits or none does
+                k1s = k_range if free == 0 else ()
+            else:
+                k1, rem = divmod(free, weights[0])
+                k1s = (k1,) if rem == 0 and k1 in k_range else ()
+            n = len(candidates) + len(k1s)
+            if n > MAX_SEARCH_CANDIDATES:
+                raise _box_too_large(f"at least {n} candidates", MAX_SEARCH_CANDIDATES)
+            candidates.extend(
+                ConstructionParams(g, (k1,) + rest, coeffs[0], coeffs[-1], middle=middle, c=c)
+                for k1 in k1s
+            )
     target = (1,) * (g - 1) + (d,)
     results = []
     for params in candidates:
@@ -365,7 +391,6 @@ class GeneralBetaReport:
     d: int
     interval: BetaInterval
     witness: Certificate | None
-    certificates: tuple[Certificate, ...]
     surface_rule: SurfaceRuleResult | None = None
     strictly_below: Fraction | None = None
 
@@ -401,7 +426,6 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
             d=d,
             interval=exact_interval(Fraction(1, d), Scope.ALL, "elliptic-degree"),
             witness=None,
-            certificates=(),
         )
     certs: list[Certificate] = []
     weak = recipe_weak(g, d)
@@ -440,7 +464,6 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
         d=d,
         interval=interval,
         witness=witness,
-        certificates=tuple(sorted(certs, key=Certificate.sort_key)),
         surface_rule=surface_rule,
         strictly_below=strictly_below,
     )

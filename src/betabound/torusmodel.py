@@ -27,7 +27,7 @@ group K(l)) is computed by exact integer linear algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from math import prod
 from typing import Sequence
 
 from .exactmath import (
@@ -126,7 +126,7 @@ class PolarizationType:
 
     @property
     def product(self) -> int:
-        return reduce(lambda x, y: x * y, self.d, 1)
+        return prod(self.d)
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ class FiniteGroupShape:
 
     @property
     def order(self) -> int:
-        return reduce(lambda x, y: x * y, self.divisors, 1)
+        return prod(self.divisors)
 
 
 @dataclass(frozen=True)
@@ -231,8 +231,8 @@ def alt_form(cls: DivisorClass) -> AltForm:
     return form
 
 
-def chi_multilinear(cls: DivisorClass) -> int:
-    """Euler characteristic from the intersection numbers of the basis.
+def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
+    """Euler characteristic of the class (a, c) as an affine function of k.
 
     Both F_i and G are abelian subvarieties of codimension one, so their
     self-intersections vanish and the top self-intersection of the class
@@ -240,20 +240,18 @@ def chi_multilinear(cls: DivisorClass) -> int:
 
         chi = prod_i a_i + c * sum_i k_i * prod_{j != i} a_j,
 
-    with k_{g-1} = 1.
+    with k_{g-1} = 1.  Returns (constant, weights) with chi = constant +
+    sum_{i < g-1} k_i * weights[i], so a search can solve for a multiplier.
     """
-    k_full = cls.space.k_full
-    prod = 1
-    for x in cls.a:
-        prod *= x
-    mixed = 0
-    for i, k in enumerate(k_full):
-        p = 1
-        for j, x in enumerate(cls.a):
-            if j != i:
-                p *= x
-        mixed += k * p
-    return prod + cls.c * mixed
+    a = tuple(a)
+    mixed = [c * prod(a[:i] + a[i + 1 :]) for i in range(len(a))]
+    return prod(a) + mixed[-1], tuple(mixed[:-1])
+
+
+def chi_multilinear(cls: DivisorClass) -> int:
+    """Euler characteristic from the intersection numbers of the basis (see ``chi_affine``)."""
+    constant, weights = chi_affine(cls.a, cls.c)
+    return constant + sum(k * w for k, w in zip(cls.space.k, weights))
 
 
 def chi_pfaffian(form: AltForm) -> int:

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import betabound.cli
+import betabound.constructor
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
@@ -163,14 +164,26 @@ class TestCliContract:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
-    def test_oversized_inputs_refused_before_work(self, capsys):
-        # Each of these would build a Pfaffian memo exponential in g (or
-        # enumerate a search) before failing if the size were not checked first.
+    def test_oversized_inputs_refused_before_work(self, monkeypatch, capsys):
+        # Each of these would build a Pfaffian memo exponential in g, or
+        # enumerate a search box too large to finish, before failing if the
+        # size were not checked first; none may build a form or certify.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the size check")
+
+        monkeypatch.setattr(betabound.cli, "alt_form", no_work)
+        for name in ("alt_form", "certify"):
+            monkeypatch.setattr(betabound.constructor, name, no_work)
         ones = ",".join(["1"] * 29)
         for argv in (
             ["beta", "--general", "30", "200000"],
             ["chi", "--g", "30", "--k", ones, "--a", ones + ",1", "--c", "1"],
             ["search", "--g", "30", "--d", "50"],
+            ["search", "--g", "8", "--d", "50"],
+            ["search", "--g", "4", "--d", "1000"],
+            ["search", "--g", "2", "--d", "6", "--generalized", "--max-k", "10000000"],
+            # a degenerate class: the flag-search limit refuses it before any oracle runs
+            ["beta", "--g", "9", "--k", "1,1,1,1,1,1,1,1", "--a", "0,1,1,1,1,1,1,1,1", "--c", "0"],
         ):
             start = time.perf_counter()
             assert main(argv) == EXIT_PARSE

@@ -10,8 +10,10 @@ from betabound import (
     ConstructionParams,
     ConstructionSpace,
     DivisorClass,
+    SearchBox,
     alt_form,
     best_flag_bound,
+    brute_search,
     certify,
     chi_pfaffian,
     flag_profile,
@@ -19,7 +21,7 @@ from betabound import (
     restrict,
 )
 from betabound.cli import run
-from util import hermitian_pairing, is_positive_definite
+from util import hermitian_pairing, is_positive_definite, reference_search
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -90,3 +92,15 @@ def test_explicit_beta_matches_certify(k, a, b):
     results = run(argv)["results"]
     for key in ("chi", "type", "flag_bound"):
         assert results[key] == cert[key]
+
+
+@SETTINGS
+@given(
+    st.integers(2, 3),
+    st.integers(1, 12),
+    st.builds(SearchBox, st.integers(0, 3), st.integers(0, 3), st.integers(0, 5), st.integers(0, 2)),
+    st.booleans(),
+)
+def test_brute_search_matches_full_enumeration(g, d, box, generalized):
+    expected = [c.params for c in reference_search(g, d, box, generalized)]
+    assert [c.params for c in brute_search(g, d, box, generalized)] == expected

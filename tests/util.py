@@ -5,16 +5,30 @@ Gaussian elimination so that Pfaffian and Smith-form assertions are
 checked against a path that shares no code with the library kernel;
 the Smith diagonal is checked through the gcds of minors built on it.
 Likewise the Fraction pairing and its positive-definiteness test are
-the reference the integer ampleness test is compared with.
+the reference the integer ampleness test is compared with, and the full
+enumeration with chi by Pfaffian the reference for the search.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 import random
 from typing import Sequence
 
-from betabound import AltForm, IntMatrix
+from betabound import (
+    AltForm,
+    Certificate,
+    ConstructionParams,
+    ConstructionSpace,
+    DegenerateFormError,
+    DivisorClass,
+    IntMatrix,
+    NotAmpleError,
+    SearchBox,
+    alt_form,
+    certify,
+    chi_pfaffian,
+)
 from betabound.exactmath import PfaffianCache
 
 
@@ -127,3 +141,40 @@ def is_positive_definite(s: Sequence[Sequence[Fraction | int]]) -> bool:
                 for j in range(k, n):
                     row_i[j] -= factor * row_k[j]
     return True
+
+
+def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[Certificate]:
+    """brute_search by enumerating every multiplier in [1, max_k]^(g-1).
+
+    A candidate is kept when the Pfaffian of its form is d, which shares
+    no code with the library's affine chi formula.
+    """
+    if generalized:
+        shapes = [
+            (coeffs, c)
+            for coeffs in product(*[range(box.max_a + 1)] * (g - 1), range(box.max_b + 1))
+            for c in range(box.max_c + 1)
+            if any(coeffs) or c
+        ]
+    else:
+        shapes = [
+            ((a,) + (1,) * (g - 2) + (b,), 1)
+            for a in range(box.max_a + 1)
+            for b in range(box.max_b + 1)
+            if a or b
+        ]
+    target = (1,) * (g - 1) + (d,)
+    results = []
+    for coeffs, c in shapes:
+        for k in product(range(1, box.max_k + 1), repeat=g - 1):
+            if chi_pfaffian(alt_form(DivisorClass(ConstructionSpace(g, k), coeffs, c))) != d:
+                continue
+            middle = coeffs[1:-1] if generalized else None
+            params = ConstructionParams(g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=middle, c=c)
+            try:
+                cert = certify(params)
+            except (NotAmpleError, DegenerateFormError):
+                continue
+            if cert.ptype == target:
+                results.append(cert)
+    return sorted(results, key=Certificate.sort_key)
