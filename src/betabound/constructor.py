@@ -40,14 +40,15 @@ from .threshold import (
     combine_interval,
     exact_interval,
     flag_lower_bound,
-    require_flag_dimension,
 )
 from .torusmodel import (
+    MAX_DIMENSION,
     AltForm,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
     FiniteGroupShape,
+    OracleDisagreement,
     alt_form,
     chi_affine,
     chi_multilinear,
@@ -62,16 +63,18 @@ CASE_RECIPE_STRICT = "recipe-strict"
 CASE_EXPLICIT = "explicit"
 
 # Search limits, checked before the work they bound.  Enumeration costs about
-# 1.5 us per (shape, k_2..k_(g-1)) pair, so 10^6 pairs take 1.5-4 s; one
-# certificate costs about 0.5 ms at g = 3, 0.9 ms at g = 4 and 4 ms at g = 5,
-# so 10^4 candidates take 5-40 s.  Both stay above the largest known requests
-# (search --g 4 --d 40: 5,764 candidates) (2 cores, Python 3.11).
+# 1.5 us per (shape, k_2..k_(g-1)) pair, so 10^6 pairs take 1.5-4 s.  The
+# candidate limit is 10^4 certificates at g <= 4, where one costs about
+# 0.65 ms, so 6.5 s of certifying.  Above g = 4 it is divided by
+# CERTIFICATE_COST[g], the cost of one certificate in g = 4 certificates,
+# rounded up: the median certify time over random standard classes is
+# 1.1 / 1.8 / 3.3 / 6.8 / 17 / 39 / 99 / 313 ms at g = 5..12, about 2.4x per
+# +1 in g from g = 7, where the Pfaffian memo outgrows the 2^g * g flag search
+# (2 cores, Python 3.11.7).  Both limits stay above the largest known
+# requests (search --g 4 --d 40: 5,764 candidates).
 MAX_SEARCH_PAIRS = 10**6
 MAX_SEARCH_CANDIDATES = 10**4
-
-
-class OracleDisagreement(RuntimeError):
-    """Two independent oracles disagreed; indicates a bug, never swallowed."""
+CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 6, 11, 27, 60, 153, 482)  # indexed by g
 
 
 class NotAmpleError(ValueError):
@@ -253,10 +256,8 @@ def certify_class(
     once chi is known to be nonzero.  The certificate carries no params.
 
     Raises OracleDisagreement if the chi oracles disagree, NotAmpleError
-    for non-ample classes, DegenerateFormError for degenerate ones.  g
-    above the flag-search limit is refused before any oracle runs.
+    for non-ample classes, DegenerateFormError for degenerate ones.
     """
-    require_flag_dimension(cls.space.g)
     form = alt_form(cls)
     chi = checked_chi(cls, form)
     if chi == 0:
@@ -331,12 +332,14 @@ def brute_search(
     shapes and k_2, ..., k_(g-1), solving k_1 from chi = d.  Results are
     ranked by flag bound, ties by the chi chain along the witness flag,
     then by parameters, so the output order is deterministic.  g above
-    the flag-search limit and boxes above MAX_SEARCH_PAIRS or
-    MAX_SEARCH_CANDIDATES are refused before anything is certified.
+    torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_PAIRS and boxes with
+    more than MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g] candidates are
+    refused before anything is certified.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
-    require_flag_dimension(g)
+    if g > MAX_DIMENSION:
+        raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
     box = box if box is not None else default_box(g, d)
     a_range, b_range, k_range = range(box.max_a + 1), range(box.max_b + 1), range(1, box.max_k + 1)
     if generalized:
@@ -346,6 +349,7 @@ def brute_search(
     pairs = prod(map(len, coeff_ranges)) * len(c_range) * len(k_range) ** (g - 2)
     if pairs > MAX_SEARCH_PAIRS:
         raise _box_too_large(f"{pairs} (shape, multiplier) pairs", MAX_SEARCH_PAIRS)
+    max_candidates = MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g]
     candidates: list[ConstructionParams] = []
     # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.
     for coeffs, c in product(product(*coeff_ranges), c_range):
@@ -360,8 +364,8 @@ def brute_search(
                 k1, rem = divmod(free, weights[0])
                 k1s = (k1,) if rem == 0 and k1 in k_range else ()
             n = len(candidates) + len(k1s)
-            if n > MAX_SEARCH_CANDIDATES:
-                raise _box_too_large(f"at least {n} candidates", MAX_SEARCH_CANDIDATES)
+            if n > max_candidates:
+                raise _box_too_large(f"at least {n} candidates", max_candidates)
             candidates.extend(
                 ConstructionParams(g, (k1,) + rest, coeffs[0], coeffs[-1], middle=middle, c=c)
                 for k1 in k1s
@@ -414,12 +418,13 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
     Upper bounds come from the recipe constructions (lifted to the
     general member by semicontinuity), lower bounds from the degree root
     and the necessary conditions; for surfaces the rule table supplies
-    the sharper published values.  g above the flag-search limit is
+    the sharper published values.  g above torusmodel.MAX_DIMENSION is
     refused before any construction is built.
     """
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
-    require_flag_dimension(g)
+    if g > MAX_DIMENSION:
+        raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
     if g == 1:
         return GeneralBetaReport(
             g=1,

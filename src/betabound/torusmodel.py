@@ -38,8 +38,10 @@ from .exactmath import (
 )
 
 
-# Largest accepted g.  The Pfaffian memo grows about 9x per +2 in g: `chi` on a
-# class at g = 12 takes 0.4 s and 20 MiB, at g = 14 1.7 s (2 cores, Python 3.11).
+# Largest accepted g, for classes, `beta --general`, `np` and `search` alike.
+# The Pfaffian memo sets it, not the 2^g * g flag search: explicit `beta` takes
+# 0.20 s at g = 12, 0.52 s at g = 13 and 1.65 s at g = 14 (37 MiB), and
+# `beta --general g 2^(g+1)+5` 0.47 / 1.25 / 3.07 s (2 cores, Python 3.11.7).
 MAX_DIMENSION = 12
 
 
@@ -49,6 +51,10 @@ class DegenerateFormError(ValueError):
 
 class LatticeInvariantError(AssertionError):
     """Internal invariant violation in the lattice model (a bug, never user input)."""
+
+
+class OracleDisagreement(RuntimeError):
+    """Two independent oracles disagreed; indicates a bug, never swallowed."""
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,23 @@ def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
     a = tuple(a)
     mixed = [c * prod(a[:i] + a[i + 1 :]) for i in range(len(a))]
     return prod(a) + mixed[-1], tuple(mixed[:-1])
+
+
+def subset_chis(cls: DivisorClass) -> list[int]:
+    """Euler characteristic of the restriction to every subset of factors.
+
+    Entry S, a bitmask of kept factors, is ``chi_affine`` on those
+    factors: chi(S) = P(S) + c * Q(S) with P(S) = prod_{i in S} a_i and
+    Q(S) = sum_{i in S} k_i * prod_{j in S - i} a_j (k_{g-1} = 1 whatever
+    S keeps).  Adding factor j gives P(S + j) = P(S) * a_j and
+    Q(S + j) = Q(S) * a_j + k_j * P(S), so all 2^g entries take O(2^g).
+    Entry 0 (nothing kept) is the empty product 1.
+    """
+    p, q = [1], [0]
+    for a, k in zip(cls.a, cls.space.k_full):
+        # the appended half keeps this factor: its indices have its bit set
+        p, q = p + [x * a for x in p], q + [y * a + k * x for x, y in zip(p, q)]
+    return [x + cls.c * y for x, y in zip(p, q)]
 
 
 def chi_multilinear(cls: DivisorClass) -> int:

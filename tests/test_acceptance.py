@@ -16,8 +16,10 @@ from betabound import (
     certify,
     chi_multilinear,
     chi_pfaffian,
+    general_beta,
     k_group,
     necessary_lower_bounds,
+    np_report,
     np_threshold,
     polarization_type,
     recipe_strict,
@@ -175,3 +177,26 @@ def test_criterion_8_boundary_coherence():
     assert row.exact
     assert row.interval.upper == Bound.rational(Fraction(1, 2))
     print("ACCEPTANCE 8 PASS: (3,15) certifies p=0 via 7/15 < 1/2 at the 2^4-1 boundary; (2,6) pinches to 1/2")
+
+
+def test_criterion_9_np_theorem():
+    # The paper's theorem: a general (X, L) of type (1, ..., 1, d) satisfies
+    # (N_p) once d >= np_threshold(g, p), certified here through a recipe
+    # witness of flag bound < 1/(p+2).  p stops at 9: the full range with
+    # d <= 10^7 is 3,485 degrees, 3,160 of them at g = 2, about a minute.
+    checked = 0
+    for g in range(2, 11):
+        for p in range(10):
+            d = np_threshold(g, p)
+            if d > 10**7:
+                break
+            report = general_beta(g, d)
+            assert np_report(g, d, report.interval).p_beta >= p
+            assert report.witness.ptype == (1,) * (g - 1) + (d,)
+            assert report.witness.bound < Fraction(1, p + 2)
+            checked += 1
+        # sharpness at p = 0: below 2^(g+1) - 1 no certificate can claim (N_0)
+        for d in (1, g, g + 1, 2 ** (g + 1) - 2):
+            assert general_beta(g, d).interval.lower >= Bound.rational(Fraction(1, 2))
+    assert checked == 71
+    print(f"ACCEPTANCE 9 PASS: (N_p) certified at the threshold degree for {checked} (g, p), 2<=g<=10, p<=9")

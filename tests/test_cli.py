@@ -5,6 +5,7 @@ import pytest
 
 import betabound.cli
 import betabound.constructor
+import betabound.threshold
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
@@ -15,6 +16,7 @@ from betabound.cli import (
     run,
 )
 from betabound.threshold import InconsistentBoundsError
+from betabound.torusmodel import subset_chis
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -83,6 +85,19 @@ class TestBetaCommand:
         code = main(["beta", "--g", "2", "--k", "3", "--a", "0,0", "--c", "1"])
         assert code == EXIT_NO_CERTIFICATE
         assert "no certificate" in capsys.readouterr().err
+
+    def test_degenerate_class_exits_four_above_g_eight(self, capsys):
+        for g in (9, 12):
+            ones = ",".join(["1"] * (g - 1))
+            start = time.perf_counter()
+            assert main(["beta", "--g", str(g), "--k", ones, "--a", "0," + ones, "--c", "0"]) == EXIT_NO_CERTIFICATE
+            assert time.perf_counter() - start < 1.0
+            assert capsys.readouterr().err.startswith("no certificate: ")
+
+    def test_general_above_g_eight(self):
+        for g, d in ((9, 600), (12, 4396)):
+            witness = run(["beta", "--general", str(g), str(d)])["results"]["witness"]
+            assert witness["type"]["value"] == [1] * (g - 1) + [d]
 
 
 class TestSearchCommand:
@@ -156,8 +171,8 @@ class TestCliContract:
         for argv in (
             ["search", "--g", "1", "--d", "5"],
             ["search", "--g", "3", "--d", "0"],
-            ["beta", "--general", "9", "600"],
-            ["beta", "--g", "9", "--k", "1,1,1,1,1,1,1,1", "--a", "1,1,1,1,1,1,1,1,1"],
+            ["beta", "--general", "13", "600"],
+            ["beta", "--g", "13", "--k", ",".join(["1"] * 12), "--a", ",".join(["1"] * 13)],
         ):
             assert main(argv) == EXIT_PARSE
             captured = capsys.readouterr()
@@ -182,8 +197,10 @@ class TestCliContract:
             ["search", "--g", "8", "--d", "50"],
             ["search", "--g", "4", "--d", "1000"],
             ["search", "--g", "2", "--d", "6", "--generalized", "--max-k", "10000000"],
-            # a degenerate class: the flag-search limit refuses it before any oracle runs
-            ["beta", "--g", "9", "--k", "1,1,1,1,1,1,1,1", "--a", "0,1,1,1,1,1,1,1,1", "--c", "0"],
+            # 330 candidates: under 10^4, but above the g = 12 limit of 10^4 / 482
+            ["search", "--g", "12", "--d", "17", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
+            # a degenerate class: the dimension limit refuses it before any oracle runs
+            ["beta", "--g", "13", "--k", ",".join(["1"] * 12), "--a", "0" + ",1" * 12, "--c", "0"],
         ):
             start = time.perf_counter()
             assert main(argv) == EXIT_PARSE
@@ -197,6 +214,18 @@ class TestCliContract:
         monkeypatch.setattr(betabound.cli, "general_beta", broken)
         assert main(["np", "--g", "3", "--d", "40"]) == EXIT_ORACLE
         assert "internal oracle failure" in capsys.readouterr().err
+
+    def test_flag_chain_disagreement_exits_three(self, monkeypatch, capsys):
+        def off_by_one(cls):
+            chis = subset_chis(cls)
+            chis[-1] += 1  # the full set heads every chain, the witness's too
+            return chis
+
+        monkeypatch.setattr(betabound.threshold, "subset_chis", off_by_one)
+        assert main(["beta", "--g", "4", "--k", "3,2,1", "--a", "1,1,1,2", "--c", "1"]) == EXIT_ORACLE
+        err = capsys.readouterr().err
+        assert err.startswith("internal oracle failure: flag chain oracles disagree")
+        assert "formula [" in err and "pfaffian [" in err
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betabound import (
@@ -21,14 +21,15 @@ from betabound import (
     restrict,
 )
 from betabound.cli import run
+from betabound.torusmodel import subset_chis
 from util import hermitian_pairing, is_positive_definite, reference_search
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def classes(draw):
-    g = draw(st.integers(1, 5))
+def classes(draw, max_g=5):
+    g = draw(st.integers(1, max_g))
     k = tuple(draw(st.lists(st.integers(1, 6), min_size=g - 1, max_size=g - 1)))
     a = tuple(draw(st.lists(st.integers(0, 4), min_size=g, max_size=g)))
     c = draw(st.integers(0, 2))
@@ -66,6 +67,20 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
     bound, order, chis = permutation_flag_oracle(form)
     assert best_flag_bound(cls) == (bound, order, chis)
     assert flag_profile(cls, order) == chis
+
+
+@SETTINGS
+@given(classes(max_g=6))
+# degenerate (so not ample) with nondegenerate restrictions, then ample
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1))
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 1, 2), 1))
+def test_subset_chis_match_restriction_pfaffians(cls):
+    form = alt_form(cls)
+    chis = subset_chis(cls)
+    g = cls.space.g
+    assert len(chis) == 2**g
+    for s in range(1, 2**g):
+        assert chis[s] == chi_pfaffian(restrict(form, [i for i in range(g) if s >> i & 1]))
 
 
 @SETTINGS
