@@ -7,7 +7,8 @@ a versioned envelope; every numeric claim carries the name of the oracle
 or rule that produced it, and rationals are printed as "p/q" strings,
 never as decimals.  Exit codes: 0 ok, 2 parse error, 3 internal oracle
 disagreement (a bug trap), 4 no certificate.  A library ValueError
-(an input outside a function's domain) exits 2 like a parse error.
+(an input outside a function's domain) exits 2 like a parse error, and
+so does one raised while rendering (an integer too long to print).
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def run(argv: Sequence[str]) -> dict:
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        envelope = run(argv)
+        text = render(run(argv))
     except (OracleDisagreement, LatticeInvariantError, InconsistentBoundsError) as exc:
         print(f"internal oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
@@ -346,7 +347,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        print(render(envelope))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (e.g. head) closed the pipe; not an error

@@ -1,12 +1,13 @@
 """Recipes and searches producing certified constructions of type (1, ..., 1, d).
 
-Two explicit recipes cover every degree once the integer g-th root m of
-d is at least 2.  Writing d = (m-1)s + r with 1 <= r <= m-1 and choosing
-the multipliers k_1 = s - (m^(g-2) + ... + m + 1)r, k_i = m^(g-i) gives
-a standard class with a = r, b = m-1 whose flag bound is at most 1/m
-(the "weak" recipe).  If moreover d >= m^g + ... + m + 1, writing
-d = ms + r with 1 <= r <= m and taking b = m pushes the bound strictly
-below 1/m (the "strict" recipe).
+Two explicit recipes share one step: write d = ns + r with 1 <= r <= n
+and take the standard class with a = r, b = n and multipliers
+k_1 = s - (m^(g-2) + ... + m + 1)r, k_i = m^(g-i).  The "weak" recipe
+takes m the integer g-th root of d and n = m - 1; it needs m >= 2 and
+certifies a flag bound of at most 1/m.  The "strict" recipe takes n = m,
+the largest integer with m^g + ... + m + 1 <= d; that m is p + 2 for the
+largest p whose (N_p) degree threshold d meets, so it exists once
+d >= g + 1, and the bound it certifies is strictly below 1/m.
 
 The brute-force search runs the standard sweep (interior coefficients
 and c equal to 1) and the generalized one through one loop over
@@ -30,7 +31,7 @@ from typing import Callable, Iterable
 
 from .exactmath import integer_root
 from .surfacetable import SurfaceRuleResult, surface_beta
-from .syzygy import LowerBoundRule, NpCertificate, necessary_lower_bounds, np_report
+from .syzygy import LowerBoundRule, NpCertificate, max_np_arithmetic, necessary_lower_bounds, np_report
 from .threshold import (
     BetaInterval,
     Bound,
@@ -145,18 +146,6 @@ class ConstructionParams:
 
 
 @dataclass(frozen=True)
-class TrivialBound:
-    """Marker returned when only the trivial bound beta <= 1 is available."""
-
-    g: int
-    d: int
-
-    @property
-    def bound(self) -> Fraction:
-        return Fraction(1)
-
-
-@dataclass(frozen=True)
 class Certificate:
     """A construction with all its independently verified invariants."""
 
@@ -187,51 +176,43 @@ class Certificate:
         }
 
 
-def _head_sum(m: int, g: int) -> int:
-    # 1 + m + ... + m^(g-2)
-    return sum(m**j for j in range(g - 1))
+def _recipe(g: int, d: int, m: int, n: int, case: str) -> ConstructionParams:
+    """The common step of both recipes: d = n*s + r with 1 <= r <= n, a = r,
+    b = n, k_1 = s - (1 + m + ... + m^(g-2))*r and k_i = m^(g-i)."""
+    r = (d - 1) % n + 1
+    s = (d - r) // n
+    k1 = s - sum(m**j for j in range(g - 1)) * r
+    if k1 < 1:
+        raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
+    k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
+    return ConstructionParams(g=g, k=k, a=r, b=n, case=case, m=m, r=r, s=s)
 
 
-def recipe_weak(g: int, d: int) -> ConstructionParams | TrivialBound:
-    """Division-with-remainder recipe certifying a bound of at most 1/m.
+def recipe_weak(g: int, d: int) -> ConstructionParams:
+    """Recipe certifying a bound of at most 1/m, with b = m - 1.
 
-    m is the integer g-th root of d.  For m = 1 the recipe degenerates
-    and the trivial-bound marker is returned instead of parameters.
+    m is the integer g-th root of d; m = 1 (d < 2^g) is a NoRecipeError.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
     m = integer_root(d, g)
     if m == 1:
-        return TrivialBound(g, d)
-    r = (d - 1) % (m - 1) + 1
-    s = (d - r) // (m - 1)
-    k1 = s - _head_sum(m, g) * r
-    if k1 < 1:
-        raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
-    k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
-    return ConstructionParams(g=g, k=k, a=r, b=m - 1, case=CASE_RECIPE_WEAK, m=m, r=r, s=s)
+        raise NoRecipeError(f"no weak recipe for g={g}, d={d}: requires d >= 2^g")
+    return _recipe(g, d, m, m - 1, CASE_RECIPE_WEAK)
 
 
 def recipe_strict(g: int, d: int) -> ConstructionParams:
-    """Recipe certifying a bound strictly below 1/m.
+    """Recipe certifying a bound strictly below 1/m, with b = m.
 
-    m is the largest integer with m^g + ... + m + 1 <= d; no such m
-    exists for d <= g, which is an error.
+    m is the largest integer with m^g + ... + m + 1 <= d, that is p + 2
+    for p = max_np_arithmetic(g, d); d <= g is a NoRecipeError.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
-    if d < g + 1:
+    p = max_np_arithmetic(g, d)
+    if p is None:
         raise NoRecipeError(f"no valid m >= 1 for g={g}, d={d}: requires d >= g+1")
-    m = 1
-    while sum((m + 1) ** i for i in range(g + 1)) <= d:
-        m += 1
-    r = (d - 1) % m + 1
-    s = (d - r) // m
-    k1 = s - _head_sum(m, g) * r
-    if k1 < 1:
-        raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
-    k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
-    return ConstructionParams(g=g, k=k, a=r, b=m, case=CASE_RECIPE_STRICT, m=m, r=r, s=s)
+    return _recipe(g, d, p + 2, p + 2, CASE_RECIPE_STRICT)
 
 
 def checked_chi(cls: DivisorClass, form: AltForm) -> int:
@@ -341,6 +322,10 @@ def brute_search(
     if g > MAX_DIMENSION:
         raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
     box = box if box is not None else default_box(g, d)
+    if box.max_k < 1:
+        # No multiplier fits.  The pair count is then 0, so without this the
+        # shape loop below would visit every coefficient shape unchecked.
+        return []
     a_range, b_range, k_range = range(box.max_a + 1), range(box.max_b + 1), range(1, box.max_k + 1)
     if generalized:
         coeff_ranges, c_range = [a_range] * (g - 1) + [b_range], range(box.max_c + 1)
@@ -433,13 +418,11 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
             witness=None,
         )
     certs: list[Certificate] = []
-    weak = recipe_weak(g, d)
-    if isinstance(weak, ConstructionParams):
-        certs.append(certify(weak))
-    try:
-        certs.append(certify(recipe_strict(g, d)))
-    except NoRecipeError:
-        pass
+    for recipe in (recipe_weak, recipe_strict):
+        try:
+            certs.append(certify(recipe(g, d)))
+        except NoRecipeError:
+            pass
     if not certs:
         # Any degree admits the product-like class (a = d, b = 0), whose
         # flag bound is the trivial 1; it keeps the witness constructive.

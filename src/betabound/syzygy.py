@@ -7,7 +7,8 @@ homogeneous ideal is generated by quadrics.  Only p >= -1 is modelled.
 Two sources of guarantees are kept apart: a certified strict upper bound
 beta < 1/(p+2) forces N_p for the member it was certified on, while the
 degree threshold d >= sum_{i=0}^{g} (p+2)^i guarantees N_p for the
-general member of type (1, ..., 1, d).
+general member of type (1, ..., 1, d).  Both are inverted in closed form
+from an integer root; the strict recipe's m is p + 2 of the same inverse.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactmath import integer_root
 from .threshold import BetaInterval, Bound, Scope, TaggedBound
 
 SOURCE_BETA = "beta-bound"
@@ -39,12 +41,15 @@ def max_np_arithmetic(g: int, d: int) -> int | None:
     """Largest p >= -1 with d >= np_threshold(g, p); None if even p = -1 fails."""
     if g < 1 or d < 1:
         raise ValueError("g and d must be >= 1")
-    if d < np_threshold(g, -1):
-        return None
-    p = -1
-    while d >= np_threshold(g, p + 1):
-        p += 1
-    return p
+    # The threshold is at least (p+2)^g, so m = p + 2 starts at the integer
+    # g-th root of d and steps down at most once.  At g = 1 the threshold is
+    # p + 3, one above the root d.  At g >= 2 and a root m >= 3, the sum of
+    # (m-1)^i over i <= g is below (m-1)^(g+1) / (m-2) <= m^g <= d.  A root
+    # m = 2 steps to p = -1 (g + 1 <= 2^g <= d), a root m = 1 to None (d <= g).
+    m = integer_root(d, g)
+    while m > 0 and np_threshold(g, m - 2) > d:
+        m -= 1
+    return m - 2 if m > 0 else None
 
 
 def _certifies(upper: Bound, strict: bool, p: int) -> bool:
@@ -58,12 +63,16 @@ def np_from_beta(interval: BetaInterval) -> int | None:
     The strictness flag is honored exactly: a non-strict upper bound of
     1/2 certifies only p = -1, while a strict one certifies p = 0.
     """
-    if not _certifies(interval.upper, interval.upper_strict, -1):
-        return None
-    p = -1
-    while _certifies(interval.upper, interval.upper_strict, p + 1):
-        p += 1
-    return p
+    # Certifying p needs p + 2 <= 1/upper: start at the floor of 1/upper and
+    # step down once when the upper bound is exactly 1/(p+2) and not strict.
+    upper = interval.upper
+    if upper.is_rational:
+        p = upper.ratio.denominator // upper.ratio.numerator - 2
+    else:
+        p = integer_root(upper.radicand, upper.degree) - 2
+    while p >= -1 and not _certifies(upper, interval.upper_strict, p):
+        p -= 1
+    return p if p >= -1 else None
 
 
 @dataclass(frozen=True)
@@ -108,16 +117,22 @@ class NpCertificate:
 
     ``p_beta`` comes from a certified interval (None when no interval was
     supplied or it certifies nothing), ``p_arithmetic`` from the degree
-    threshold.  The verdicts describe the general member: basepoint free
-    iff d >= g+1, projectively normal iff d >= 2^(g+1) - 1.
+    threshold.  The verdicts on the general member read off p_arithmetic:
+    basepoint free iff N_-1 (d >= g+1), projectively normal iff N_0.
     """
 
     g: int
     d: int
     p_beta: int | None
     p_arithmetic: int | None
-    basepoint_free: bool
-    projectively_normal: bool
+
+    @property
+    def basepoint_free(self) -> bool:
+        return self.p_arithmetic is not None
+
+    @property
+    def projectively_normal(self) -> bool:
+        return self.p_arithmetic is not None and self.p_arithmetic >= 0
 
     @property
     def guaranteed_p(self) -> int | None:
@@ -153,6 +168,4 @@ def np_report(g: int, d: int, interval: BetaInterval | None = None) -> NpCertifi
         d=d,
         p_beta=np_from_beta(interval) if interval is not None else None,
         p_arithmetic=max_np_arithmetic(g, d),
-        basepoint_free=d >= g + 1,
-        projectively_normal=d >= 2 ** (g + 1) - 1,
     )

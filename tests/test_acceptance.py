@@ -182,21 +182,28 @@ def test_criterion_8_boundary_coherence():
 def test_criterion_9_np_theorem():
     # The paper's theorem: a general (X, L) of type (1, ..., 1, d) satisfies
     # (N_p) once d >= np_threshold(g, p), certified here through a recipe
-    # witness of flag bound < 1/(p+2).  p stops at 9: the full range with
-    # d <= 10^7 is 3,485 degrees, 3,160 of them at g = 2, about a minute.
+    # witness of flag bound < 1/(p+2), for every p >= 0 with threshold
+    # <= 10^7 (3,490 (g, p), 3,160 of them at g = 2).  One degree below the
+    # threshold, for p <= 9, neither the arithmetic nor the certificate
+    # reaches p, and at d = 10^30 the two agree.
     checked = 0
-    for g in range(2, 11):
-        for p in range(10):
-            d = np_threshold(g, p)
-            if d > 10**7:
-                break
+    for g in range(2, 13):
+        p = 0
+        while (d := np_threshold(g, p)) <= 10**7:
             report = general_beta(g, d)
             assert np_report(g, d, report.interval).p_beta >= p
             assert report.witness.ptype == (1,) * (g - 1) + (d,)
             assert report.witness.bound < Fraction(1, p + 2)
+            if p <= 9:
+                below = np_report(g, d - 1, general_beta(g, d - 1).interval)
+                assert below.p_beta == below.p_arithmetic == p - 1
             checked += 1
+            p += 1
         # sharpness at p = 0: below 2^(g+1) - 1 no certificate can claim (N_0)
         for d in (1, g, g + 1, 2 ** (g + 1) - 2):
             assert general_beta(g, d).interval.lower >= Bound.rational(Fraction(1, 2))
-    assert checked == 71
-    print(f"ACCEPTANCE 9 PASS: (N_p) certified at the threshold degree for {checked} (g, p), 2<=g<=10, p<=9")
+    for g in range(2, 11):
+        far = np_report(g, 10**30, general_beta(g, 10**30).interval)
+        assert far.p_beta == far.p_arithmetic
+    assert checked == 3490
+    print(f"ACCEPTANCE 9 PASS: (N_p) certified at the threshold degree for {checked} (g, p), 2<=g<=12, threshold<=10^7")

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import betabound.cli
 import betabound.constructor
+import betabound.surfacetable
 import betabound.threshold
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
@@ -128,6 +133,19 @@ class TestSearchCommand:
         assert out["results"]["count"] == 0
         assert "diagnostic" in out["results"]
 
+    def test_empty_multiplier_range_does_no_work(self, monkeypatch, capsys):
+        # 4^13 coefficient shapes but no k in [1, 0]: nothing fits, and no
+        # shape may be visited
+        def no_work(*args, **kwargs):
+            raise AssertionError("a shape was enumerated")
+
+        monkeypatch.setattr(betabound.constructor, "chi_affine", no_work)
+        argv = ["search", "--g", "12", "--d", "50", "--generalized"]
+        for flag, value in (("--max-a", 3), ("--max-b", 3), ("--max-c", 3), ("--max-k", 0)):
+            argv += [flag, str(value)]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["count"] == 0
+
 
 class TestNpCommand:
     def test_threefold_forty(self):
@@ -189,6 +207,7 @@ class TestCliContract:
         monkeypatch.setattr(betabound.cli, "alt_form", no_work)
         for name in ("alt_form", "certify"):
             monkeypatch.setattr(betabound.constructor, name, no_work)
+        monkeypatch.setattr(betabound.surfacetable, "surface_beta", no_work)
         ones = ",".join(["1"] * 29)
         for argv in (
             ["beta", "--general", "30", "200000"],
@@ -201,11 +220,24 @@ class TestCliContract:
             ["search", "--g", "12", "--d", "17", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
             # a degenerate class: the dimension limit refuses it before any oracle runs
             ["beta", "--g", "13", "--k", ",".join(["1"] * 12), "--a", "0" + ",1" * 12, "--c", "0"],
+            # one row above the table limit of 10^4
+            ["table", "--max", "10001"],
         ):
             start = time.perf_counter()
             assert main(argv) == EXIT_PARSE
             assert time.perf_counter() - start < 1.0
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_render_errors_exit_two(self, capsys):
+        # chi has about 12,000 digits, above Python's limit for printing an int
+        n = "9" * 4000
+        start = time.perf_counter()
+        assert main(["chi", "--g", "3", "--k", f"{n},{n}", "--a", "1,1,1", "--c", n]) == EXIT_PARSE
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_inconsistent_bounds_exit_three(self, monkeypatch, capsys):
         def broken(g, d):
@@ -263,3 +295,57 @@ class TestCliContract:
         text = render(env)
         assert text.startswith("# chi")
         assert "chi" in text
+
+
+CLASS_COMMANDS = ("chi", "type", "kgroup", "ample")
+
+
+@st.composite
+def argvs(draw):
+    """Random argv for every command and an unknown one.  Sizes above a
+    refusal limit are refused before work, and search boxes are at most 3
+    on every side, so no draw costs more than a few seconds."""
+    command = draw(st.sampled_from(CLASS_COMMANDS + ("beta", "search", "np", "table", "frobnicate")))
+    g = draw(st.integers(-1, 13))
+    d = draw(st.integers(-1, 10**40))
+    argv = [command]
+    if command in CLASS_COMMANDS or (command == "beta" and draw(st.booleans())):
+        def entries(n):
+            return ",".join(map(str, draw(st.lists(st.integers(-2, 5), min_size=n, max_size=n))))
+
+        # short lists: of the lengths g - 1 and g a class needs, or of any length up to 5
+        if 1 <= g <= 5 and draw(st.booleans()):
+            k, a = entries(g - 1), entries(g)
+        else:
+            k, a = entries(draw(st.integers(0, 5))), entries(draw(st.integers(0, 5)))
+        argv += ["--g", g, "--k", k, "--a", a, "--c", draw(st.integers(-2, 5))]
+        if command == "kgroup" and draw(st.booleans()):
+            argv.append("--full")
+    elif command == "beta":
+        argv += ["--general", g, d]
+    elif command == "search":
+        argv += ["--g", g, "--d", d]
+        for flag in ("--max-a", "--max-b", "--max-k", "--max-c"):
+            argv += [flag, draw(st.integers(-1, 3))]
+        if draw(st.booleans()):
+            argv.append("--generalized")
+    elif command == "np":
+        argv += ["--g", g, "--d", d]
+    elif command == "table":
+        argv += ["--max", draw(st.integers(-1, 2 * 10**4))]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "csv", "markdown")))]
+    return [str(x) for x in argv]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argvs())
+def test_random_argv_ends_in_a_documented_exit_code(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects malformed argv this way
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_PARSE, EXIT_ORACLE, EXIT_NO_CERTIFICATE)
+    assert "Traceback" not in err.getvalue()

@@ -12,7 +12,6 @@ from betabound import (
     OracleDisagreement,
     Scope,
     SearchBox,
-    TrivialBound,
     ConstructionSpace,
     DivisorClass,
     brute_search,
@@ -51,10 +50,11 @@ class TestRecipeWeak:
         assert cert.ptype == (1, 1, 27)
         assert cert.bound == Fraction(1, 3)
 
-    def test_trivial_marker_below_first_power(self):
-        marker = recipe_weak(3, 7)
-        assert isinstance(marker, TrivialBound)
-        assert marker.bound == 1
+    def test_no_recipe_below_first_power(self):
+        # d < 2^g: the integer root is 1 and b = m - 1 would be 0
+        for g, d in ((3, 7), (2, 1), (2, 3), (12, 4095)):
+            with pytest.raises(NoRecipeError):
+                recipe_weak(g, d)
 
     def test_case_tag(self):
         assert recipe_weak(2, 9).case == CASE_RECIPE_WEAK

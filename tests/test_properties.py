@@ -3,13 +3,19 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
+
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betabound import (
+    BetaInterval,
+    Bound,
     ConstructionParams,
     ConstructionSpace,
     DivisorClass,
+    NoRecipeError,
+    Scope,
     SearchBox,
     alt_form,
     best_flag_bound,
@@ -17,12 +23,24 @@ from betabound import (
     certify,
     chi_pfaffian,
     flag_profile,
+    integer_root,
     is_ample,
+    max_np_arithmetic,
+    np_from_beta,
+    np_threshold,
+    recipe_strict,
     restrict,
 )
 from betabound.cli import run
 from betabound.torusmodel import subset_chis
-from util import hermitian_pairing, is_positive_definite, reference_search
+from util import (
+    hermitian_pairing,
+    is_positive_definite,
+    reference_search,
+    scan_max_np_arithmetic,
+    scan_np_from_beta,
+    scan_recipe_strict,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -119,3 +137,62 @@ def test_explicit_beta_matches_certify(k, a, b):
 def test_brute_search_matches_full_enumeration(g, d, box, generalized):
     expected = [c.params for c in reference_search(g, d, box, generalized)]
     assert [c.params for c in brute_search(g, d, box, generalized)] == expected
+
+
+@st.composite
+def degrees(draw):
+    """(g, d) with d anywhere up to 10^9 (10^5 at g = 1, where the scans
+    are linear in d) or within 2 of an (N_p) threshold."""
+    g = draw(st.integers(1, 12))
+    top = 10**5 if g == 1 else 10**9
+    if draw(st.booleans()):
+        return g, draw(st.integers(1, top))
+    # np_threshold(g, p) >= (p+2)^g, so larger p overshoot top
+    p = draw(st.integers(-1, integer_root(top, g) - 2))
+    return g, max(1, min(top, np_threshold(g, p) + draw(st.integers(-2, 2))))
+
+
+@SETTINGS
+@given(degrees())
+# d = 1 and d = g meet no threshold; p = -1 at g = 1 and 2; one below N_0 at g = 12
+@example((1, 1))
+@example((1, 2))
+@example((2, 2))
+@example((2, 3))
+@example((12, 4094))
+def test_threshold_inverse_matches_scans(gd):
+    g, d = gd
+    assert max_np_arithmetic(g, d) == scan_max_np_arithmetic(g, d)
+    if g >= 2:
+        try:
+            expected = scan_recipe_strict(g, d)
+        except NoRecipeError:
+            with pytest.raises(NoRecipeError):
+                recipe_strict(g, d)
+        else:
+            assert recipe_strict(g, d) == expected
+
+
+@st.composite
+def upper_bounds(draw):
+    """A rational upper bound in [10^-4, 1] or an inverse root R^(-1/n)
+    with R^(1/n) <= 10^4, so the reference scan stays short."""
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 10**4))
+        return Bound.rational(Fraction(draw(st.integers(1, den)), den))
+    n = draw(st.integers(1, 6))
+    return Bound.inverse_root(draw(st.integers(1, 10 ** (4 * n))), n)
+
+
+@SETTINGS
+@given(upper_bounds(), st.booleans())
+# 1/2 certifies p = -1, or p = 0 when strict; 1 certifies nothing, or p = -1
+# when strict; 15^(-1/3) lies strictly between 1/3 and 1/2
+@example(Bound.rational(Fraction(1, 2)), False)
+@example(Bound.rational(Fraction(1, 2)), True)
+@example(Bound.rational(1), False)
+@example(Bound.rational(1), True)
+@example(Bound.inverse_root(15, 3), False)
+def test_np_from_beta_matches_scan(upper, strict):
+    interval = BetaInterval(Bound.rational(Fraction(1, 10**5)), False, upper, strict, False, Scope.GENERAL)
+    assert np_from_beta(interval) == scan_np_from_beta(interval)

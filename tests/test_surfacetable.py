@@ -11,7 +11,7 @@ from betabound import (
     recipe_weak,
     surface_beta,
 )
-from betabound.constructor import ConstructionParams, TrivialBound
+from betabound.constructor import ConstructionParams, NoRecipeError
 from betabound.exactmath import integer_root
 from betabound.surfacetable import (
     RULE_GENERIC,
@@ -115,8 +115,9 @@ class TestTableFromConstructions:
             if d >= m * m + m + 1:
                 params = recipe_strict(2, d)
             else:
-                params = recipe_weak(2, d)
-                if isinstance(params, TrivialBound):
+                try:
+                    params = recipe_weak(2, d)
+                except NoRecipeError:
                     params = ConstructionParams(g=2, k=(1,), a=d, b=0)
             cert = certify(params)
             assert cert.ptype == (1, d)

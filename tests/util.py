@@ -6,7 +6,9 @@ checked against a path that shares no code with the library kernel;
 the Smith diagonal is checked through the gcds of minors built on it.
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
-enumeration with chi by Pfaffian the reference for the search.
+enumeration with chi by Pfaffian the reference for the search.  The
+upward scans over m and p are the references for the closed-form
+inverses of the (N_p) threshold; they take about d^(1/g) steps.
 """
 
 from fractions import Fraction
@@ -17,18 +19,23 @@ from typing import Sequence
 
 from betabound import (
     AltForm,
+    BetaInterval,
+    Bound,
     Certificate,
     ConstructionParams,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
     IntMatrix,
+    NoRecipeError,
     NotAmpleError,
     SearchBox,
     alt_form,
     certify,
     chi_pfaffian,
+    np_threshold,
 )
+from betabound.constructor import CASE_RECIPE_STRICT
 from betabound.exactmath import PfaffianCache
 
 
@@ -178,3 +185,54 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
             if cert.ptype == target:
                 results.append(cert)
     return sorted(results, key=Certificate.sort_key)
+
+
+def scan_max_np_arithmetic(g: int, d: int) -> int | None:
+    """Largest p >= -1 with d >= np_threshold(g, p), by scanning p upwards."""
+    if g < 1 or d < 1:
+        raise ValueError("g and d must be >= 1")
+    if d < np_threshold(g, -1):
+        return None
+    p = -1
+    while d >= np_threshold(g, p + 1):
+        p += 1
+    return p
+
+
+def _certifies(upper: Bound, strict: bool, p: int) -> bool:
+    target = Bound.rational(Fraction(1, p + 2))
+    return upper < target or (strict and upper == target)
+
+
+def scan_np_from_beta(interval: BetaInterval) -> int | None:
+    """Largest p whose requirement beta < 1/(p+2) the interval certifies,
+    by scanning p upwards."""
+    if not _certifies(interval.upper, interval.upper_strict, -1):
+        return None
+    p = -1
+    while _certifies(interval.upper, interval.upper_strict, p + 1):
+        p += 1
+    return p
+
+
+def _head_sum(m: int, g: int) -> int:
+    # 1 + m + ... + m^(g-2)
+    return sum(m**j for j in range(g - 1))
+
+
+def scan_recipe_strict(g: int, d: int) -> ConstructionParams:
+    """The strict recipe with m found by scanning m upwards."""
+    if g < 2 or d < 1:
+        raise ValueError("need g >= 2 and d >= 1")
+    if d < g + 1:
+        raise NoRecipeError(f"no valid m >= 1 for g={g}, d={d}: requires d >= g+1")
+    m = 1
+    while sum((m + 1) ** i for i in range(g + 1)) <= d:
+        m += 1
+    r = (d - 1) % m + 1
+    s = (d - r) // m
+    k1 = s - _head_sum(m, g) * r
+    if k1 < 1:
+        raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
+    k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
+    return ConstructionParams(g=g, k=k, a=r, b=m, case=CASE_RECIPE_STRICT, m=m, r=r, s=s)
