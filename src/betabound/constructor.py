@@ -66,16 +66,25 @@ CASE_EXPLICIT = "explicit"
 # Search limits, checked before the work they bound.  Enumeration costs about
 # 1.5 us per (shape, k_2..k_(g-1)) pair, so 10^6 pairs take 1.5-4 s.  The
 # candidate limit is 10^4 certificates at g <= 4, where one costs about
-# 0.65 ms, so 6.5 s of certifying.  Above g = 4 it is divided by
+# 0.52 ms, so 5.2 s of certifying.  Above g = 4 it is divided by
 # CERTIFICATE_COST[g], the cost of one certificate in g = 4 certificates,
-# rounded up: the median certify time over random standard classes is
-# 1.1 / 1.8 / 3.3 / 6.8 / 17 / 39 / 99 / 313 ms at g = 5..12, about 2.4x per
-# +1 in g from g = 7, where the Pfaffian memo outgrows the 2^g * g flag search
-# (2 cores, Python 3.11.7).  Both limits stay above the largest known
-# requests (search --g 4 --d 40: 5,764 candidates).
+# rounded up: the median certify time over random standard classes (k_i in
+# [1, 9], a and b in [1, 4], best of 3 each) is
+# 0.74 / 1.07 / 1.58 / 2.26 / 3.25 / 4.94 / 8.32 / 15.4 ms at g = 5..12, about
+# 1.5-2x per +1 in g, set by the 2^g * g flag search; the Pfaffians are
+# polynomial (2 cores, Python 3.11.7).  Both limits stay above the largest
+# known requests (search --g 4 --d 40: 5,764 candidates).
 MAX_SEARCH_PAIRS = 10**6
 MAX_SEARCH_CANDIDATES = 10**4
-CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 6, 11, 27, 60, 153, 482)  # indexed by g
+CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 17, 30)  # indexed by g
+
+
+# Largest degree general_beta accepts, checked before any construction.  The
+# recipes' multipliers grow with d, and so does the ampleness minor test on
+# the k-scaled form: as a process, `np --g 12` takes 0.31 s at d = 10^100,
+# 0.57 s at 10^200 and 8.0 s at 10^1000, 7.1 s of it in the minor test
+# (2 cores, Python 3.11.7).
+MAX_DEGREE = 10**100
 
 
 class NotAmpleError(ValueError):
@@ -403,13 +412,15 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
     Upper bounds come from the recipe constructions (lifted to the
     general member by semicontinuity), lower bounds from the degree root
     and the necessary conditions; for surfaces the rule table supplies
-    the sharper published values.  g above torusmodel.MAX_DIMENSION is
-    refused before any construction is built.
+    the sharper published values.  g above torusmodel.MAX_DIMENSION and d
+    above MAX_DEGREE are refused before any construction is built.
     """
     if g < 1 or d < 1:
         raise ValueError("need g >= 1 and d >= 1")
     if g > MAX_DIMENSION:
         raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
+    if d > MAX_DEGREE:
+        raise ValueError("degree d must be <= 10^100")
     if g == 1:
         return GeneralBetaReport(
             g=1,

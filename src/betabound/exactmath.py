@@ -5,8 +5,9 @@ arbitrary-precision ints, elimination is fraction-free, and integer
 roots come from integer Newton iteration.  No floating point anywhere.
 
 The matrices handled here are small (2g x 2g, g <= torusmodel.MAX_DIMENSION),
-so the algorithms favour simplicity and determinism over asymptotics;
-only the Pfaffian memo grows exponentially in g, which is what that cap bounds.
+so the algorithms favour simplicity and determinism over asymptotics; none
+is exponential in g.  The Pfaffian and the leading-minor test are
+fraction-free eliminations of O(n^3) integer operations.
 """
 
 from __future__ import annotations
@@ -137,48 +138,65 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return tuple(a[i][i] for i in range(limit))
 
 
-def _pfaffian_mask(flat: list[list[int]], mask: int, memo: dict[int, int]) -> int:
-    if mask == 0:
-        return 1
-    cached = memo.get(mask)
-    if cached is not None:
-        return cached
-    idx = [i for i in range(len(flat)) if mask >> i & 1]
-    i0 = idx[0]
-    row = flat[i0]
-    total = 0
-    sign = 1
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        entry = row[j]
-        if entry:
-            total += sign * entry * _pfaffian_mask(flat, mask & ~(1 << i0) & ~(1 << j), memo)
-        sign = -sign
-    memo[mask] = total
-    return total
+def _pfaffian(b: list[list[int]]) -> int:
+    """Pfaffian of an alternating matrix by fraction-free skew elimination.
+
+    Step t pivots on (x, y) = (2t, 2t + 1), p = b_xy, and sets each later
+    b_ik to (p * b_ik - b_xi * b_yk + b_xk * b_yi) / prev, a division by the
+    previous pivot that is exact and leaves the Pfaffian of {0, ..., 2t + 1,
+    i, k} (Galbiati and Maffioli, "On the computation of Pfaffians", 1994),
+    so the last pivot is the Pfaffian.  A zero pivot swaps in the first later
+    j with b_xj != 0, flipping the sign; with none, row x is zero and so is
+    the Pfaffian.  The input is consumed.
+    """
+    n = len(b)
+    sign, prev = 1, 1
+    for x in range(0, n, 2):
+        y = x + 1
+        row_x = b[x]
+        if row_x[y] == 0:
+            j = next((j for j in range(y + 1, n) if row_x[j]), None)
+            if j is None:
+                return 0
+            b[y], b[j] = b[j], b[y]
+            for row in b:
+                row[y], row[j] = row[j], row[y]
+            sign = -sign
+        p, row_y = row_x[y], b[y]
+        for i in range(y + 1, n):
+            row_i, xi, yi = b[i], row_x[i], row_y[i]
+            for k in range(i + 1, n):
+                v = (p * row_i[k] - xi * row_y[k] + row_x[k] * yi) // prev
+                row_i[k] = v
+                b[k][i] = -v
+        prev = p
+    return sign * prev
 
 
 class PfaffianCache:
-    """Pfaffians of all principal submatrices of one alternating matrix.
+    """Pfaffians of principal submatrices of one alternating matrix.
 
-    The recursive expansion over index bitmasks computes the Pfaffian of
-    every even-size principal submatrix along the way, so restriction
-    queries share a single memo table.
+    Each index set asked for is eliminated once (``_pfaffian``) and its
+    value kept, so the memo holds one entry per distinct set asked.
     """
 
     def __init__(self, a: IntMatrix):
         if a.rows != a.cols or a.rows % 2 != 0 or not a.is_alternating():
             raise ValueError("expected an alternating matrix of even dimension")
         self._flat = a.to_rows()
-        self._memo: dict[int, int] = {}
+        self._memo: dict[tuple[int, ...], int] = {}
 
     def pfaffian_of(self, indices: Sequence[int]) -> int:
-        mask = 0
-        for i in indices:
-            mask |= 1 << i
-        if bin(mask).count("1") % 2 != 0:
+        """Pfaffian of the principal submatrix on ``indices``, taken in
+        increasing order with duplicates collapsed; the empty set gives 1."""
+        key = tuple(sorted(set(indices)))
+        if len(key) % 2 != 0:
             raise ValueError("index set must have even size")
-        return _pfaffian_mask(self._flat, mask, self._memo)
+        value = self._memo.get(key)
+        if value is None:
+            flat = self._flat
+            value = self._memo[key] = _pfaffian([[flat[i][j] for j in key] for i in key])
+        return value
 
 
 def leading_minors_all_positive(rows: list[list[int]]) -> bool:

@@ -39,9 +39,11 @@ from .exactmath import (
 
 
 # Largest accepted g, for classes, `beta --general`, `np` and `search` alike.
-# The Pfaffian memo sets it, not the 2^g * g flag search: explicit `beta` takes
-# 0.20 s at g = 12, 0.52 s at g = 13 and 1.65 s at g = 14 (37 MiB), and
-# `beta --general g 2^(g+1)+5` 0.47 / 1.25 / 3.07 s (2 cores, Python 3.11.7).
+# Every kernel is polynomial, so the 2^g * g flag search sets the growth.  With
+# the limit lifted, explicit `beta` on the all-ones class takes 0.16 / 0.18 /
+# 0.20 s as a process at g = 12 / 13 / 14 (17 MiB), and
+# `beta --general g 2^(g+1)+5` 0.18 / 0.18 / 0.26 s (2 cores, Python 3.11.7).
+# The search's CERTIFICATE_COST table is measured up to g = 12 only.
 MAX_DIMENSION = 12
 
 

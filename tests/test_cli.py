@@ -198,9 +198,10 @@ class TestCliContract:
             assert captured.err.startswith("error: ")
 
     def test_oversized_inputs_refused_before_work(self, monkeypatch, capsys):
-        # Each of these would build a Pfaffian memo exponential in g, or
-        # enumerate a search box too large to finish, before failing if the
-        # size were not checked first; none may build a form or certify.
+        # Each of these would run a flag search exponential in g, certify
+        # with entries of unbounded size or enumerate a search box too large
+        # to finish, before failing if the size were not checked first; none
+        # may build a form or certify.
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the size check")
 
@@ -216,8 +217,11 @@ class TestCliContract:
             ["search", "--g", "8", "--d", "50"],
             ["search", "--g", "4", "--d", "1000"],
             ["search", "--g", "2", "--d", "6", "--generalized", "--max-k", "10000000"],
-            # 330 candidates: under 10^4, but above the g = 12 limit of 10^4 / 482
-            ["search", "--g", "12", "--d", "17", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
+            # 462 candidates: under 10^4, but above the g = 12 limit of 10^4 / 30
+            ["search", "--g", "12", "--d", "18", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
+            # one above the degree limit of 10^100
+            ["beta", "--general", "12", str(10**100 + 1)],
+            ["np", "--g", "12", "--d", str(10**100 + 1)],
             # a degenerate class: the dimension limit refuses it before any oracle runs
             ["beta", "--g", "13", "--k", ",".join(["1"] * 12), "--a", "0" + ",1" * 12, "--c", "0"],
             # one row above the table limit of 10^4

@@ -282,6 +282,11 @@ class TestGeneralBeta:
     def test_interval_scope_is_general(self):
         assert general_beta(3, 9).interval.scope is Scope.GENERAL
 
+    def test_degree_limit_is_inclusive(self):
+        assert general_beta(3, 10**100).witness.chi == 10**100
+        with pytest.raises(ValueError, match=r"10\^100"):
+            general_beta(1, 10**100 + 1)
+
     def test_grid_consistency_with_arithmetic_guarantees(self):
         # across the grid: the interval always merges cleanly with the
         # necessary lower bounds, and whenever both the degree-threshold

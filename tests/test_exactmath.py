@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from betabound import IntMatrix, integer_root, smith_normal_form
+from betabound.exactmath import PfaffianCache
 from util import (
     determinantal_divisors,
     exact_det,
@@ -115,6 +116,13 @@ class TestPfaffian:
             pfaffian(IntMatrix.from_rows([[0, 1], [1, 0]]))
         with pytest.raises(ValueError):
             pfaffian(IntMatrix.from_rows([[1, 1], [-1, 0]]))
+
+    def test_one_memo_entry_per_index_set(self):
+        cache = PfaffianCache(random_alternating(random.Random(3), 8))
+        cache.pfaffian_of([0, 1, 2, 3])
+        cache.pfaffian_of([3, 2, 1, 0, 2])
+        cache.pfaffian_of(range(8))
+        assert len(cache._memo) == 2
 
     def test_square_equals_determinant(self):
         rng = random.Random(7)

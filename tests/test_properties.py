@@ -14,6 +14,7 @@ from betabound import (
     ConstructionParams,
     ConstructionSpace,
     DivisorClass,
+    IntMatrix,
     NoRecipeError,
     Scope,
     SearchBox,
@@ -32,10 +33,12 @@ from betabound import (
     restrict,
 )
 from betabound.cli import run
+from betabound.exactmath import PfaffianCache
 from betabound.torusmodel import subset_chis
 from util import (
     hermitian_pairing,
     is_positive_definite,
+    reference_pfaffian,
     reference_search,
     scan_max_np_arithmetic,
     scan_np_from_beta,
@@ -54,6 +57,45 @@ def classes(draw, max_g=5):
     if not any(a) and c == 0:
         a = (1,) + a[1:]
     return DivisorClass(ConstructionSpace(g, k), a, c)
+
+
+@st.composite
+def alternating_with_indices(draw):
+    """An alternating matrix of even size 2..10 with mostly zero entries, so that
+    zero pivots, swaps and vanishing Pfaffians are common, and an index
+    list in any order with repeats."""
+    n = 2 * draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    indices = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return IntMatrix.from_rows(rows), indices
+
+
+# 150 cheap examples: enough that random draws alone catch a pivot search
+# that skips a column, which needs one lone nonzero right after the pivot
+@settings(max_examples=150, deadline=None)
+@given(alternating_with_indices())
+# b_01 = 0: the first pivot swaps index 1 with 2 and the sign flips (Pf = -1)
+@example((IntMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]), [3, 2, 1, 0, 0]))
+# a zero row: no pivot at step 0, or none at step 1 after an update
+@example((IntMatrix.from_rows([[0, 0, 0, 0], [0, 0, 2, 3], [0, -2, 0, 4], [0, -3, -4, 0]]), [0, 1, 2, 3]))
+@example((IntMatrix.from_rows(
+    [[0, 1, 0, 2, 3, 4], [-1, 0, 0, 5, 6, 7], [0, 0, 0, 0, 0, 0],
+     [-2, -5, 0, 0, 8, 9], [-3, -6, 0, -8, 0, 1], [-4, -7, 0, -9, -1, 0]]), list(range(6))))
+def test_pfaffian_matches_cofactor_expansion(case):
+    m, indices = case
+    cache = PfaffianCache(m)
+    distinct = sorted(set(indices))
+    if len(distinct) % 2:
+        with pytest.raises(ValueError):
+            cache.pfaffian_of(indices)
+    else:
+        assert cache.pfaffian_of(indices) == reference_pfaffian(m, distinct)
+    assert cache.pfaffian_of(range(m.rows - 1, -1, -1)) == reference_pfaffian(m, range(m.rows))
 
 
 def permutation_flag_oracle(form):

@@ -8,7 +8,10 @@ Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
 enumeration with chi by Pfaffian the reference for the search.  The
 upward scans over m and p are the references for the closed-form
-inverses of the (N_p) threshold; they take about d^(1/g) steps.
+inverses of the (N_p) threshold; they take about d^(1/g) steps.  The
+recursive cofactor expansion is the signed reference for the library's
+elimination Pfaffian (the determinant pins down only its square); it is
+exponential in the matrix size.
 """
 
 from fractions import Fraction
@@ -42,6 +45,36 @@ from betabound.exactmath import PfaffianCache
 def pfaffian(m: IntMatrix) -> int:
     """Pfaffian of a whole alternating matrix, through the library's cache."""
     return PfaffianCache(m).pfaffian_of(range(m.rows))
+
+
+def _pfaffian_mask(flat: list[list[int]], mask: int, memo: dict[int, int]) -> int:
+    if mask == 0:
+        return 1
+    cached = memo.get(mask)
+    if cached is not None:
+        return cached
+    idx = [i for i in range(len(flat)) if mask >> i & 1]
+    i0 = idx[0]
+    row = flat[i0]
+    total = 0
+    sign = 1
+    for pos in range(1, len(idx)):
+        j = idx[pos]
+        entry = row[j]
+        if entry:
+            total += sign * entry * _pfaffian_mask(flat, mask & ~(1 << i0) & ~(1 << j), memo)
+        sign = -sign
+    memo[mask] = total
+    return total
+
+
+def reference_pfaffian(m: IntMatrix, indices: Sequence[int]) -> int:
+    """Pfaffian of the principal submatrix on an even set of distinct indices,
+    by cofactor expansion along the first row, memoized over index bitmasks."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return _pfaffian_mask(m.to_rows(), mask, {})
 
 
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
