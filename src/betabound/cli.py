@@ -179,7 +179,7 @@ def _cmd_np(args, argv) -> dict:
         "np": np_cert.to_json(),
         "interval": report.interval.to_json(),
         "necessary_lower_bounds": [
-            {"bound": str(rule.bound), "strict": rule.strict, "by": rule.justification}
+            {"bound": str(rule.value), "strict": False, "by": rule.reason}
             for rule in necessary_lower_bounds(args.g, args.d)
         ],
     }

@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 
 from .exactmath import integer_root
 from .surfacetable import SurfaceRuleResult, surface_beta
-from .syzygy import LowerBoundRule, NpCertificate, max_np_arithmetic, necessary_lower_bounds, np_report
+from .syzygy import NpCertificate, max_np_arithmetic, necessary_lower_bounds, np_report
 from .threshold import (
     BetaInterval,
     Bound,
@@ -237,13 +237,14 @@ def checked_chi(cls: DivisorClass, form: AltForm) -> int:
 
 def certify_class(
     cls: DivisorClass,
-    lowers: Iterable[Callable[[int, int], Iterable[LowerBoundRule]]] = (),
+    lowers: Iterable[Callable[[int, int], Iterable[TaggedBound]]] = (),
 ) -> Certificate:
     """Run every oracle on a class and bundle the results.
 
-    Each entry of ``lowers`` maps (g, chi) to extra lower-bound rules for
-    the interval (e.g. ``necessary_lower_bounds``); they are built only
-    once chi is known to be nonzero.  The certificate carries no params.
+    Each entry of ``lowers`` maps (g, chi) to extra ``TaggedBound`` lower
+    bounds for the interval (e.g. ``necessary_lower_bounds``); they are
+    built only once chi is known to be nonzero.  The certificate carries
+    no params.
 
     Raises OracleDisagreement if the chi oracles disagree, NotAmpleError
     for non-ample classes, DegenerateFormError for degenerate ones.
@@ -262,9 +263,9 @@ def certify_class(
     interval = combine_interval(
         g,
         chi,
-        uppers=[TaggedBound(Bound.rational(bound), False, Scope.SPECIFIC, "flag-bound")],
-        lowers=[TaggedBound(Bound.rational(curve_lower), False, Scope.SPECIFIC, "curve-degree")]
-        + [rule.tagged() for rules in lowers for rule in rules(g, chi)],
+        uppers=[TaggedBound(Bound.rational(bound), Scope.SPECIFIC, "flag-bound")],
+        lowers=[TaggedBound(Bound.rational(curve_lower), Scope.SPECIFIC, "curve-degree")]
+        + [rule for rules in lowers for rule in rules(g, chi)],
         scope=Scope.SPECIFIC,
     )
     return Certificate(
@@ -304,6 +305,8 @@ class SearchBox:
 
 
 def default_box(g: int, d: int) -> SearchBox:
+    if g < 2 or d < 1:
+        raise ValueError("need g >= 2 and d >= 1")
     limit = 2 * max(integer_root(d, g), 1)
     return SearchBox(max_a=limit, max_b=limit, max_k=d)
 
@@ -444,17 +447,13 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
         interval = surface_rule.interval
         strictly_below = surface_rule.strictly_below
     else:
-        uppers = [
-            TaggedBound(Bound.rational(c.bound), False, Scope.SPECIFIC, f"flag-bound:{c.params.case}")
-            for c in certs
-        ]
-        lowers = [rule.tagged() for rule in necessary_lower_bounds(g, d)]
-        interval = combine_interval(g, d, uppers=uppers, lowers=lowers, scope=Scope.GENERAL)
+        uppers = [TaggedBound(Bound.rational(c.bound), Scope.SPECIFIC, f"flag-bound:{c.params.case}") for c in certs]
+        interval = combine_interval(g, d, uppers, necessary_lower_bounds(g, d), scope=Scope.GENERAL)
         strictly_below = None
         for cert in certs:
             if cert.params.case == CASE_RECIPE_STRICT:
                 threshold = Fraction(1, cert.params.m)
-                if cert.bound < threshold and interval.upper <= Bound.rational(cert.bound):
+                if cert.bound < threshold:
                     strictly_below = threshold
     matching = [c for c in certs if Bound.rational(c.bound) == interval.upper]
     witness = min(matching, key=Certificate.sort_key) if matching else None

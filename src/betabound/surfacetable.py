@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import integer_root
-from .threshold import BetaInterval, Bound, Scope
+from .threshold import BetaInterval, Bound, Scope, exact_interval
 
 RULE_NOT_BPF = "not-basepoint-free"
 RULE_PERFECT_SQUARE = "perfect-square"
@@ -71,9 +71,7 @@ class SurfaceRuleResult:
 
 
 def _exact(d: int, value: Fraction, rule: str) -> SurfaceRuleResult:
-    bound = Bound.rational(value)
-    interval = BetaInterval(bound, False, bound, False, True, Scope.GENERAL, rule, rule)
-    return SurfaceRuleResult(d=d, interval=interval, rule=rule)
+    return SurfaceRuleResult(d=d, interval=exact_interval(value, Scope.GENERAL, rule), rule=rule)
 
 
 def surface_beta(d: int) -> SurfaceRuleResult:
@@ -99,10 +97,7 @@ def surface_beta(d: int) -> SurfaceRuleResult:
         upper = Fraction(1, m)
     interval = BetaInterval(
         lower=Bound.inverse_root(d, 2),
-        lower_strict=False,
         upper=Bound.rational(upper),
-        upper_strict=False,
-        exact=False,
         scope=Scope.GENERAL,
         lower_reason="degree-root",
         upper_reason=RULE_GENERIC,

@@ -4,11 +4,13 @@ The syzygy properties form an increasing chain: N_{-1} is basepoint
 freeness, N_0 is projective normality, N_1 additionally means the
 homogeneous ideal is generated by quadrics.  Only p >= -1 is modelled.
 
-Two sources of guarantees are kept apart: a certified strict upper bound
-beta < 1/(p+2) forces N_p for the member it was certified on, while the
-degree threshold d >= sum_{i=0}^{g} (p+2)^i guarantees N_p for the
-general member of type (1, ..., 1, d).  Both are inverted in closed form
-from an integer root; the strict recipe's m is p + 2 of the same inverse.
+Two sources of guarantees are kept apart: a certified upper bound
+strictly below 1/(p+2) forces N_p (beta < 1/(p+2)) for the member it was
+certified on, while the degree threshold d >= sum_{i=0}^{g} (p+2)^i
+guarantees N_p for the general member of type (1, ..., 1, d).  Both are
+inverted in closed form from an integer root; the strict recipe's m is
+p + 2 of the same inverse.  The necessary conditions are non-strict
+lower bounds, given as ``TaggedBound``s.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import integer_root
-from .threshold import BetaInterval, Bound, Scope, TaggedBound
+from .threshold import UNIT, BetaInterval, Bound, Scope, TaggedBound
 
 SOURCE_BETA = "beta-bound"
 SOURCE_ARITHMETIC = "arithmetic"
@@ -52,43 +54,24 @@ def max_np_arithmetic(g: int, d: int) -> int | None:
     return m - 2 if m > 0 else None
 
 
-def _certifies(upper: Bound, strict: bool, p: int) -> bool:
-    target = Bound.rational(Fraction(1, p + 2))
-    return upper < target or (strict and upper == target)
-
-
 def np_from_beta(interval: BetaInterval) -> int | None:
     """Largest p whose requirement beta < 1/(p+2) the interval certifies.
 
-    The strictness flag is honored exactly: a non-strict upper bound of
-    1/2 certifies only p = -1, while a strict one certifies p = 0.
+    The upper bound is non-strict, so it certifies p when it lies below
+    1/(p+2), that is when p + 2 < 1/upper.  For upper = n/q the largest
+    such p + 2 is (q - 1) // n; for upper = R^(-1/g) it is the integer g-th
+    root of R, which ``Bound.inverse_root`` never leaves a perfect power.
+    An upper bound of exactly 1/2 certifies only p = -1, and 1 nothing.
     """
-    # Certifying p needs p + 2 <= 1/upper: start at the floor of 1/upper and
-    # step down once when the upper bound is exactly 1/(p+2) and not strict.
     upper = interval.upper
     if upper.is_rational:
-        p = upper.ratio.denominator // upper.ratio.numerator - 2
+        m = (upper.ratio.denominator - 1) // upper.ratio.numerator
     else:
-        p = integer_root(upper.radicand, upper.degree) - 2
-    while p >= -1 and not _certifies(upper, interval.upper_strict, p):
-        p -= 1
-    return p if p >= -1 else None
+        m = integer_root(upper.radicand, upper.degree)
+    return m - 2 if m >= 1 else None
 
 
-@dataclass(frozen=True)
-class LowerBoundRule:
-    """A necessary-condition lower bound for beta with its justification."""
-
-    bound: Fraction
-    strict: bool
-    justification: str
-    scope: Scope
-
-    def tagged(self) -> TaggedBound:
-        return TaggedBound(Bound.rational(self.bound), self.strict, self.scope, self.justification)
-
-
-def necessary_lower_bounds(g: int, d: int) -> list[LowerBoundRule]:
+def necessary_lower_bounds(g: int, d: int) -> list[TaggedBound]:
     """Lower bounds for beta of type-(1, ..., 1, d) classes by contraposition.
 
     If d <= g the general member is not basepoint free, so its beta is 1.
@@ -101,13 +84,9 @@ def necessary_lower_bounds(g: int, d: int) -> list[LowerBoundRule]:
         raise ValueError("g and d must be >= 1")
     rules = []
     if d <= g:
-        rules.append(
-            LowerBoundRule(Fraction(1), False, "not-basepoint-free", Scope.GENERAL)
-        )
+        rules.append(TaggedBound(UNIT, Scope.GENERAL, "not-basepoint-free"))
     if d * (d + 1) // 2 < 2**g * d:
-        rules.append(
-            LowerBoundRule(Fraction(1, 2), False, "projective-normality-count", Scope.ALL)
-        )
+        rules.append(TaggedBound(Bound.rational(Fraction(1, 2)), Scope.ALL, "projective-normality-count"))
     return rules
 
 

@@ -16,6 +16,10 @@ the general member of the family of that type ("general-member"), or for
 every member ("all-members").  The only bridge between scopes is the
 semicontinuity rule: an upper bound certified at one construction also
 holds for the general member.  Lower bounds never cross scopes.
+
+Every bound is non-strict: an interval states lower <= beta <= upper,
+and it is exact when the two meet.  The paper's strict criterion
+beta < 1/(p+2) is decided against that upper bound (``syzygy``).
 """
 
 from __future__ import annotations
@@ -142,23 +146,19 @@ UNIT = Bound.rational(1)
 
 @dataclass(frozen=True)
 class TaggedBound:
-    """A one-sided bound with strictness, validity scope, and provenance."""
+    """A one-sided non-strict bound with validity scope and provenance."""
 
     value: Bound
-    strict: bool
     scope: Scope
     reason: str
 
 
 @dataclass(frozen=True)
 class BetaInterval:
-    """Certified two-sided bounds for beta, with a single validity scope."""
+    """Certified bounds lower <= beta <= upper, with a single validity scope."""
 
     lower: Bound
-    lower_strict: bool
     upper: Bound
-    upper_strict: bool
-    exact: bool
     scope: Scope
     lower_reason: str = ""
     upper_reason: str = ""
@@ -171,18 +171,19 @@ class BetaInterval:
                 f"lower bound {self.lower} ({self.lower_reason}) exceeds "
                 f"upper bound {self.upper} ({self.upper_reason})"
             )
-        if self.lower == self.upper and (self.lower_strict or self.upper_strict):
-            raise InconsistentBoundsError("equal bounds cannot be strict")
-        if self.exact and (self.lower != self.upper or self.lower_strict or self.upper_strict):
-            raise InconsistentBoundsError("exact intervals need equal non-strict bounds")
+
+    @property
+    def exact(self) -> bool:
+        return self.lower == self.upper
 
     def to_json(self) -> dict:
+        # Schema 1 keeps the strictness keys; no bound is ever strict.
         return {
             "lower": self.lower.to_json(),
-            "lower_strict": self.lower_strict,
+            "lower_strict": False,
             "lower_by": self.lower_reason,
             "upper": self.upper.to_json(),
-            "upper_strict": self.upper_strict,
+            "upper_strict": False,
             "upper_by": self.upper_reason,
             "exact": self.exact,
             "scope": self.scope.value,
@@ -191,7 +192,7 @@ class BetaInterval:
 
 def exact_interval(value: Fraction | int, scope: Scope, reason: str = "") -> BetaInterval:
     b = Bound.rational(value)
-    return BetaInterval(b, False, b, False, True, scope, reason, reason)
+    return BetaInterval(b, b, scope, reason, reason)
 
 
 def beta_lower_chi(chi: int, g: int) -> Bound:
@@ -358,12 +359,12 @@ def combine_interval(
     A bound participates if its own scope is at least as wide as the
     requested one ("all-members" bounds apply everywhere).  In addition,
     when targeting the general member, upper bounds certified at a
-    specific construction are admitted through the semicontinuity rule;
-    strictness does not survive that lift.  The baseline bounds
-    chi^(-1/g) <= beta <= 1 are always present.
+    specific construction are admitted through the semicontinuity rule.
+    The baseline bounds chi^(-1/g) <= beta <= 1 are always present; ties
+    go to the first bound in the pool.
     """
-    lower_pool = [TaggedBound(beta_lower_chi(chi, g), False, Scope.ALL, "degree-root")]
-    upper_pool = [TaggedBound(UNIT, False, Scope.ALL, "threshold-range")]
+    lower_pool = [TaggedBound(beta_lower_chi(chi, g), Scope.ALL, "degree-root")]
+    upper_pool = [TaggedBound(UNIT, Scope.ALL, "threshold-range")]
     for tb in lowers:
         if tb.scope is Scope.ALL or tb.scope is scope:
             lower_pool.append(tb)
@@ -371,18 +372,7 @@ def combine_interval(
         if tb.scope is Scope.ALL or tb.scope is scope:
             upper_pool.append(tb)
         elif scope is Scope.GENERAL and tb.scope is Scope.SPECIFIC:
-            upper_pool.append(
-                TaggedBound(tb.value, False, Scope.GENERAL, tb.reason + "+semicontinuity")
-            )
-    best_low = max(lower_pool, key=lambda t: (t.value, t.strict))
-    best_up = min(upper_pool, key=lambda t: (t.value, not t.strict))
-    return BetaInterval(
-        lower=best_low.value,
-        lower_strict=best_low.strict,
-        upper=best_up.value,
-        upper_strict=best_up.strict,
-        exact=best_low.value == best_up.value,
-        scope=scope,
-        lower_reason=best_low.reason,
-        upper_reason=best_up.reason,
-    )
+            upper_pool.append(TaggedBound(tb.value, Scope.GENERAL, tb.reason + "+semicontinuity"))
+    best_low = max(lower_pool, key=lambda t: t.value)
+    best_up = min(upper_pool, key=lambda t: t.value)
+    return BetaInterval(best_low.value, best_up.value, scope, best_low.reason, best_up.reason)

@@ -8,6 +8,9 @@ with `pytest -v -s tests/test_acceptance.py`).
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from betabound import (
     ConstructionSpace,
     DivisorClass,
@@ -172,7 +175,7 @@ def test_criterion_8_boundary_coherence():
     assert cert.np.projectively_normal
 
     rules = necessary_lower_bounds(2, 6)
-    assert rules and rules[0].bound == Fraction(1, 2)
+    assert rules and rules[0].value == Bound.rational(Fraction(1, 2))
     row = surface_beta(6)
     assert row.exact
     assert row.interval.upper == Bound.rational(Fraction(1, 2))
@@ -207,3 +210,21 @@ def test_criterion_9_np_theorem():
         assert far.p_beta == far.p_arithmetic
     assert checked == 3490
     print(f"ACCEPTANCE 9 PASS: (N_p) certified at the threshold degree for {checked} (g, p), 2<=g<=12, threshold<=10^7")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 12),
+    st.one_of(st.integers(1, 500), st.integers(1, 10**6), st.integers(1, 10**15)),
+)
+def test_criterion_9_np_theorem_between_thresholds(g, d):
+    # The same theorem at degrees between thresholds: the certified interval
+    # gives exactly the arithmetic p (a larger p_beta would mean the flag
+    # method beats the paper's threshold), through a witness of type
+    # (1, ..., 1, d) whose bound lies below 1/(p+2).
+    report = general_beta(g, d)
+    np_cert = np_report(g, d, report.interval)
+    assert np_cert.p_beta == np_cert.p_arithmetic
+    assert report.witness.ptype == (1,) * (g - 1) + (d,)
+    if np_cert.p_arithmetic is not None and np_cert.p_arithmetic >= 0:
+        assert report.witness.bound < Fraction(1, np_cert.p_arithmetic + 2)

@@ -197,6 +197,12 @@ class TestCliContract:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("g, d", [(3, 0), (0, 5)])
+    def test_search_domain_error_names_the_search(self, capsys, g, d):
+        # the default box is built from g and d, so it must refuse them first
+        assert main(["search", "--g", str(g), "--d", str(d)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: need g >= 2 and d >= 1\n"
+
     def test_oversized_inputs_refused_before_work(self, monkeypatch, capsys):
         # Each of these would run a flag search exponential in g, certify
         # with entries of unbounded size or enumerate a search box too large

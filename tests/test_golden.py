@@ -1,6 +1,7 @@
-"""Golden envelopes: the rendered stdout and exit code of a fixed set of
-CLI requests, covering every command and output format, must stay byte
-for byte what ``tests/data/golden_envelopes.json`` records.
+"""Golden envelopes: the exit code, rendered stdout and stderr of a fixed
+set of CLI requests, covering every command, output format and error
+exit, must stay byte for byte what ``tests/data/golden_envelopes.json``
+records.
 
 To re-record after an intended output change (review the diff):
 
@@ -21,20 +22,16 @@ CASES = json.loads(GOLDEN.read_text())
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_envelope_is_unchanged(case):
-    assert _run(case["argv"]) == (case["exit"], case["stdout"])
+    assert _run(case["argv"]) == case
 
 
 if __name__ == "__main__":
-    cases = []
-    for case in CASES:
-        code, stdout = _run(case["argv"])
-        cases.append({"argv": case["argv"], "exit": code, "stdout": stdout})
-    GOLDEN.write_text(json.dumps(cases, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps([_run(case["argv"]) for case in CASES], indent=1) + "\n")

@@ -227,14 +227,15 @@ def upper_bounds(draw):
 
 
 @SETTINGS
-@given(upper_bounds(), st.booleans())
-# 1/2 certifies p = -1, or p = 0 when strict; 1 certifies nothing, or p = -1
-# when strict; 15^(-1/3) lies strictly between 1/3 and 1/2
-@example(Bound.rational(Fraction(1, 2)), False)
-@example(Bound.rational(Fraction(1, 2)), True)
-@example(Bound.rational(1), False)
-@example(Bound.rational(1), True)
-@example(Bound.inverse_root(15, 3), False)
-def test_np_from_beta_matches_scan(upper, strict):
-    interval = BetaInterval(Bound.rational(Fraction(1, 10**5)), False, upper, strict, False, Scope.GENERAL)
+@given(upper_bounds())
+# 1/2 certifies only p = -1, 1 nothing and 1/3 only p = 0 (the bounds are
+# non-strict); 13/40 lies strictly between 1/4 and 1/3, 15^(-1/3) between
+# 1/3 and 1/2
+@example(Bound.rational(Fraction(1, 2)))
+@example(Bound.rational(1))
+@example(Bound.rational(Fraction(1, 3)))
+@example(Bound.rational(Fraction(13, 40)))
+@example(Bound.inverse_root(15, 3))
+def test_np_from_beta_matches_scan(upper):
+    interval = BetaInterval(Bound.rational(Fraction(1, 10**5)), upper, Scope.GENERAL)
     assert np_from_beta(interval) == scan_np_from_beta(interval)

@@ -14,10 +14,10 @@ from betabound import (
 )
 
 
-def interval_with_upper(value, strict=False):
+def interval_with_upper(value):
     upper = Bound.rational(value)
     lower = Bound.rational(Fraction(1, 10**6))
-    return BetaInterval(lower, False, upper, strict, False, Scope.GENERAL)
+    return BetaInterval(lower, upper, Scope.GENERAL)
 
 
 class TestNpThreshold:
@@ -68,28 +68,15 @@ class TestNpFromBeta:
     def test_half_non_strict_gives_minus_one(self):
         assert np_from_beta(interval_with_upper(Fraction(1, 2))) == -1
 
-    def test_half_strict_gives_zero(self):
-        assert np_from_beta(interval_with_upper(Fraction(1, 2), strict=True)) == 0
-
     def test_seven_fifteenths_gives_zero(self):
         assert np_from_beta(interval_with_upper(Fraction(7, 15))) == 0
 
     def test_unit_upper_gives_none(self):
         assert np_from_beta(interval_with_upper(Fraction(1))) is None
 
-    def test_unit_strict_gives_minus_one(self):
-        assert np_from_beta(interval_with_upper(Fraction(1), strict=True)) == -1
-
     def test_irrational_upper_bound(self):
         # 5^(-1/2) < 1/2 (since 5 > 4) but >= 1/3 (since 5 < 9)
-        interval = BetaInterval(
-            Bound.rational(Fraction(1, 10)),
-            False,
-            Bound.inverse_root(5, 2),
-            False,
-            False,
-            Scope.GENERAL,
-        )
+        interval = BetaInterval(Bound.rational(Fraction(1, 10)), Bound.inverse_root(5, 2), Scope.GENERAL)
         assert np_from_beta(interval) == 0
 
     def test_monotone_in_upper_bound(self):
@@ -105,20 +92,20 @@ class TestNpFromBeta:
 class TestNecessaryLowerBounds:
     def test_small_surface_degrees(self):
         rules = necessary_lower_bounds(2, 5)
-        assert [(r.bound, r.justification) for r in rules] == [
-            (Fraction(1, 2), "projective-normality-count")
+        assert [(r.value, r.reason) for r in rules] == [
+            (Bound.rational(Fraction(1, 2)), "projective-normality-count")
         ]
 
     def test_not_basepoint_free(self):
         rules = necessary_lower_bounds(2, 2)
-        assert rules[0].bound == 1
-        assert rules[0].justification == "not-basepoint-free"
+        assert rules[0].value == Bound.rational(1)
+        assert rules[0].reason == "not-basepoint-free"
         assert rules[0].scope is Scope.GENERAL
-        assert rules[1].bound == Fraction(1, 2)
+        assert rules[1].value == Bound.rational(Fraction(1, 2))
 
     def test_threefold_degree_three(self):
         rules = necessary_lower_bounds(3, 3)
-        assert rules[0].bound == 1
+        assert rules[0].value == Bound.rational(1)
 
     def test_boundary_has_no_rules(self):
         # d = 2^(g+1) - 1 satisfies the section count exactly

@@ -200,11 +200,11 @@ class TestCombineInterval:
         interval = combine_interval(
             3,
             40,
-            uppers=[TaggedBound(Bound.rational(Fraction(13, 40)), False, Scope.SPECIFIC, "flag")],
+            uppers=[TaggedBound(Bound.rational(Fraction(13, 40)), Scope.SPECIFIC, "flag")],
         )
         assert interval.lower == Bound.inverse_root(40, 3)
         assert interval.upper == Bound.rational(Fraction(13, 40))
-        assert not interval.upper_strict
+        assert interval.to_json()["upper_strict"] is False
         assert interval.scope is Scope.GENERAL
         assert "semicontinuity" in interval.upper_reason
 
@@ -212,7 +212,7 @@ class TestCombineInterval:
         interval = combine_interval(
             2,
             9,
-            uppers=[TaggedBound(Bound.rational(Fraction(1, 3)), False, Scope.SPECIFIC, "flag")],
+            uppers=[TaggedBound(Bound.rational(Fraction(1, 3)), Scope.SPECIFIC, "flag")],
         )
         assert interval.exact
         assert interval.lower == interval.upper == Bound.rational(Fraction(1, 3))
@@ -226,61 +226,37 @@ class TestCombineInterval:
         interval = combine_interval(
             2,
             2,
-            uppers=[TaggedBound(Bound.rational(Fraction(3, 2)), False, Scope.SPECIFIC, "flag")],
+            uppers=[TaggedBound(Bound.rational(Fraction(3, 2)), Scope.SPECIFIC, "flag")],
         )
         assert interval.upper == Bound.rational(1)
         assert interval.upper_reason == "threshold-range"
 
     def test_scope_filtering(self):
-        general_only = TaggedBound(Bound.rational(Fraction(2, 3)), False, Scope.GENERAL, "rule")
+        general_only = TaggedBound(Bound.rational(Fraction(2, 3)), Scope.GENERAL, "rule")
         specific = combine_interval(2, 4, uppers=[general_only], scope=Scope.SPECIFIC)
         assert specific.upper == Bound.rational(1)  # general rule must not leak
         general = combine_interval(2, 4, uppers=[general_only], scope=Scope.GENERAL)
         assert general.upper == Bound.rational(Fraction(2, 3))
 
     def test_lower_bounds_do_not_lift(self):
-        lower = TaggedBound(Bound.rational(Fraction(1, 2)), False, Scope.SPECIFIC, "curve")
+        lower = TaggedBound(Bound.rational(Fraction(1, 2)), Scope.SPECIFIC, "curve")
         general = combine_interval(3, 8, lowers=[lower], scope=Scope.GENERAL)
         assert general.lower == Bound.inverse_root(8, 3)
         specific = combine_interval(3, 8, lowers=[lower], scope=Scope.SPECIFIC)
         assert specific.lower == Bound.rational(Fraction(1, 2))
-
-    def test_strict_survives_same_scope_upper(self):
-        strict_up = TaggedBound(Bound.rational(Fraction(1, 2)), True, Scope.SPECIFIC, "x")
-        interval = combine_interval(2, 9, uppers=[strict_up], scope=Scope.SPECIFIC)
-        assert interval.upper_strict
-
-    def test_lift_drops_strictness(self):
-        strict_up = TaggedBound(Bound.rational(Fraction(1, 2)), True, Scope.SPECIFIC, "x")
-        interval = combine_interval(2, 9, uppers=[strict_up], scope=Scope.GENERAL)
-        assert not interval.upper_strict
 
     def test_inconsistent_bounds_raise(self):
         with pytest.raises(InconsistentBoundsError):
             combine_interval(
                 2,
                 9,
-                uppers=[TaggedBound(Bound.rational(Fraction(1, 4)), False, Scope.ALL, "bad")],
-            )
-
-    def test_meeting_strict_bounds_raise(self):
-        with pytest.raises(InconsistentBoundsError):
-            combine_interval(
-                2,
-                9,
-                uppers=[TaggedBound(Bound.rational(Fraction(1, 3)), True, Scope.ALL, "u")],
-                lowers=[TaggedBound(Bound.rational(Fraction(1, 3)), False, Scope.ALL, "l")],
+                uppers=[TaggedBound(Bound.rational(Fraction(1, 4)), Scope.ALL, "bad")],
             )
 
     def test_interval_validation(self):
         third = Bound.rational(Fraction(1, 3))
         half = Bound.rational(Fraction(1, 2))
         with pytest.raises(InconsistentBoundsError):
-            BetaInterval(half, False, third, False, False, Scope.GENERAL)
+            BetaInterval(half, third, Scope.GENERAL)
         with pytest.raises(InconsistentBoundsError):
-            BetaInterval(third, True, third, False, False, Scope.GENERAL)
-        with pytest.raises(InconsistentBoundsError):
-            # exact flag requires equal non-strict endpoints
-            BetaInterval(third, False, half, False, True, Scope.GENERAL)
-        with pytest.raises(InconsistentBoundsError):
-            BetaInterval(half, False, Bound.rational(Fraction(3, 2)), False, False, Scope.GENERAL)
+            BetaInterval(half, Bound.rational(Fraction(3, 2)), Scope.GENERAL)

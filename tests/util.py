@@ -232,18 +232,17 @@ def scan_max_np_arithmetic(g: int, d: int) -> int | None:
     return p
 
 
-def _certifies(upper: Bound, strict: bool, p: int) -> bool:
-    target = Bound.rational(Fraction(1, p + 2))
-    return upper < target or (strict and upper == target)
+def _certifies(upper: Bound, p: int) -> bool:
+    return upper < Bound.rational(Fraction(1, p + 2))
 
 
 def scan_np_from_beta(interval: BetaInterval) -> int | None:
     """Largest p whose requirement beta < 1/(p+2) the interval certifies,
     by scanning p upwards."""
-    if not _certifies(interval.upper, interval.upper_strict, -1):
+    if not _certifies(interval.upper, -1):
         return None
     p = -1
-    while _certifies(interval.upper, interval.upper_strict, p + 1):
+    while _certifies(interval.upper, p + 1):
         p += 1
     return p
 
