@@ -63,18 +63,24 @@ CASE_RECIPE_WEAK = "recipe-weak"
 CASE_RECIPE_STRICT = "recipe-strict"
 CASE_EXPLICIT = "explicit"
 
-# Search limits, checked before the work they bound.  Enumeration costs about
-# 1.5 us per (shape, k_2..k_(g-1)) pair, so 10^6 pairs take 1.5-4 s.  The
-# candidate limit is 10^4 certificates at g <= 4, where one costs about
-# 0.52 ms, so 5.2 s of certifying.  Above g = 4 it is divided by
-# CERTIFICATE_COST[g], the cost of one certificate in g = 4 certificates,
-# rounded up: the median certify time over random standard classes (k_i in
-# [1, 9], a and b in [1, 4], best of 3 each) is
-# 0.74 / 1.07 / 1.58 / 2.26 / 3.25 / 4.94 / 8.32 / 15.4 ms at g = 5..12, about
-# 1.5-2x per +1 in g, set by the 2^g * g flag search; the Pfaffians are
-# polynomial (2 cores, Python 3.11.7).  Both limits stay above the largest
-# known requests (search --g 4 --d 40: 5,764 candidates).
-MAX_SEARCH_PAIRS = 10**6
+# Search limits, checked before the work they bound.  Enumeration visits every
+# coefficient shape and every (shape, k_2..k_(g-1)) pair once.  A pair costs
+# 2.4-3.3 us, the most at g = 12, and a shape about four pairs more (chi_affine
+# and the loop set-up: 7-9 us a shape with its one pair at g = 3 and max_k = 1,
+# 16 us at g = 12).  So a box counts pairs + SHAPE_STEPS * shapes steps; boxes
+# at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
+# 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
+# certificates at g <= 4, where one costs about 0.52 ms, so 5.2 s of
+# certifying.  Above g = 4 it is divided by CERTIFICATE_COST[g], the cost of
+# one certificate in g = 4 certificates, rounded up: the median certify time
+# over random standard classes (k_i in [1, 9], a and b in [1, 4], best of 3
+# each) is 0.74 / 1.07 / 1.58 / 2.26 / 3.25 / 4.94 / 8.32 / 15.4 ms at
+# g = 5..12, about 1.5-2x per +1 in g, set by the 2^g * g flag search; the
+# Pfaffians are polynomial (2 cores, Python 3.11.7).  Both limits stay above
+# the largest known requests (search --g 4 --d 40: 40,100 steps, 5,764
+# candidates).
+MAX_SEARCH_STEPS = 5 * 10**5
+SHAPE_STEPS = 4
 MAX_SEARCH_CANDIDATES = 10**4
 CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 17, 30)  # indexed by g
 
@@ -325,7 +331,7 @@ def brute_search(
     shapes and k_2, ..., k_(g-1), solving k_1 from chi = d.  Results are
     ranked by flag bound, ties by the chi chain along the witness flag,
     then by parameters, so the output order is deterministic.  g above
-    torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_PAIRS and boxes with
+    torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS and boxes with
     more than MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g] candidates are
     refused before anything is certified.
     """
@@ -335,17 +341,17 @@ def brute_search(
         raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
     box = box if box is not None else default_box(g, d)
     if box.max_k < 1:
-        # No multiplier fits.  The pair count is then 0, so without this the
-        # shape loop below would visit every coefficient shape unchecked.
+        # No multiplier fits, so no candidate can: nothing to enumerate.
         return []
     a_range, b_range, k_range = range(box.max_a + 1), range(box.max_b + 1), range(1, box.max_k + 1)
     if generalized:
         coeff_ranges, c_range = [a_range] * (g - 1) + [b_range], range(box.max_c + 1)
     else:
         coeff_ranges, c_range = [a_range] + [range(1, 2)] * (g - 2) + [b_range], range(1, 2)
-    pairs = prod(map(len, coeff_ranges)) * len(c_range) * len(k_range) ** (g - 2)
-    if pairs > MAX_SEARCH_PAIRS:
-        raise _box_too_large(f"{pairs} (shape, multiplier) pairs", MAX_SEARCH_PAIRS)
+    shapes = prod(map(len, coeff_ranges)) * len(c_range)
+    steps = shapes * (SHAPE_STEPS + len(k_range) ** (g - 2))
+    if steps > MAX_SEARCH_STEPS:
+        raise _box_too_large(f"{steps} enumeration steps", MAX_SEARCH_STEPS)
     max_candidates = MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g]
     candidates: list[ConstructionParams] = []
     # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.

@@ -40,19 +40,11 @@ class IntMatrix:
             raise ValueError("ragged rows")
         return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
 
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def principal_submatrix(self, indices: Sequence[int]) -> "IntMatrix":
         idx = list(indices)
@@ -138,26 +130,31 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     return tuple(a[i][i] for i in range(limit))
 
 
-def _pfaffian(b: list[list[int]]) -> int:
-    """Pfaffian of an alternating matrix by fraction-free skew elimination.
+def _pfaffian(b: list[list[int]]) -> tuple[int, list[int]]:
+    """Pfaffian of an alternating matrix by fraction-free skew elimination,
+    with the pivot of every step taken.
 
     Step t pivots on (x, y) = (2t, 2t + 1), p = b_xy, and sets each later
     b_ik to (p * b_ik - b_xi * b_yk + b_xk * b_yi) / prev, a division by the
     previous pivot that is exact and leaves the Pfaffian of {0, ..., 2t + 1,
     i, k} (Galbiati and Maffioli, "On the computation of Pfaffians", 1994),
-    so the last pivot is the Pfaffian.  A zero pivot swaps in the first later
-    j with b_xj != 0, flipping the sign; with none, row x is zero and so is
-    the Pfaffian.  The input is consumed.
+    so the last pivot is the Pfaffian.  Each pivot is recorded before any
+    swap: while no step has swapped, pivot t is the Pfaffian of the leading
+    2t + 2 block, and a zero leading Pfaffian shows up as a 0.  A zero pivot
+    swaps in the first later j with b_xj != 0, flipping the sign; with none,
+    row x is zero and so is the Pfaffian, and the pivot list stops at that
+    0.  Returns (Pfaffian, pivots).  The input is consumed.
     """
     n = len(b)
-    sign, prev = 1, 1
+    sign, prev, pivots = 1, 1, []
     for x in range(0, n, 2):
         y = x + 1
         row_x = b[x]
+        pivots.append(row_x[y])
         if row_x[y] == 0:
             j = next((j for j in range(y + 1, n) if row_x[j]), None)
             if j is None:
-                return 0
+                return 0, pivots
             b[y], b[j] = b[j], b[y]
             for row in b:
                 row[y], row[j] = row[j], row[y]
@@ -170,14 +167,16 @@ def _pfaffian(b: list[list[int]]) -> int:
                 row_i[k] = v
                 b[k][i] = -v
         prev = p
-    return sign * prev
+    return sign * prev, pivots
 
 
 class PfaffianCache:
     """Pfaffians of principal submatrices of one alternating matrix.
 
     Each index set asked for is eliminated once (``_pfaffian``) and its
-    value kept, so the memo holds one entry per distinct set asked.
+    value kept, so the memo holds one entry per distinct set asked.  In
+    the package only ``torusmodel.chi_pfaffian`` asks, always for the
+    full set; the class stays because the benchmark traces its method.
     """
 
     def __init__(self, a: IntMatrix):
@@ -195,7 +194,7 @@ class PfaffianCache:
         value = self._memo.get(key)
         if value is None:
             flat = self._flat
-            value = self._memo[key] = _pfaffian([[flat[i][j] for j in key] for i in key])
+            value = self._memo[key] = _pfaffian([[flat[i][j] for j in key] for i in key])[0]
         return value
 
 

@@ -11,6 +11,23 @@ guarantees N_p for the general member of type (1, ..., 1, d).  Both are
 inverted in closed form from an integer root; the strict recipe's m is
 p + 2 of the same inverse.  The necessary conditions are non-strict
 lower bounds, given as ``TaggedBound``s.
+
+The threshold is also the flag method's ceiling.  Lemma: if a flag of a
+degree-chi class has a bound below 1/m for an integer m >= 1, then
+chi >= sum_{i=0}^{g} m^i.  Proof: read the flag's chain upwards, chi_1
+for the last factor kept up to chi_g = chi, all positive integers.  The
+bound is the largest of 1/chi_1 and the ratios chi_(t-1)/chi_t, so
+1/chi_1 < 1/m gives chi_1 >= m + 1, and chi_(t-1)/chi_t < 1/m gives
+chi_t > m * chi_(t-1), so chi_t >= m * chi_(t-1) + 1.  By induction
+chi_t >= sum_{i=0}^{t} m^i, and at t = g that is np_threshold(g, m - 2).
+So a certificate whose upper bound is a flag bound never has p_beta
+above p_arithmetic: ``np_from_beta`` certifies p = m - 2 only for a bound
+below 1/m, and then d = chi meets the threshold of that p.  The strict
+recipe attains equality.  The type-(1, d) surface intervals obey the same
+ceiling: with m the integer square root of d, their upper bound is 1,
+1/2 (d = 5, 6), 1/m (d >= m^2) or (m + 1)/d (d >= m^2 + m + 1), which
+certify p + 2 = 0, 1, m - 1 and at most m.  So no output reports
+SOURCE_BETA.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ time and comparing the Euler characteristics along the chain gives a
 certified upper bound for the specific construction.  The best flag is
 found by a dynamic program over subsets of factors on the closed-form
 chis of all restrictions (2^g * g steps, not g! orders); its witness
-chain is then recomputed by Pfaffian, and the two must agree.
+chain is then read off the pivots of one Pfaffian elimination of the
+form, and the two must agree.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -30,10 +31,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence
 
-from .exactmath import integer_root
+from .exactmath import _pfaffian, integer_root
 from .torusmodel import (
     AltForm,
-    ConstructionSpace,
     DivisorClass,
     LatticeInvariantError,
     OracleDisagreement,
@@ -215,22 +215,6 @@ def _ample_form(cls: DivisorClass, form: AltForm | None) -> AltForm:
     return form
 
 
-def _flag_chain(form: AltForm, order: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]]:
-    """Bound and chi chain for one drop order of an ample form."""
-    pf = form.pfaffian_cache()
-    kept = list(range(form.g))
-    chis = [pf.pfaffian_of(range(2 * form.g))]
-    for dropped in order[:-1]:
-        kept.remove(dropped)
-        chis.append(pf.pfaffian_of([c for i in kept for c in (2 * i, 2 * i + 1)]))
-    if any(x <= 0 for x in chis):
-        raise LatticeInvariantError("ample restriction with nonpositive chi")
-    terms = [Fraction(1, chis[-1])]
-    for i in range(len(chis) - 1, 0, -1):
-        terms.append(Fraction(chis[i], chis[i - 1]))
-    return max(terms), tuple(chis)
-
-
 def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
     order = tuple(order)
     if sorted(order) != list(range(g)):
@@ -238,23 +222,27 @@ def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
     return order
 
 
-def flag_upper_bound(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> Fraction:
-    """Upper bound for beta of this construction along one coordinate flag.
+def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> tuple[int, ...]:
+    """The chain of restriction Euler characteristics along one flag.
 
-    Factors are dropped in the given order; the bound is the largest of
-    1/chi_last and the successive ratios chi_next/chi_prev along the
-    chain of restrictions.
+    Factors are dropped in the given order, so entry t is chi of the
+    restriction to the factors left after t drops.  One fraction-free
+    elimination (``_pfaffian``) runs on the form with its factor pairs in
+    reverse drop order: the leading 2t x 2t block is then the restriction
+    to the t factors dropped last, and its Pfaffian is that restriction's
+    chi, since reordering 2 x 2 blocks is an even permutation.  On an
+    ample class every restriction is ample, so each such chi is positive,
+    no step swaps, and the pivots read backwards are the chain.  A zero,
+    negative or missing pivot raises LatticeInvariantError.
     """
     form = _ample_form(cls, form)
-    bound, _ = _flag_chain(form, _check_order(order, form.g))
-    return bound
-
-
-def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> tuple[int, ...]:
-    """The chain of restriction Euler characteristics along one flag."""
-    form = _ample_form(cls, form)
-    _, chis = _flag_chain(form, _check_order(order, form.g))
-    return chis
+    order = _check_order(order, form.g)
+    flat = form.e.to_rows()
+    coords = [c for i in reversed(order) for c in (2 * i, 2 * i + 1)]
+    _, pivots = _pfaffian([[flat[u][v] for v in coords] for u in coords])
+    if len(pivots) != form.g or any(p <= 0 for p in pivots):
+        raise LatticeInvariantError("ample restriction with nonpositive chi")
+    return tuple(reversed(pivots))
 
 
 def best_flag_bound(
@@ -272,9 +260,10 @@ def best_flag_bound(
     The witness walks down from the full set, each time dropping the
     smallest i whose two terms are both <= f(all): ties go to the
     lexicographically smallest optimal order.  The chi chain is the
-    ``flag_profile`` of the witness order: its chis are recomputed as
-    Pfaffians of the restricted form, and both the chain and the bound
-    must equal the formula's, else OracleDisagreement.
+    ``flag_profile`` of the witness order, the pivots of one Pfaffian
+    elimination of the form, a second oracle independent of the formula:
+    the chain must equal the formula chain and its bound the program's,
+    else OracleDisagreement.
     """
     form = _ample_form(cls, form)
     chi = subset_chis(cls)
@@ -308,32 +297,14 @@ def best_flag_bound(
         s ^= bits[drop]
         formula_chain.append(chi[s])
     order.append(s.bit_length() - 1)
-    pf_bound, chis = _flag_chain(form, tuple(order))
+    chis = flag_profile(cls, order, form)
+    pf_bound = max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, g)])
     if chis != tuple(formula_chain) or pf_bound != bound:
         raise OracleDisagreement(
             f"flag chain oracles disagree on {cls} along order {order}: "
             f"formula {formula_chain} (bound {bound}), pfaffian {list(chis)} (bound {pf_bound})"
         )
     return bound, tuple(order), chis
-
-
-def closed_form_bound(space: ConstructionSpace, a: int, b: int) -> Fraction:
-    """Closed form of the identity-order flag bound for a standard class.
-
-    With N_i the sum of the multipliers of the factors after the i-th,
-    the restriction dropping the first i factors has chi = 1 + b*N_i, so
-    the bound is max of the successive ratios and (1 + b*N_1)/d where
-    d = a + a*b*N_1 + b*k_1.
-    """
-    if space.g < 2:
-        raise ValueError("closed-form bound needs g >= 2")
-    if a < 0 or b < 0 or (a == 0 and b == 0):
-        raise ValueError("need a, b >= 0 and not both zero")
-    n1 = space.tail_sum(0)
-    d = a + a * b * n1 + b * space.k_full[0]
-    terms = [Fraction(1 + b * space.tail_sum(i), 1 + b * space.tail_sum(i - 1)) for i in range(1, space.g)]
-    terms.append(Fraction(1 + b * n1, d))
-    return max(terms)
 
 
 def flag_lower_bound(cls: DivisorClass, form: AltForm | None = None) -> Fraction:

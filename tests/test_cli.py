@@ -223,6 +223,10 @@ class TestCliContract:
             ["search", "--g", "8", "--d", "50"],
             ["search", "--g", "4", "--d", "1000"],
             ["search", "--g", "2", "--d", "6", "--generalized", "--max-k", "10000000"],
+            # 10^6 shapes of one pair each: 5 * 10^6 steps; 8.4 s of enumeration unchecked
+            ["search", "--g", "3", "--d", str(10**40), "--max-a", "999", "--max-b", "999", "--max-k", "1"],
+            # 944,784 pairs at g = 12: 944,848 steps; 3.0 s of enumeration unchecked
+            ["search", "--g", "12", "--d", str(10**40), "--max-a", "3", "--max-b", "3", "--max-k", "3", "--max-c", "3"],
             # 462 candidates: under 10^4, but above the g = 12 limit of 10^4 / 30
             ["search", "--g", "12", "--d", "18", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
             # one above the degree limit of 10^100

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from betabound import IntMatrix, integer_root, smith_normal_form
-from betabound.exactmath import PfaffianCache
+from betabound.exactmath import PfaffianCache, _pfaffian
 from util import (
     determinantal_divisors,
+    diagonal,
     exact_det,
     is_positive_definite,
     matmul,
     pfaffian,
     random_alternating,
+    transpose,
 )
 
 
@@ -34,11 +36,11 @@ def snf_checks(m: IntMatrix):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert smith_normal_form(IntMatrix.diagonal((1, 1, 1, 1))) == (1, 1, 1, 1)
+        assert smith_normal_form(diagonal((1, 1, 1, 1))) == (1, 1, 1, 1)
 
     def test_diag_2_3(self):
         # By hand: gcd(2, 3) = 1 and lcm(2, 3) = 6.
-        diag = snf_checks(IntMatrix.diagonal((2, 3)))
+        diag = snf_checks(diagonal((2, 3)))
         assert diag == (1, 6)
 
     def test_rectangular(self):
@@ -117,6 +119,19 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(IntMatrix.from_rows([[1, 1], [-1, 0]]))
 
+    def test_pivots_are_leading_pfaffians(self):
+        # Pf = a12*a34 - a13*a24 + a14*a23 = 6 - 10 + 12; leading block a12 = 1
+        rows = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+        assert _pfaffian(rows) == (8, [1, 8])
+
+    def test_zero_leading_pfaffian_is_a_zero_pivot(self):
+        # b_01 = 0: the 0 is recorded, then index 2 is swapped in (Pf = -1)
+        rows = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+        assert _pfaffian(rows) == (-1, [0, 1])
+        # row 0 is zero: the pivot list stops at its 0
+        rows = [[0, 0, 0, 0], [0, 0, 2, 3], [0, -2, 0, 4], [0, -3, -4, 0]]
+        assert _pfaffian(rows) == (0, [0])
+
     def test_one_memo_entry_per_index_set(self):
         cache = PfaffianCache(random_alternating(random.Random(3), 8))
         cache.pfaffian_of([0, 1, 2, 3])
@@ -159,7 +174,7 @@ class TestPositiveDefinite:
         for _ in range(80):
             n = rng.randint(1, 5)
             b = IntMatrix(n, n, tuple(rng.randint(-4, 4) for _ in range(n * n)))
-            gram = matmul(b, b.transpose())  # positive semidefinite, definite iff b invertible
+            gram = matmul(b, transpose(b))  # positive semidefinite, definite iff b invertible
             expected = exact_det(b) != 0
             assert is_positive_definite(gram.to_rows()) == expected
 

@@ -22,18 +22,23 @@ from betabound import (
     best_flag_bound,
     brute_search,
     certify,
+    certify_class,
     chi_pfaffian,
     flag_profile,
     integer_root,
     is_ample,
     max_np_arithmetic,
     np_from_beta,
+    np_report,
     np_threshold,
     recipe_strict,
     restrict,
+    surface_beta,
 )
 from betabound.cli import run
-from betabound.exactmath import PfaffianCache
+from betabound.exactmath import PfaffianCache, _pfaffian
+from betabound.surfacetable import MAX_TABLE_DEGREE
+from betabound.syzygy import SOURCE_BETA
 from betabound.torusmodel import subset_chis
 from util import (
     hermitian_pairing,
@@ -98,6 +103,27 @@ def test_pfaffian_matches_cofactor_expansion(case):
     assert cache.pfaffian_of(range(m.rows - 1, -1, -1)) == reference_pfaffian(m, range(m.rows))
 
 
+@st.composite
+def alternating_matrices(draw):
+    """An alternating matrix of even size 2..12 with small or huge entries."""
+    n = 2 * draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-5, 5), st.integers(-(10**12), 10**12))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(entry)
+            rows[j][i] = -rows[i][j]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alternating_matrices())
+def test_pfaffian_pivots_are_leading_pfaffians(m):
+    leading = [reference_pfaffian(m, range(2 * t)) for t in range(1, m.rows // 2 + 1)]
+    assume(all(leading))
+    assert _pfaffian(m.to_rows()) == (leading[-1], leading)
+
+
 def permutation_flag_oracle(form):
     """Best flag bound by walking every drop order over explicit restrictions.
 
@@ -127,6 +153,48 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
     bound, order, chis = permutation_flag_oracle(form)
     assert best_flag_bound(cls) == (bound, order, chis)
     assert flag_profile(cls, order) == chis
+
+
+def assert_under_flag_ceiling(cert):
+    """The lemma of ``syzygy``: an upper bound below 1/m = 1/(p_beta + 2)
+    makes each chain chi, read upwards from chi_0 = 1, at least m times the
+    one below it plus 1, so p_beta never exceeds p_arithmetic."""
+    p_beta = np_from_beta(cert.interval)
+    if p_beta is None:
+        return
+    m, below = p_beta + 2, 1
+    for chi in reversed(cert.flag_chis):
+        assert chi >= m * below + 1
+        below = chi
+    p_arithmetic = max_np_arithmetic(len(cert.flag_chis), cert.chi)
+    assert p_arithmetic is not None and p_beta <= p_arithmetic
+
+
+@SETTINGS
+@given(classes())
+# chain (40, 13, 4) under 1/3: every step of the lemma is tight
+@example(DivisorClass(ConstructionSpace(3, (9, 3)), (1, 1, 3), 1))
+# chain (6, 2), bound exactly 1/2: it certifies only p = -1
+@example(DivisorClass(ConstructionSpace(2, (2,)), (2, 1), 1))
+def test_flag_bound_never_beats_the_threshold(cls):
+    assume(is_ample(alt_form(cls)))
+    assert_under_flag_ceiling(certify_class(cls))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(2, 3), st.integers(1, 30), st.booleans())
+@example(3, 7, False)
+def test_search_results_never_beat_the_threshold(g, d, generalized):
+    box = SearchBox(3, 3, min(d, 9), 2) if generalized else None
+    for cert in brute_search(g, d, box, generalized):
+        assert_under_flag_ceiling(cert)
+
+
+def test_surface_rows_never_beat_the_threshold():
+    for d in range(1, MAX_TABLE_DEGREE + 1):
+        np_cert = np_report(2, d, surface_beta(d).interval)
+        assert np_cert.p_beta == np_cert.p_arithmetic
+        assert np_cert.source != SOURCE_BETA
 
 
 @SETTINGS

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import betabound.threshold
 from betabound import (
     BetaInterval,
     Bound,
@@ -14,14 +15,15 @@ from betabound import (
     alt_form,
     best_flag_bound,
     beta_lower_chi,
-    closed_form_bound,
     combine_interval,
     flag_lower_bound,
     flag_profile,
-    flag_upper_bound,
     standard_class,
 )
+from betabound.exactmath import _pfaffian
 from betabound.threshold import InconsistentBoundsError
+from betabound.torusmodel import LatticeInvariantError
+from util import closed_form_bound, flag_upper_bound
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
 
@@ -89,18 +91,46 @@ class TestFlagBounds:
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            flag_upper_bound(THREEFOLD_40, (0, 1))
+            flag_profile(THREEFOLD_40, (0, 1))
         with pytest.raises(ValueError):
-            flag_upper_bound(THREEFOLD_40, (0, 0, 1))
+            flag_profile(THREEFOLD_40, (0, 0, 1))
 
     def test_not_ample_rejected(self):
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 0), 1)
         with pytest.raises(ValueError):
             best_flag_bound(cls)
         with pytest.raises(ValueError):
-            flag_upper_bound(cls, (0, 1))
-        with pytest.raises(ValueError):
             flag_profile(cls, (0, 1))
+
+    def test_one_elimination_per_chain(self, monkeypatch):
+        calls = []
+
+        def counted(b):
+            calls.append(len(b))
+            return _pfaffian(b)
+
+        monkeypatch.setattr(betabound.threshold, "_pfaffian", counted)
+        cls = DivisorClass(ConstructionSpace(5, (3, 2, 7, 1)), (1, 2, 1, 3, 2), 1)
+        assert len(flag_profile(cls, (3, 0, 4, 1, 2))) == 5
+        assert calls == [10]
+        best_flag_bound(cls)
+        assert calls == [10, 10]
+
+    def test_zero_leading_pfaffian_in_chain_raises(self, monkeypatch):
+        # c*G alone: chi is k_i on factor i but 0 on every pair, so the
+        # second leading block of the reversed order has Pfaffian 0 (pivots
+        # [1, 0], where the elimination stops); only a skipped ampleness test
+        # lets such a class reach the chain
+        monkeypatch.setattr(betabound.threshold, "is_ample", lambda form: True)
+        cls = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 0), 1)
+        with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
+            flag_profile(cls, (0, 1, 2))
+
+    def test_short_pivot_list_raises(self, monkeypatch):
+        # a kernel that stops early must not yield a shorter chain
+        monkeypatch.setattr(betabound.threshold, "_pfaffian", lambda b: (1, _pfaffian(b)[1][:-1]))
+        with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
+            flag_profile(THREEFOLD_40, (0, 1, 2))
 
     def test_best_flag_threefold(self):
         assert best_flag_bound(THREEFOLD_40) == (Fraction(13, 40), (0, 1, 2), (40, 13, 4))

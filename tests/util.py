@@ -11,7 +11,8 @@ upward scans over m and p are the references for the closed-form
 inverses of the (N_p) threshold; they take about d^(1/g) steps.  The
 recursive cofactor expansion is the signed reference for the library's
 elimination Pfaffian (the determinant pins down only its square); it is
-exponential in the matrix size.
+exponential in the matrix size.  The closed-form flag bound of a
+standard class is the reference for the bound of the identity flag.
 """
 
 from fractions import Fraction
@@ -36,6 +37,7 @@ from betabound import (
     alt_form,
     certify,
     chi_pfaffian,
+    flag_profile,
     np_threshold,
 )
 from betabound.constructor import CASE_RECIPE_STRICT
@@ -77,11 +79,20 @@ def reference_pfaffian(m: IntMatrix, indices: Sequence[int]) -> int:
     return _pfaffian_mask(m.to_rows(), mask, {})
 
 
+def diagonal(values: Sequence[int]) -> IntMatrix:
+    n = len(values)
+    return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.cols, m.rows, tuple(m.at(i, j) for j in range(m.cols) for i in range(m.rows)))
+
+
 def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
         raise ValueError("dimension mismatch")
     rows = a.to_rows()
-    cols = b.transpose().to_rows()
+    cols = transpose(b).to_rows()
     return IntMatrix(a.rows, b.cols, tuple(sum(x * y for x, y in zip(r, c)) for r in rows for c in cols))
 
 
@@ -218,6 +229,33 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
             if cert.ptype == target:
                 results.append(cert)
     return sorted(results, key=Certificate.sort_key)
+
+
+def flag_upper_bound(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> Fraction:
+    """Upper bound for beta of this construction along one coordinate flag:
+    the largest of 1/chi_last and the successive ratios chi_next/chi_prev
+    of the ``flag_profile`` chain."""
+    chis = flag_profile(cls, order, form)
+    return max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, len(chis))])
+
+
+def closed_form_bound(space: ConstructionSpace, a: int, b: int) -> Fraction:
+    """Closed form of the identity-order flag bound for a standard class.
+
+    With N_i the sum of the multipliers of the factors after the i-th,
+    the restriction dropping the first i factors has chi = 1 + b*N_i, so
+    the bound is max of the successive ratios and (1 + b*N_1)/d where
+    d = a + a*b*N_1 + b*k_1.
+    """
+    if space.g < 2:
+        raise ValueError("closed-form bound needs g >= 2")
+    if a < 0 or b < 0 or (a == 0 and b == 0):
+        raise ValueError("need a, b >= 0 and not both zero")
+    n1 = space.tail_sum(0)
+    d = a + a * b * n1 + b * space.k_full[0]
+    terms = [Fraction(1 + b * space.tail_sum(i), 1 + b * space.tail_sum(i - 1)) for i in range(1, space.g)]
+    terms.append(Fraction(1 + b * n1, d))
+    return max(terms)
 
 
 def scan_max_np_arithmetic(g: int, d: int) -> int | None:
