@@ -23,7 +23,7 @@ from dataclasses import asdict, replace
 from typing import Sequence
 
 from .constructor import (
-    NotAmpleError,
+    MAX_DEGREE,
     OracleDisagreement,
     brute_search,
     certify_class,
@@ -71,7 +71,10 @@ def _class_from_args(args) -> DivisorClass:
     if args.g is None or args.a is None:
         raise CLIError("describing a class requires --g and --a (and --k for g >= 2)")
     space = ConstructionSpace(args.g, _parse_int_list(args.k))
-    return DivisorClass(space, _parse_int_list(args.a), args.c)
+    cls = DivisorClass(space, _parse_int_list(args.a), args.c)
+    if max(space.k + cls.a + (cls.c,)) > MAX_DEGREE:
+        raise CLIError("entries of --k, --a and --c must be <= 10^100")
+    return cls
 
 
 def _class_inputs(cls: DivisorClass) -> dict:
@@ -135,8 +138,11 @@ def _cmd_kgroup(args, argv) -> dict:
 def _cmd_ample(args, argv) -> dict:
     cls = _class_from_args(args)
     form = alt_form(cls)
-    checked_chi(cls, form)
-    results = {"ample": {"value": is_ample(form), "by": "minor-test"}}
+    chi, ample = checked_chi(cls, form), is_ample(form)
+    if ample != (chi > 0):
+        # the classes accepted here are ample exactly when chi > 0 (torusmodel.is_ample)
+        raise OracleDisagreement(f"minor test says ample={ample} on {cls}, but chi = {chi}")
+    results = {"ample": {"value": ample, "by": "minor-test"}}
     return _envelope("ample", argv, _class_inputs(cls), results, args.format)
 
 
@@ -340,7 +346,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OracleDisagreement, LatticeInvariantError, InconsistentBoundsError) as exc:
         print(f"internal oracle failure: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (NotAmpleError, DegenerateFormError) as exc:
+    except DegenerateFormError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         return EXIT_NO_CERTIFICATE
     except ValueError as exc:

@@ -15,10 +15,12 @@ coefficient shapes and k_2, ..., k_(g-1); chi is affine in k_1, which is
 solved from chi = d instead of enumerated.
 
 Every construction is certified before it is reported: both Euler
-characteristic oracles must agree, the type is recomputed from the
-elementary divisors of the lattice form and its product checked against
-the Pfaffian, and the flag bound is minimized over all drop orders.  A
-disagreement between oracles is a bug and is never swallowed.
+characteristic oracles must agree and chi must be nonzero (for these
+classes that is ampleness, see ``torusmodel.is_ample``), the type is
+recomputed from the elementary divisors of the lattice form and its
+product checked against the Pfaffian, and the flag bound is minimized
+over all drop orders.  A disagreement between oracles is a bug and is
+never swallowed.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .torusmodel import (
     chi_affine,
     chi_multilinear,
     chi_pfaffian,
-    is_ample,
     k_group,
     polarization_type,
 )
@@ -85,16 +86,14 @@ MAX_SEARCH_CANDIDATES = 10**4
 CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 17, 30)  # indexed by g
 
 
-# Largest degree general_beta accepts, checked before any construction.  The
-# recipes' multipliers grow with d, and so does the ampleness minor test on
-# the k-scaled form: as a process, `np --g 12` takes 0.31 s at d = 10^100,
-# 0.57 s at 10^200 and 8.0 s at 10^1000, 7.1 s of it in the minor test
-# (2 cores, Python 3.11.7).
+# Largest degree general_beta accepts, checked before any construction, and
+# the largest class entry the CLI accepts.  The recipes' multipliers grow with
+# d, and so does the cost of certifying them (Smith form, Pfaffians, flag
+# search): with the limit lifted, `np --g 12` takes 0.27 s as a process at
+# d = 10^100, 0.32 s at 10^200 and 1.3 s at 10^1000 (best of 3; 2 cores,
+# Python 3.11.7).  At g = 12 with every entry just under 10^100, explicit
+# `ample` takes 0.42 s and `beta` 0.79 s.
 MAX_DEGREE = 10**100
-
-
-class NotAmpleError(ValueError):
-    """The class is not ample, so nothing can be certified for it."""
 
 
 class NoRecipeError(ValueError):
@@ -252,15 +251,14 @@ def certify_class(
     built only once chi is known to be nonzero.  The certificate carries
     no params.
 
-    Raises OracleDisagreement if the chi oracles disagree, NotAmpleError
-    for non-ample classes, DegenerateFormError for degenerate ones.
+    Raises OracleDisagreement if the chi oracles disagree and
+    DegenerateFormError if chi = 0.  Every other accepted class is ample
+    (``torusmodel.is_ample``), so no ampleness test runs here.
     """
     form = alt_form(cls)
     chi = checked_chi(cls, form)
     if chi == 0:
         raise DegenerateFormError(f"class {cls} is degenerate")
-    if not is_ample(form):
-        raise NotAmpleError(f"class {cls} is not ample")
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
@@ -373,15 +371,9 @@ def brute_search(
                 ConstructionParams(g, (k1,) + rest, coeffs[0], coeffs[-1], middle=middle, c=c)
                 for k1 in k1s
             )
+    # every candidate has chi = d >= 1, so certify never finds it degenerate
     target = (1,) * (g - 1) + (d,)
-    results = []
-    for params in candidates:
-        try:
-            cert = certify(params)
-        except (NotAmpleError, DegenerateFormError):
-            continue
-        if cert.ptype == target:
-            results.append(cert)
+    results = [cert for cert in map(certify, candidates) if cert.ptype == target]
     results.sort(key=Certificate.sort_key)
     return results
 

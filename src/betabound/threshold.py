@@ -38,8 +38,8 @@ from .torusmodel import (
     LatticeInvariantError,
     OracleDisagreement,
     alt_form,
+    chi_multilinear,
     curve_degrees,
-    is_ample,
     subset_chis,
 )
 
@@ -203,16 +203,12 @@ def beta_lower_chi(chi: int, g: int) -> Bound:
 
 
 def _ample_form(cls: DivisorClass, form: AltForm | None) -> AltForm:
-    """The form of the class, checked once for ampleness.
-
-    Restricting to kept factors takes a principal submatrix of the
-    positive-definite pairing, so every restriction of an ample class is
-    ample and needs no test of its own.
-    """
-    form = form if form is not None else alt_form(cls)
-    if not is_ample(form):
+    """The form of the class, once its chi is positive: for these classes
+    that is ampleness, and every restriction then has chi > 0 too
+    (``torusmodel.is_ample``), so no elimination or minor test runs here."""
+    if chi_multilinear(cls) <= 0:
         raise ValueError("flag bounds require an ample class")
-    return form
+    return form if form is not None else alt_form(cls)
 
 
 def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
@@ -231,9 +227,9 @@ def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None =
     reverse drop order: the leading 2t x 2t block is then the restriction
     to the t factors dropped last, and its Pfaffian is that restriction's
     chi, since reordering 2 x 2 blocks is an even permutation.  On an
-    ample class every restriction is ample, so each such chi is positive,
-    no step swaps, and the pivots read backwards are the chain.  A zero,
-    negative or missing pivot raises LatticeInvariantError.
+    ample class every restriction has positive chi, so no step swaps,
+    and the pivots read backwards are the chain.  A zero, negative or
+    missing pivot raises LatticeInvariantError.
     """
     form = _ample_form(cls, form)
     order = _check_order(order, form.g)

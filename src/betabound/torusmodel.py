@@ -19,9 +19,9 @@ convention E(e_{2i}, e_{2i+1}) = +1, E_std is that block on the last
 factor, and S is the 2 x 2g lattice matrix of the defining map of G.
 
 The choice tau = i makes the complex structure J rational (blocks
-[[0, -1/k_i], [k_i, 0]]), so ampleness is an exact positive-definiteness
-test and every invariant below (Euler characteristic, type, the finite
-group K(l)) is computed by exact integer linear algebra.
+[[0, -1/k_i], [k_i, 0]]), so every invariant below (Euler characteristic,
+type, the finite group K(l), ampleness) is computed by exact integer
+linear algebra.  A class is ample exactly when chi > 0 (``is_ample``).
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class ConstructionSpace:
     def k_full(self) -> tuple[int, ...]:
         """Multipliers of all g factors, the last one being 1."""
         return self.k + (1,)
-
-    def tail_sum(self, i: int) -> int:
-        """Sum of the multipliers of factors i+1, ..., g-1 (0 for i = g-1)."""
-        return sum(self.k_full[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -159,15 +155,14 @@ class AltForm:
 
     ``factor_k`` records the basis denominator of each (kept) factor, which
     fixes the complex structure J, so restrictions remain self-contained.
-    The Pfaffians, the Smith diagonal and the ampleness answer are each
-    computed once per form and memoized on it.
+    The Pfaffians and the Smith diagonal are each computed once per form
+    and memoized on it.
     """
 
     e: IntMatrix
     factor_k: tuple[int, ...]
     _cache: PfaffianCache | None = field(default=None, compare=False, repr=False)
     _snf_diag: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    _ample: bool | None = field(default=None, compare=False, repr=False)
 
     @property
     def g(self) -> int:
@@ -316,15 +311,23 @@ def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
 
 
 def is_ample(form: AltForm) -> bool:
-    """Ampleness as exact positive definiteness of the pairing E(x, Jy).
+    """Ampleness as exact positive definiteness of the pairing E(x, Jy):
+    fraction-free leading minors of its integer rescaling.
 
-    Runs on the integer-rescaled pairing, whose leading principal minors
-    are checked by fraction-free elimination, once per form.
+    On every class accepted here this is chi > 0, which the ``ample``
+    command checks it against.  Proof: F_i and G are pullbacks of a point
+    on one curve (by a projection, and by the homomorphism X -> E_{g-1}
+    defining G), so each pairs positive semidefinitely, and so does their
+    sum with coefficients a_i, c >= 0, zeros included.  Such a form is
+    definite iff nondegenerate, and its matrix E J (det J = 1) has
+    determinant chi^2.  Every term of chi = prod_i a_i + c * sum_i k_i
+    prod_{j != i} a_j is >= 0, so ample iff chi > 0, that is iff no a_i
+    is 0, or c > 0 and exactly one is.  A restriction pairs by a principal
+    block of this pairing, definite if this one is, so its chi is nonzero,
+    and (``subset_chis``) again a sum of terms >= 0: every restriction of
+    an ample class has chi > 0.
     """
-    if form._ample is None:
-        ample = leading_minors_all_positive(_scaled_pairing(form.e, form.factor_k))
-        object.__setattr__(form, "_ample", ample)
-    return form._ample
+    return leading_minors_all_positive(_scaled_pairing(form.e, form.factor_k))
 
 
 def restrict(form: AltForm, keep: Sequence[int]) -> AltForm:

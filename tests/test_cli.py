@@ -21,7 +21,7 @@ from betabound.cli import (
     run,
 )
 from betabound.threshold import InconsistentBoundsError
-from betabound.torusmodel import subset_chis
+from betabound.torusmodel import is_ample, subset_chis
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -216,6 +216,8 @@ class TestCliContract:
             monkeypatch.setattr(betabound.constructor, name, no_work)
         monkeypatch.setattr(betabound.surfacetable, "surface_beta", no_work)
         ones = ",".join(["1"] * 29)
+        over = str(10**100 + 1)
+        over_class = ["--g", "12", "--k", ",".join([over] * 11), "--a", ",".join([over] * 12), "--c", over]
         for argv in (
             ["beta", "--general", "30", "200000"],
             ["chi", "--g", "30", "--k", ones, "--a", ones + ",1", "--c", "1"],
@@ -232,6 +234,9 @@ class TestCliContract:
             # one above the degree limit of 10^100
             ["beta", "--general", "12", str(10**100 + 1)],
             ["np", "--g", "12", "--d", str(10**100 + 1)],
+            # every class entry one above the same limit: 60 s or more of work unchecked
+            ["ample"] + over_class,
+            ["beta"] + over_class,
             # a degenerate class: the dimension limit refuses it before any oracle runs
             ["beta", "--g", "13", "--k", ",".join(["1"] * 12), "--a", "0" + ",1" * 12, "--c", "0"],
             # one row above the table limit of 10^4
@@ -242,12 +247,14 @@ class TestCliContract:
             assert time.perf_counter() - start < 1.0
             assert capsys.readouterr().err.startswith("error: ")
 
-    def test_render_errors_exit_two(self, capsys):
-        # chi has about 12,000 digits, above Python's limit for printing an int
-        n = "9" * 4000
-        start = time.perf_counter()
-        assert main(["chi", "--g", "3", "--k", f"{n},{n}", "--a", "1,1,1", "--c", n]) == EXIT_PARSE
-        assert time.perf_counter() - start < 1.0
+    def test_render_errors_exit_two(self, monkeypatch, capsys):
+        # class entries stop at 10^100, so no result reaches Python's limit
+        # for printing an int; render one that does
+        def too_long(envelope):
+            return render({**envelope, "results": {"chi": 10**5000}})
+
+        monkeypatch.setattr(betabound.cli, "render", too_long)
+        assert main(["chi", "--g", "3", "--k", "2,2", "--a", "1,1,1", "--c", "1"]) == EXIT_PARSE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -260,6 +267,12 @@ class TestCliContract:
         monkeypatch.setattr(betabound.cli, "general_beta", broken)
         assert main(["np", "--g", "3", "--d", "40"]) == EXIT_ORACLE
         assert "internal oracle failure" in capsys.readouterr().err
+
+    def test_ampleness_disagreement_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(betabound.cli, "is_ample", lambda form: not is_ample(form))
+        for a in ("1,1", "0,0"):
+            assert main(["ample", "--g", "2", "--k", "3", "--a", a, "--c", "1"]) == EXIT_ORACLE
+            assert capsys.readouterr().err.startswith("internal oracle failure: minor test says ample=")
 
     def test_flag_chain_disagreement_exits_three(self, monkeypatch, capsys):
         def off_by_one(cls):

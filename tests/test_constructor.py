@@ -8,7 +8,6 @@ from betabound import (
     ConstructionParams,
     DegenerateFormError,
     NoRecipeError,
-    NotAmpleError,
     OracleDisagreement,
     Scope,
     SearchBox,
@@ -123,15 +122,10 @@ class TestCertify:
         assert cert.bound == 1
 
     def test_degenerate_rejected(self):
-        # nonnegative combinations are nef, so chi > 0 already implies
-        # ample here; the degenerate case is the reachable failure
+        # nonnegative combinations are nef, so chi > 0 is ampleness here
+        # and the degenerate case is the only rejection
         with pytest.raises(DegenerateFormError):
             certify(ConstructionParams(g=2, k=(2,), a=0, b=0, middle=(), c=1))
-
-    def test_not_ample_rejected(self, monkeypatch):
-        monkeypatch.setattr(betabound.constructor, "is_ample", lambda form: False)
-        with pytest.raises(NotAmpleError):
-            certify(recipe_weak(2, 9))
 
     def test_oracle_disagreement_is_raised(self, monkeypatch):
         monkeypatch.setattr(betabound.constructor, "chi_multilinear", lambda cls: 41)

@@ -218,6 +218,7 @@ def test_is_ample_matches_fraction_pairing(cls, data):
     keep = data.draw(st.sets(st.integers(0, form.g - 1), min_size=1))
     for f in (form, restrict(form, keep)):
         assert is_ample(f) == is_positive_definite(hermitian_pairing(f))
+        assert is_ample(f) == (chi_pfaffian(f) > 0)
 
 
 @SETTINGS

@@ -119,9 +119,9 @@ class TestFlagBounds:
     def test_zero_leading_pfaffian_in_chain_raises(self, monkeypatch):
         # c*G alone: chi is k_i on factor i but 0 on every pair, so the
         # second leading block of the reversed order has Pfaffian 0 (pivots
-        # [1, 0], where the elimination stops); only a skipped ampleness test
+        # [1, 0], where the elimination stops); only a skipped chi > 0 guard
         # lets such a class reach the chain
-        monkeypatch.setattr(betabound.threshold, "is_ample", lambda form: True)
+        monkeypatch.setattr(betabound.threshold, "chi_multilinear", lambda cls: 1)
         cls = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 0), 1)
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
             flag_profile(cls, (0, 1, 2))

@@ -28,11 +28,9 @@ from betabound import (
     Certificate,
     ConstructionParams,
     ConstructionSpace,
-    DegenerateFormError,
     DivisorClass,
     IntMatrix,
     NoRecipeError,
-    NotAmpleError,
     SearchBox,
     alt_form,
     certify,
@@ -198,7 +196,8 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
     """brute_search by enumerating every multiplier in [1, max_k]^(g-1).
 
     A candidate is kept when the Pfaffian of its form is d, which shares
-    no code with the library's affine chi formula.
+    no code with the library's affine chi formula; d >= 1, so no kept
+    candidate is degenerate.
     """
     if generalized:
         shapes = [
@@ -221,11 +220,7 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
             if chi_pfaffian(alt_form(DivisorClass(ConstructionSpace(g, k), coeffs, c))) != d:
                 continue
             middle = coeffs[1:-1] if generalized else None
-            params = ConstructionParams(g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=middle, c=c)
-            try:
-                cert = certify(params)
-            except (NotAmpleError, DegenerateFormError):
-                continue
+            cert = certify(ConstructionParams(g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=middle, c=c))
             if cert.ptype == target:
                 results.append(cert)
     return sorted(results, key=Certificate.sort_key)
@@ -237,6 +232,11 @@ def flag_upper_bound(cls: DivisorClass, order: Sequence[int], form: AltForm | No
     of the ``flag_profile`` chain."""
     chis = flag_profile(cls, order, form)
     return max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, len(chis))])
+
+
+def tail_sum(space: ConstructionSpace, i: int) -> int:
+    """Sum of the multipliers of factors i+1, ..., g-1 (0 for i = g-1)."""
+    return sum(space.k_full[i + 1 :])
 
 
 def closed_form_bound(space: ConstructionSpace, a: int, b: int) -> Fraction:
@@ -251,9 +251,9 @@ def closed_form_bound(space: ConstructionSpace, a: int, b: int) -> Fraction:
         raise ValueError("closed-form bound needs g >= 2")
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("need a, b >= 0 and not both zero")
-    n1 = space.tail_sum(0)
+    n1 = tail_sum(space, 0)
     d = a + a * b * n1 + b * space.k_full[0]
-    terms = [Fraction(1 + b * space.tail_sum(i), 1 + b * space.tail_sum(i - 1)) for i in range(1, space.g)]
+    terms = [Fraction(1 + b * tail_sum(space, i), 1 + b * tail_sum(space, i - 1)) for i in range(1, space.g)]
     terms.append(Fraction(1 + b * n1, d))
     return max(terms)
 
