@@ -73,13 +73,15 @@ CASE_EXPLICIT = "explicit"
 # 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
 # certificates at g <= 4, where one costs about 0.52 ms, so 5.2 s of
 # certifying.  Above g = 4 it is divided by CERTIFICATE_COST[g], the cost of
-# one certificate in g = 4 certificates, rounded up: the median certify time
-# over random standard classes (k_i in [1, 9], a and b in [1, 4], best of 3
-# each) is 0.74 / 1.07 / 1.58 / 2.26 / 3.25 / 4.94 / 8.32 / 15.4 ms at
-# g = 5..12, about 1.5-2x per +1 in g, set by the 2^g * g flag search; the
-# Pfaffians are polynomial (2 cores, Python 3.11.7).  Both limits stay above
-# the largest known requests (search --g 4 --d 40: 40,100 steps, 5,764
-# candidates).
+# one certificate in g = 4 certificates, rounded up, as measured when a
+# subset DP ran the flag search.  The median certify time over random
+# standard classes (k_i in [1, 9], a and b in [1, 4], best of 3 each) is now
+# 0.71 / 0.94 / 1.10 / 1.63 / 2.10 / 2.53 / 3.1 / 3.9 ms at g = 5..12, about
+# 1.2-1.5x per +1 in g and 7.4 certificates of g = 4 at g = 12; there the Smith
+# form takes about half and the flag search a fifth (2 cores, Python 3.11.7).
+# The table keeps its older, larger costs, so no search changes its exit code.
+# Both limits stay above the largest known requests (search --g 4 --d 40:
+# 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5
 SHAPE_STEPS = 4
 MAX_SEARCH_CANDIDATES = 10**4

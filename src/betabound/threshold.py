@@ -6,10 +6,11 @@ coordinate elliptic curves, where beta equals the inverse degree.  Upper
 bounds come from flags of coordinate subtori: dropping one factor at a
 time and comparing the Euler characteristics along the chain gives a
 certified upper bound for the specific construction.  The best flag is
-found by a dynamic program over subsets of factors on the closed-form
-chis of all restrictions (2^g * g steps, not g! orders); its witness
-chain is then read off the pivots of one Pfaffian elimination of the
-form, and the two must agree.
+found greedily on closed-form restriction chis: the cost of dropping a
+factor never falls as more factors are kept, so the min-max order is a
+single-machine scheduling problem that an exchange argument solves in
+O(g^2) ratios, not g! orders.  Its witness chain is then read off the
+pivots of one Pfaffian elimination of the form, and the two must agree.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -40,7 +41,7 @@ from .torusmodel import (
     alt_form,
     chi_multilinear,
     curve_degrees,
-    subset_chis,
+    restriction_chi,
 )
 
 class InconsistentBoundsError(ValueError):
@@ -246,53 +247,73 @@ def best_flag_bound(
 ) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
     """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
 
-    A dynamic program over subsets of factors, 2^g * g steps where the
-    drop orders number g!.  With chi(S) the formula chi of the
-    restriction to the kept factors S (``subset_chis``), the best bound
-    of the chains that start at S is f({j}) = 1/chi({j}) and
+    Dropping factor i from the kept factors S costs f_i(S) = chi(S - i)/chi(S),
+    with chi(S) the formula chi of that restriction (``restriction_chi``)
+    and chi = 1 on nothing kept, so the last drop, of j, costs 1/chi({j}).
+    A flag's bound is the largest cost along it.  Where the drop orders
+    number g!, two greedy passes of O(g^2) ratios each find the minimum:
 
-        f(S) = min over i in S of max(chi(S - i)/chi(S), f(S - i)).
+    - value: from the full set, repeatedly drop an i of least f_i(S); the
+      bound B is the largest cost paid;
+    - witness: from the full set, repeatedly drop the smallest i with
+      f_i(S) <= B.
 
-    The witness walks down from the full set, each time dropping the
-    smallest i whose two terms are both <= f(all): ties go to the
-    lexicographically smallest optimal order.  The chi chain is the
-    ``flag_profile`` of the witness order, the pivots of one Pfaffian
-    elimination of the form, a second oracle independent of the formula:
-    the chain must equal the formula chain and its bound the program's,
-    else OracleDisagreement.
+    Proof.  With P(T) the product of the a_j over T and T = S - i, the
+    recurrence chi(S) = a_i * chi(T) + c * k_i * P(T) gives f_i(S) =
+    1/(a_i + c * k_i * rho(T)), rho(T) = P(T)/chi(T).  If no a_j in T is 0,
+    then rho(T) = 1/(1 + c * sum_{j in T} k_j/a_j); once T holds a zero a_j
+    (an ample class has at most one, and then c > 0), P(T) = 0 and
+    rho(T) = 0.  Either way rho never grows as T grows, so f_i(S) <= f_i(S')
+    for every i in S, S a subset of S' (every chi here is positive, see
+    ``torusmodel.is_ample``).  Exchange: if S can be emptied with every cost
+    <= B and f_i(S) <= B, then dropping i first, and the rest in their old
+    order, keeps every cost <= B, since each other factor now leaves a
+    subset of the set it left before.  Value: on each set the pass reaches,
+    an optimal order (of cost B*) drops some j first with f_j(S) <= B*, so
+    the pass's i has f_i(S) <= f_j(S) <= B*, and by exchange S - i can
+    again be emptied within B*; so B <= B*, and B = B* as B is the cost of
+    an order.  Witness: by exchange each
+    drop keeps the rest within B, with no look-ahead, and the first drop of
+    any optimal order qualifies, so the walk yields the lexicographically
+    smallest optimal order.  This is Lawler's rule for the single-machine
+    f_max problem (E. L. Lawler, Management Science 19(5), 1973).
+
+    The chi chain is the ``flag_profile`` of the witness order, the pivots
+    of one Pfaffian elimination of the form, a second oracle independent of
+    the formula: the chain must equal the formula chain and its bound the
+    greedy's, else OracleDisagreement.
     """
     form = _ample_form(cls, form)
-    chi = subset_chis(cls)
-    if any(x <= 0 for x in chi):
-        raise LatticeInvariantError("ample restriction with nonpositive chi")
-    g, full = form.g, len(chi) - 1
-    bits = [1 << i for i in range(g)]
-    # f(S) = num[S]/den[S], compared by cross-multiplication (denominators
-    # are positive): Fraction arithmetic would cost a gcd per step, 10x the time.
-    num, den = [1] * len(chi), list(chi)  # already f(S) for singletons
-    for s in range(1, full + 1):
-        if s & (s - 1) == 0:
-            continue
-        fn, fd = 0, 0  # no drop tried yet
-        for bit in bits:
-            if s & bit:
-                t = s ^ bit
-                n, d = (num[t], den[t]) if num[t] * chi[s] > chi[t] * den[t] else (chi[t], chi[s])
-                if not fd or n * fd < fn * d:
-                    fn, fd = n, d
-        num[s], den[s] = fn, fd
-    bound, order, formula_chain, s = Fraction(num[full], den[full]), [], [chi[full]], full
-    while s & (s - 1):
-        drop = next(
-            i for i in range(g)
-            if s & bits[i]
-            and Fraction(chi[s ^ bits[i]], chi[s]) <= bound
-            and Fraction(num[s ^ bits[i]], den[s ^ bits[i]]) <= bound
-        )
-        order.append(drop)
-        s ^= bits[drop]
-        formula_chain.append(chi[s])
-    order.append(s.bit_length() - 1)
+    g = form.g
+
+    def rest_chi(keep: list[int], i: int) -> int:
+        return restriction_chi(cls, [j for j in keep if j != i])
+
+    # Costs are num/den pairs compared by cross-multiplication (denominators
+    # are positive): Fraction arithmetic would cost a gcd per step.  The costs
+    # at one set share its chi as denominator, so the least leaves the least chi.
+    chi_full = restriction_chi(cls, range(g))
+    keep, chi_s, num, den = list(range(g)), chi_full, 0, 1
+    while keep:
+        if chi_s <= 0:
+            raise LatticeInvariantError("ample restriction with nonpositive chi")
+        chi_t, i = min((rest_chi(keep, i), i) for i in keep)
+        if chi_t * den > num * chi_s:
+            num, den = chi_t, chi_s
+        keep.remove(i)
+        chi_s = chi_t
+    bound, order, keep, formula_chain = Fraction(num, den), [], list(range(g)), [chi_full]
+    while keep:
+        # Exchange guarantees a drop within the bound; were there none, the
+        # last factor goes, and its cost above the bound fails the check below.
+        for i in keep:
+            chi_t = rest_chi(keep, i)
+            if chi_t * den <= num * formula_chain[-1]:
+                break
+        order.append(i)
+        keep.remove(i)
+        formula_chain.append(chi_t)
+    formula_chain.pop()  # chi = 1 on nothing kept
     chis = flag_profile(cls, order, form)
     pf_bound = max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, g)])
     if chis != tuple(formula_chain) or pf_bound != bound:

@@ -39,11 +39,12 @@ from .exactmath import (
 
 
 # Largest accepted g, for classes, `beta --general`, `np` and `search` alike.
-# Every kernel is polynomial, so the 2^g * g flag search sets the growth.  With
-# the limit lifted, explicit `beta` on the all-ones class takes 0.16 / 0.18 /
-# 0.20 s as a process at g = 12 / 13 / 14 (17 MiB), and
-# `beta --general g 2^(g+1)+5` 0.18 / 0.18 / 0.26 s (2 cores, Python 3.11.7).
-# The search's CERTIFICATE_COST table is measured up to g = 12 only.
+# Every kernel is polynomial, the flag search included (O(g^2) closed-form
+# ratios and one elimination), and interpreter start-up dominates a request:
+# with the limit lifted, explicit `beta` on the all-ones class and
+# `beta --general g 2^(g+1)+5` each take 0.12-0.17 s as a process at g = 12,
+# 14, 16 and 20 (best of 3; 2 cores, Python 3.11.7).  The limit stays because
+# the search's CERTIFICATE_COST table is measured up to g = 12 only.
 MAX_DIMENSION = 12
 
 
@@ -251,21 +252,23 @@ def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
     return prod(a) + mixed[-1], tuple(mixed[:-1])
 
 
-def subset_chis(cls: DivisorClass) -> list[int]:
-    """Euler characteristic of the restriction to every subset of factors.
+def restriction_chi(cls: DivisorClass, keep: Sequence[int]) -> int:
+    """Euler characteristic of the restriction to the kept factors.
 
-    Entry S, a bitmask of kept factors, is ``chi_affine`` on those
-    factors: chi(S) = P(S) + c * Q(S) with P(S) = prod_{i in S} a_i and
-    Q(S) = sum_{i in S} k_i * prod_{j in S - i} a_j (k_{g-1} = 1 whatever
-    S keeps).  Adding factor j gives P(S + j) = P(S) * a_j and
-    Q(S + j) = Q(S) * a_j + k_j * P(S), so all 2^g entries take O(2^g).
-    Entry 0 (nothing kept) is the empty product 1.
+    This is ``chi_affine`` on those factors: chi(S) = P(S) + c * Q(S) with
+    P(S) = prod_{i in S} a_i and Q(S) = sum_{i in S} k_i * prod_{j in S - i} a_j
+    (k_{g-1} = 1 whatever S keeps).  Adding factor i gives P(S + i) =
+    a_i * P(S) and Q(S + i) = a_i * Q(S) + k_i * P(S), so
+
+        chi(S + i) = a_i * chi(S) + c * k_i * P(S),
+
+    and nothing kept is the empty product 1.
     """
-    p, q = [1], [0]
-    for a, k in zip(cls.a, cls.space.k_full):
-        # the appended half keeps this factor: its indices have its bit set
-        p, q = p + [x * a for x in p], q + [y * a + k * x for x, y in zip(p, q)]
-    return [x + cls.c * y for x, y in zip(p, q)]
+    k, p, q = cls.space.k_full, 1, 0
+    for i in keep:
+        a = cls.a[i]
+        p, q = p * a, q * a + k[i] * p
+    return p + cls.c * q
 
 
 def chi_multilinear(cls: DivisorClass) -> int:
@@ -323,9 +326,10 @@ def is_ample(form: AltForm) -> bool:
     determinant chi^2.  Every term of chi = prod_i a_i + c * sum_i k_i
     prod_{j != i} a_j is >= 0, so ample iff chi > 0, that is iff no a_i
     is 0, or c > 0 and exactly one is.  A restriction pairs by a principal
-    block of this pairing, definite if this one is, so its chi is nonzero,
-    and (``subset_chis``) again a sum of terms >= 0: every restriction of
-    an ample class has chi > 0.
+    block of this pairing, definite if this one is, so its chi is nonzero;
+    and by the recurrence chi(S + i) = a_i * chi(S) + c * k_i * P(S) of
+    ``restriction_chi``, from chi = 1 on nothing kept, it is a sum of
+    terms >= 0: every restriction of an ample class has chi > 0.
     """
     return leading_minors_all_positive(_scaled_pairing(form.e, form.factor_k))
 

@@ -21,7 +21,7 @@ from betabound.cli import (
     run,
 )
 from betabound.threshold import InconsistentBoundsError
-from betabound.torusmodel import is_ample, subset_chis
+from betabound.torusmodel import is_ample, restriction_chi
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -275,12 +275,12 @@ class TestCliContract:
             assert capsys.readouterr().err.startswith("internal oracle failure: minor test says ample=")
 
     def test_flag_chain_disagreement_exits_three(self, monkeypatch, capsys):
-        def off_by_one(cls):
-            chis = subset_chis(cls)
-            chis[-1] += 1  # the full set heads every chain, the witness's too
-            return chis
+        def off_by_one(cls, keep):
+            chi = restriction_chi(cls, keep)
+            # the full set heads every chain, the witness's too
+            return chi + 1 if len(keep) == cls.space.g else chi
 
-        monkeypatch.setattr(betabound.threshold, "subset_chis", off_by_one)
+        monkeypatch.setattr(betabound.threshold, "restriction_chi", off_by_one)
         assert main(["beta", "--g", "4", "--k", "3,2,1", "--a", "1,1,1,2", "--c", "1"]) == EXIT_ORACLE
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: flag chain oracles disagree")

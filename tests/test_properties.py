@@ -39,7 +39,7 @@ from betabound.cli import run
 from betabound.exactmath import PfaffianCache, _pfaffian
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
-from betabound.torusmodel import subset_chis
+from betabound.torusmodel import restriction_chi
 from util import (
     hermitian_pairing,
     is_positive_definite,
@@ -48,6 +48,8 @@ from util import (
     scan_max_np_arithmetic,
     scan_np_from_beta,
     scan_recipe_strict,
+    subset_chis,
+    subset_flag_bound,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -62,6 +64,21 @@ def classes(draw, max_g=5):
     if not any(a) and c == 0:
         a = (1,) + a[1:]
     return DivisorClass(ConstructionSpace(g, k), a, c)
+
+
+@st.composite
+def ample_classes(draw, max_g):
+    """An ample class: positive a_i with small or huge entries (small ones
+    make ties), c = 0 drawn, and with c > 0 at most one a_i set to 0."""
+    g = draw(st.integers(1, max_g))
+    entry = st.one_of(st.integers(1, 4), st.integers(1, 10**6))
+    k = tuple(draw(st.lists(entry, min_size=g - 1, max_size=g - 1)))
+    a = draw(st.lists(entry, min_size=g, max_size=g))
+    c = draw(st.one_of(st.just(0), st.integers(1, 3), st.integers(1, 10**6)))
+    zero = draw(st.none() | st.integers(0, g - 1))
+    if c and zero is not None:
+        a[zero] = 0
+    return DivisorClass(ConstructionSpace(g, k), tuple(a), c)
 
 
 @st.composite
@@ -155,6 +172,36 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
     assert flag_profile(cls, order) == chis
 
 
+@settings(max_examples=60, deadline=None)
+@given(ample_classes(max_g=10))
+# g = 1, and c = 0 with ties everywhere
+@example(DivisorClass(ConstructionSpace(1, ()), (3,), 0))
+@example(DivisorClass(ConstructionSpace(4, (1, 1, 1)), (2, 2, 2, 2), 0))
+# one zero a_i, at the front and at the back
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 1, 1), 1))
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 2, 0), 2))
+def test_best_flag_bound_matches_subset_dp(cls):
+    assert best_flag_bound(cls) == subset_flag_bound(cls)
+
+
+@SETTINGS
+@given(ample_classes(max_g=6))
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 1, 1), 1))
+def test_drop_costs_never_fall_as_sets_grow(cls):
+    # the lemma the greedy flag optimum rests on: f_i(S) = chi(S - i)/chi(S)
+    # <= f_i(S') for every i in S, S a subset of S' (all 3^g pairs)
+    chi = subset_chis(cls)
+    g = cls.space.g
+    for big in range(1, 2**g):
+        small = big
+        while small:  # every nonempty subset of big
+            for i in range(g):
+                bit = 1 << i
+                if small & bit:
+                    assert chi[small ^ bit] * chi[big] <= chi[big ^ bit] * chi[small]
+            small = (small - 1) & big
+
+
 def assert_under_flag_ceiling(cert):
     """The lemma of ``syzygy``: an upper bound below 1/m = 1/(p_beta + 2)
     makes each chain chi, read upwards from chi_0 = 1, at least m times the
@@ -209,6 +256,19 @@ def test_subset_chis_match_restriction_pfaffians(cls):
     assert len(chis) == 2**g
     for s in range(1, 2**g):
         assert chis[s] == chi_pfaffian(restrict(form, [i for i in range(g) if s >> i & 1]))
+
+
+@SETTINGS
+@given(classes(max_g=6))
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 1, 2), 1))
+def test_restriction_chi_matches_restriction_pfaffians(cls):
+    form = alt_form(cls)
+    g = cls.space.g
+    assert restriction_chi(cls, []) == 1
+    for s in range(1, 2**g):
+        keep = [i for i in range(g) if s >> i & 1]
+        chi = chi_pfaffian(restrict(form, keep))
+        assert restriction_chi(cls, keep) == restriction_chi(cls, keep[::-1]) == chi
 
 
 @SETTINGS

@@ -22,8 +22,8 @@ from betabound import (
 )
 from betabound.exactmath import _pfaffian
 from betabound.threshold import InconsistentBoundsError
-from betabound.torusmodel import LatticeInvariantError
-from util import closed_form_bound, flag_upper_bound
+from betabound.torusmodel import LatticeInvariantError, chi_multilinear
+from util import closed_form_bound, flag_upper_bound, subset_flag_bound
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
 
@@ -151,6 +151,22 @@ class TestFlagBounds:
         cls = DivisorClass(ConstructionSpace(1, ()), (5,), 0)
         assert flag_upper_bound(cls, (0,)) == Fraction(1, 5)
         assert best_flag_bound(cls) == (Fraction(1, 5), (0,), (5,))
+
+    def test_greedy_matches_subset_dp_on_threefold_box(self):
+        # every ample class with a in [0, 4]^3, k in [1, 4]^2 and c in [0, 3]:
+        # small entries make many ties, so the witness tie rule is exercised
+        ample = 0
+        for k in product(range(1, 5), repeat=2):
+            space = ConstructionSpace(3, k)
+            for a in product(range(5), repeat=3):
+                for c in range(4):
+                    if not any(a) and not c:
+                        continue
+                    cls = DivisorClass(space, a, c)
+                    if chi_multilinear(cls) > 0:
+                        ample += 1
+                        assert best_flag_bound(cls) == subset_flag_bound(cls)
+        assert ample == 6400
 
 
 class TestClosedFormBound:

@@ -12,7 +12,9 @@ inverses of the (N_p) threshold; they take about d^(1/g) steps.  The
 recursive cofactor expansion is the signed reference for the library's
 elimination Pfaffian (the determinant pins down only its square); it is
 exponential in the matrix size.  The closed-form flag bound of a
-standard class is the reference for the bound of the identity flag.
+standard class is the reference for the bound of the identity flag, and
+the dynamic program over all 2^g subsets of factors the reference for
+the greedy flag optimum.
 """
 
 from fractions import Fraction
@@ -40,6 +42,7 @@ from betabound import (
 )
 from betabound.constructor import CASE_RECIPE_STRICT
 from betabound.exactmath import PfaffianCache
+from betabound.torusmodel import LatticeInvariantError
 
 
 def pfaffian(m: IntMatrix) -> int:
@@ -306,3 +309,69 @@ def scan_recipe_strict(g: int, d: int) -> ConstructionParams:
         raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
     k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
     return ConstructionParams(g=g, k=k, a=r, b=m, case=CASE_RECIPE_STRICT, m=m, r=r, s=s)
+
+
+def subset_chis(cls: DivisorClass) -> list[int]:
+    """Euler characteristic of the restriction to every subset of factors.
+
+    Entry S, a bitmask of kept factors, is ``chi_affine`` on those
+    factors: chi(S) = P(S) + c * Q(S) with P(S) = prod_{i in S} a_i and
+    Q(S) = sum_{i in S} k_i * prod_{j in S - i} a_j (k_{g-1} = 1 whatever
+    S keeps).  Adding factor j gives P(S + j) = P(S) * a_j and
+    Q(S + j) = Q(S) * a_j + k_j * P(S), so all 2^g entries take O(2^g).
+    Entry 0 (nothing kept) is the empty product 1.
+    """
+    p, q = [1], [0]
+    for a, k in zip(cls.a, cls.space.k_full):
+        # the appended half keeps this factor: its indices have its bit set
+        p, q = p + [x * a for x in p], q + [y * a + k * x for x, y in zip(p, q)]
+    return [x + cls.c * y for x, y in zip(p, q)]
+
+
+def subset_flag_bound(cls: DivisorClass) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
+    """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
+
+    A dynamic program over subsets of factors, 2^g * g steps where the
+    drop orders number g!.  With chi(S) the formula chi of the
+    restriction to the kept factors S (``subset_chis``), the best bound
+    of the chains that start at S is f({j}) = 1/chi({j}) and
+
+        f(S) = min over i in S of max(chi(S - i)/chi(S), f(S - i)).
+
+    The witness walks down from the full set, each time dropping the
+    smallest i whose two terms are both <= f(all): ties go to the
+    lexicographically smallest optimal order.  The chain is the formula
+    chain of the witness order.
+    """
+    chi = subset_chis(cls)
+    if any(x <= 0 for x in chi):
+        raise LatticeInvariantError("ample restriction with nonpositive chi")
+    g, full = cls.space.g, len(chi) - 1
+    bits = [1 << i for i in range(g)]
+    # f(S) = num[S]/den[S], compared by cross-multiplication (denominators
+    # are positive): Fraction arithmetic would cost a gcd per step, 10x the time.
+    num, den = [1] * len(chi), list(chi)  # already f(S) for singletons
+    for s in range(1, full + 1):
+        if s & (s - 1) == 0:
+            continue
+        fn, fd = 0, 0  # no drop tried yet
+        for bit in bits:
+            if s & bit:
+                t = s ^ bit
+                n, d = (num[t], den[t]) if num[t] * chi[s] > chi[t] * den[t] else (chi[t], chi[s])
+                if not fd or n * fd < fn * d:
+                    fn, fd = n, d
+        num[s], den[s] = fn, fd
+    bound, order, formula_chain, s = Fraction(num[full], den[full]), [], [chi[full]], full
+    while s & (s - 1):
+        drop = next(
+            i for i in range(g)
+            if s & bits[i]
+            and Fraction(chi[s ^ bits[i]], chi[s]) <= bound
+            and Fraction(num[s ^ bits[i]], den[s ^ bits[i]]) <= bound
+        )
+        order.append(drop)
+        s ^= bits[drop]
+        formula_chain.append(chi[s])
+    order.append(s.bit_length() - 1)
+    return bound, tuple(order), tuple(formula_chain)
