@@ -71,15 +71,16 @@ CASE_EXPLICIT = "explicit"
 # 16 us at g = 12).  So a box counts pairs + SHAPE_STEPS * shapes steps; boxes
 # at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
 # 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
-# certificates at g <= 4, where one costs about 0.52 ms, so 5.2 s of
+# certificates at g <= 4, where one costs about 0.44 ms, so 4.4 s of
 # certifying.  Above g = 4 it is divided by CERTIFICATE_COST[g], the cost of
 # one certificate in g = 4 certificates, rounded up, as measured when a
-# subset DP ran the flag search.  The median certify time over random
-# standard classes (k_i in [1, 9], a and b in [1, 4], best of 3 each) is now
-# 0.71 / 0.94 / 1.10 / 1.63 / 2.10 / 2.53 / 3.1 / 3.9 ms at g = 5..12, about
-# 1.2-1.5x per +1 in g and 7.4 certificates of g = 4 at g = 12; there the Smith
-# form takes about half and the flag search a fifth (2 cores, Python 3.11.7).
-# The table keeps its older, larger costs, so no search changes its exit code.
+# subset DP ran the flag search and a generic Smith form the type.  The median
+# certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
+# best of 3 each; median of 24 runs of 21 classes) is now 0.56 / 0.71 / 0.86 /
+# 1.09 / 1.34 / 1.58 / 1.85 / 2.16 ms at g = 5..12, 1.2-1.3x per +1 in g and
+# 4.9 certificates of g = 4 at g = 12; there the Smith form (the skew normal
+# form by congruence) takes under a third (2 cores, Python 3.11.7).  The table
+# keeps its older, larger costs, so no search changes its exit code.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5

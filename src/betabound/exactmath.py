@@ -7,7 +7,9 @@ roots come from integer Newton iteration.  No floating point anywhere.
 The matrices handled here are small (2g x 2g, g <= torusmodel.MAX_DIMENSION),
 so the algorithms favour simplicity and determinism over asymptotics; none
 is exponential in g.  The Pfaffian and the leading-minor test are
-fraction-free eliminations of O(n^3) integer operations.
+fraction-free eliminations of O(n^3) integer operations; the Smith form
+of an alternating matrix is a congruence reduction that shares no code
+with the Pfaffian, so each checks the other.
 """
 
 from __future__ import annotations
@@ -51,83 +53,69 @@ class IntMatrix:
         return IntMatrix(len(idx), len(idx), tuple(self.at(i, j) for i in idx for j in idx))
 
     def is_alternating(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        n = self.rows
-        return all(self.at(i, i) == 0 for i in range(n)) and all(
-            self.at(i, j) == -self.at(j, i) for i in range(n) for j in range(i + 1, n)
-        )
+        n, a = self.rows, self.to_rows()
+        return self.cols == n and all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of ``m``.
+    """Diagonal of the Smith normal form of a square alternating matrix.
 
-    The min(rows, cols) entries are nonnegative, each dividing the next;
-    they are the invariant factors, so the product of the first k is the
-    gcd of the k x k minors.  Only the diagonal is kept: the unimodular
-    row and column transforms are never materialized.  Pivot choice:
-    smallest nonzero absolute value, ties broken by lowest row then
-    column index, so the elimination path is deterministic.
+    An alternating integer matrix is congruent, m -> P^T m P with P
+    unimodular, to a direct sum of blocks d_i * [[0, 1], [-1, 0]] and
+    zeros with d_1 | d_2 | ... (the skew normal form; M. Newman, *Integral
+    Matrices*, 1972).  A congruence is a row-and-column equivalence
+    and the Smith diagonal is unique, so it is (d_1, d_1, d_2, d_2, ...,
+    0, ...): the elementary divisors come in pairs by construction.  Each
+    step takes the smallest nonzero |m_ij| with i < j (ties to the lowest
+    i, then j), moves it to (t, t + 1) by symmetric swaps, makes it
+    positive and clears rows t and t + 1 with e_k += r * e_t - q * e_(t+1).
+    A nonzero remainder is a smaller pivot for the next step; once the
+    rows are clear, an entry the pivot p does not divide has its basis
+    vector added into e_t, and otherwise the block p * J splits off.
+    Anything but a square alternating matrix raises ``ValueError``.
     """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    if not m.is_alternating():
+        raise ValueError("expected a square alternating matrix")
+    n, a = m.rows, m.to_rows()
 
-    def add_row(src, dst, factor):
-        # row_dst += factor * row_src
-        arow, srow = a[dst], a[src]
-        for jj in range(ncols):
-            arow[jj] += factor * srow[jj]
-
-    def add_col(src, dst, factor):
+    def swap(u, v):
+        a[u], a[v] = a[v], a[u]
         for row in a:
-            row[dst] += factor * row[src]
+            row[u], row[v] = row[v], row[u]
 
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if pivot is None or key < pivot:
-                        pivot = key
+    def add(k, r, u, q, v):
+        # e_k += r * e_u + q * e_v: row k, then column k as minus row k
+        row = a[k] = [x + r * y + q * z for x, y, z in zip(a[k], a[u], a[v])]
+        row[k] = 0
+        for i, x in enumerate(row):
+            a[i][k] = -x
+
+    diag, t = [], 0
+    while t + 1 < n:
+        nonzero = ((abs(x), i, j) for i in range(t, n) for j in range(i + 1, n) if (x := a[i][j]))
+        pivot = min(nonzero, default=None)
         if pivot is None:
             break
-        _, pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        piv = a[t][t]
-        dirty = False
-        for i in range(nrows):
-            if i != t and a[i][t] != 0:
-                add_row(t, i, -(a[i][t] // piv))
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(ncols):
-            if j != t and a[t][j] != 0:
-                add_col(t, j, -(a[t][j] // piv))
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
+        _, i, j = pivot
+        swap(t, i)
+        swap(t + 1, j)
+        if a[t][t + 1] < 0:
+            swap(t, t + 1)
+        p, row_t, row_u = a[t][t + 1], a[t], a[t + 1]
+        for k in range(t + 2, n):
+            q, r = row_t[k] // p, row_u[k] // p
+            if q or r:
+                add(k, r, t, -q, t + 1)
+        if any(row_t[t + 2 :]) or any(row_u[t + 2 :]):
             continue
-
-        # Ensure the pivot divides every remaining entry before locking it in.
-        absorbed = False
-        for i in range(t + 1, nrows):
-            if any(a[i][j] % piv for j in range(t + 1, ncols)):
-                add_row(i, t, 1)
-                absorbed = True
-                break
-        if absorbed:
+        rest = range(t + 2, n) if p > 1 else ()  # a unit pivot divides everything
+        bad = next((i for i in rest for j in range(i + 1, n) if a[i][j] % p), None)
+        if bad is not None:
+            add(t, 1, bad, 0, t + 1)
             continue
-        t += 1
-
-    return tuple(a[i][i] for i in range(limit))
+        diag += (p, p)
+        t += 2
+    return tuple(diag + [0] * (n - len(diag)))
 
 
 def _pfaffian(b: list[list[int]]) -> tuple[int, list[int]]:
@@ -180,7 +168,7 @@ class PfaffianCache:
     """
 
     def __init__(self, a: IntMatrix):
-        if a.rows != a.cols or a.rows % 2 != 0 or not a.is_alternating():
+        if a.rows % 2 != 0 or not a.is_alternating():
             raise ValueError("expected an alternating matrix of even dimension")
         self._flat = a.to_rows()
         self._memo: dict[tuple[int, ...], int] = {}

@@ -11,6 +11,7 @@ import betabound.cli
 import betabound.constructor
 import betabound.surfacetable
 import betabound.threshold
+import betabound.torusmodel
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
     EXIT_OK,
@@ -20,6 +21,7 @@ from betabound.cli import (
     render,
     run,
 )
+from betabound.exactmath import smith_normal_form
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import is_ample, restriction_chi
 
@@ -285,6 +287,16 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: flag chain oracles disagree")
         assert "formula [" in err and "pfaffian [" in err
+
+    def test_type_product_disagreement_exits_three(self, monkeypatch, capsys):
+        def last_pair_doubled(m):
+            diag = smith_normal_form(m)
+            return diag[:-2] + (2 * diag[-2], 2 * diag[-1])
+
+        monkeypatch.setattr(betabound.torusmodel, "smith_normal_form", last_pair_doubled)
+        assert main(["type", "--g", "3", "--k", "9,3", "--a", "1,1,3", "--c", "1"]) == EXIT_ORACLE
+        err = capsys.readouterr().err
+        assert err.startswith("internal oracle failure: type product does not match the Pfaffian")
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

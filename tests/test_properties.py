@@ -33,14 +33,16 @@ from betabound import (
     np_threshold,
     recipe_strict,
     restrict,
+    smith_normal_form,
     surface_beta,
 )
 from betabound.cli import run
 from betabound.exactmath import PfaffianCache, _pfaffian
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
-from betabound.torusmodel import restriction_chi
+from betabound.torusmodel import _scaled_pairing, restriction_chi
 from util import (
+    generic_smith_normal_form,
     hermitian_pairing,
     is_positive_definite,
     reference_pfaffian,
@@ -121,9 +123,10 @@ def test_pfaffian_matches_cofactor_expansion(case):
 
 
 @st.composite
-def alternating_matrices(draw):
-    """An alternating matrix of even size 2..12 with small or huge entries."""
-    n = 2 * draw(st.integers(1, 6))
+def alternating_matrices(draw, odd=False):
+    """An alternating matrix of even size 2..12, or odd size 1..11, with
+    small or huge entries."""
+    n = 2 * draw(st.integers(1, 6)) - int(odd)
     entry = st.one_of(st.integers(-5, 5), st.integers(-(10**12), 10**12))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -139,6 +142,33 @@ def test_pfaffian_pivots_are_leading_pfaffians(m):
     leading = [reference_pfaffian(m, range(2 * t)) for t in range(1, m.rows // 2 + 1)]
     assume(all(leading))
     assert _pfaffian(m.to_rows()) == (leading[-1], leading)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    alternating_with_indices().map(lambda case: case[0]), alternating_matrices(), alternating_matrices(odd=True)
+))
+# the pivot 2 does not divide the 3 it leaves behind: e_2 is added into e_0
+@example(IntMatrix.from_rows([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]))
+def test_skew_normal_form_matches_generic_smith_form(m):
+    assert smith_normal_form(m) == generic_smith_normal_form(m)
+
+
+@SETTINGS
+@given(classes(max_g=12))
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1))
+def test_class_form_smith_diagonal_matches_generic(cls):
+    m = alt_form(cls).e
+    assert smith_normal_form(m) == generic_smith_normal_form(m)
+
+
+@SETTINGS
+@given(classes(max_g=12))
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (0, 2, 0, 1), 0))
+@example(DivisorClass(ConstructionSpace(3, (5, 4)), (0, 0, 0), 2))
+def test_pairing_is_symmetric(cls):
+    s = _scaled_pairing(alt_form(cls).e, cls.space.k_full)
+    assert all(s[u][v] == s[v][u] for u in range(len(s)) for v in range(u))
 
 
 def permutation_flag_oracle(form):

@@ -2,8 +2,10 @@
 
 The determinant here is intentionally computed by plain fraction
 Gaussian elimination so that Pfaffian and Smith-form assertions are
-checked against a path that shares no code with the library kernel;
-the Smith diagonal is checked through the gcds of minors built on it.
+checked against a path that shares no code with the library kernel.
+The generic row-and-column Smith form is the reference for the library's
+congruence reduction of alternating matrices, and its own diagonal is
+checked through the gcds of minors built on exact_det.
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
 enumeration with chi by Pfaffian the reference for the search.  The
@@ -135,6 +137,77 @@ def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
                 d = gcd(d, minor.numerator)
         divisors.append(d)
     return tuple(divisors)
+
+
+def generic_smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of ``m``.
+
+    The min(rows, cols) entries are nonnegative, each dividing the next;
+    they are the invariant factors, so the product of the first k is the
+    gcd of the k x k minors.  Only the diagonal is kept: the unimodular
+    row and column transforms are never materialized.  Pivot choice:
+    smallest nonzero absolute value, ties broken by lowest row then
+    column index, so the elimination path is deterministic.
+    """
+    a = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+
+    def add_row(src, dst, factor):
+        # row_dst += factor * row_src
+        arow, srow = a[dst], a[src]
+        for jj in range(ncols):
+            arow[jj] += factor * srow[jj]
+
+    def add_col(src, dst, factor):
+        for row in a:
+            row[dst] += factor * row[src]
+
+    t = 0
+    limit = min(nrows, ncols)
+    while t < limit:
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] != 0:
+                    key = (abs(a[i][j]), i, j)
+                    if pivot is None or key < pivot:
+                        pivot = key
+        if pivot is None:
+            break
+        _, pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+
+        piv = a[t][t]
+        dirty = False
+        for i in range(nrows):
+            if i != t and a[i][t] != 0:
+                add_row(t, i, -(a[i][t] // piv))
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(ncols):
+            if j != t and a[t][j] != 0:
+                add_col(t, j, -(a[t][j] // piv))
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+
+        # Ensure the pivot divides every remaining entry before locking it in.
+        absorbed = False
+        for i in range(t + 1, nrows):
+            if any(a[i][j] % piv for j in range(t + 1, ncols)):
+                add_row(i, t, 1)
+                absorbed = True
+                break
+        if absorbed:
+            continue
+        t += 1
+
+    return tuple(a[i][i] for i in range(limit))
 
 
 def random_alternating(rng: random.Random, dim: int, max_entry: int = 100) -> IntMatrix:
