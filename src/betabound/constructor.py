@@ -72,21 +72,25 @@ CASE_EXPLICIT = "explicit"
 # at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
 # 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
 # certificates at g <= 4, where one costs about 0.44 ms, so 4.4 s of
-# certifying.  Above g = 4 it is divided by CERTIFICATE_COST[g], the cost of
-# one certificate in g = 4 certificates, rounded up, as measured when a
-# subset DP ran the flag search and a generic Smith form the type.  The median
+# certifying.  Above g = 4 it is divided by certificate_cost(g), an upper
+# bound on the cost of one certificate in g = 4 certificates.  The median
 # certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
-# best of 3 each; median of 24 runs of 21 classes) is now 0.56 / 0.71 / 0.86 /
-# 1.09 / 1.34 / 1.58 / 1.85 / 2.16 ms at g = 5..12, 1.2-1.3x per +1 in g and
-# 4.9 certificates of g = 4 at g = 12; there the Smith form (the skew normal
-# form by congruence) takes under a third (2 cores, Python 3.11.7).  The table
-# keeps its older, larger costs, so no search changes its exit code.
+# best of 3 each; median of 24 runs of 21 classes) is 0.44 / 0.55 / 0.66 /
+# 0.84 / 1.02 / 1.27 / 1.55 / 1.77 / 2.12 ms at g = 4..12, that is 1.2 / 1.5 /
+# 1.9 / 2.3 / 2.9 / 3.5 / 4.0 / 4.8 certificates of g = 4 at g = 5..12 (2
+# cores, Python 3.11.7; a run on a faster stretch of the shared host reached
+# 5.1 at g = 12), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5
 SHAPE_STEPS = 4
 MAX_SEARCH_CANDIDATES = 10**4
-CERTIFICATE_COST = (1, 1, 1, 1, 1, 2, 3, 4, 5, 7, 10, 17, 30)  # indexed by g
+
+
+def certificate_cost(g: int) -> int:
+    """ceil(g^2 / 16): the cost of one certificate at g in g = 4 certificates,
+    bounded above (see the search limits)."""
+    return -(-g * g // 16)
 
 
 # Largest degree general_beta accepts, checked before any construction, and
@@ -333,7 +337,7 @@ def brute_search(
     ranked by flag bound, ties by the chi chain along the witness flag,
     then by parameters, so the output order is deterministic.  g above
     torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS and boxes with
-    more than MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g] candidates are
+    more than MAX_SEARCH_CANDIDATES // certificate_cost(g) candidates are
     refused before anything is certified.
     """
     if g < 2 or d < 1:
@@ -349,11 +353,12 @@ def brute_search(
         coeff_ranges, c_range = [a_range] * (g - 1) + [b_range], range(box.max_c + 1)
     else:
         coeff_ranges, c_range = [a_range] + [range(1, 2)] * (g - 2) + [b_range], range(1, 2)
-    shapes = prod(map(len, coeff_ranges)) * len(c_range)
-    steps = shapes * (SHAPE_STEPS + len(k_range) ** (g - 2))
+    # Sizes from the range ends: len() overflows past sys.maxsize elements.
+    shapes = prod(max(r.stop - r.start, 0) for r in coeff_ranges + [c_range])
+    steps = shapes * (SHAPE_STEPS + box.max_k ** (g - 2))
     if steps > MAX_SEARCH_STEPS:
         raise _box_too_large(f"{steps} enumeration steps", MAX_SEARCH_STEPS)
-    max_candidates = MAX_SEARCH_CANDIDATES // CERTIFICATE_COST[g]
+    max_candidates = MAX_SEARCH_CANDIDATES // certificate_cost(g)
     candidates: list[ConstructionParams] = []
     # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.
     for coeffs, c in product(product(*coeff_ranges), c_range):
@@ -363,11 +368,12 @@ def brute_search(
             free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))
             if weights[0] == 0:
                 # chi does not depend on k_1: every k_1 fits or none does
-                k1s = k_range if free == 0 else ()
+                k1s, fits = (k_range, box.max_k) if free == 0 else ((), 0)
             else:
                 k1, rem = divmod(free, weights[0])
                 k1s = (k1,) if rem == 0 and k1 in k_range else ()
-            n = len(candidates) + len(k1s)
+                fits = len(k1s)
+            n = len(candidates) + fits
             if n > max_candidates:
                 raise _box_too_large(f"at least {n} candidates", max_candidates)
             candidates.extend(

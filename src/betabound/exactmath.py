@@ -1,63 +1,41 @@
 """Exact integer linear-algebra kernel.
 
-Everything in this module is exact: matrices hold Python's
-arbitrary-precision ints, elimination is fraction-free, and integer
-roots come from integer Newton iteration.  No floating point anywhere.
+Everything in this module is exact: a matrix is a square sequence of
+rows of Python's arbitrary-precision ints, elimination is fraction-free,
+and integer roots come from integer Newton iteration.  No floating point
+anywhere.
 
-The matrices handled here are small (2g x 2g, g <= torusmodel.MAX_DIMENSION),
-so the algorithms favour simplicity and determinism over asymptotics; none
-is exponential in g.  The Pfaffian and the leading-minor test are
-fraction-free eliminations of O(n^3) integer operations; the Smith form
-of an alternating matrix is a congruence reduction that shares no code
-with the Pfaffian, so each checks the other.
+The matrices handled here are the small alternating forms of classes
+(2g x 2g, g <= torusmodel.MAX_DIMENSION), so the algorithms favour
+simplicity and determinism over asymptotics; none is exponential in g.
+The Smith form and the Pfaffian check their input in one place
+(``_alternating_rows``) and eliminate the copy it returns.  The Pfaffian
+and the leading-minor test are fraction-free eliminations of O(n^3)
+integer operations; the Smith form of an alternating matrix is a
+congruence reduction that shares no arithmetic with the Pfaffian, so
+each checks the other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise ValueError("entries must be integers")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def principal_submatrix(self, indices: Sequence[int]) -> "IntMatrix":
-        idx = list(indices)
-        return IntMatrix(len(idx), len(idx), tuple(self.at(i, j) for i in idx for j in idx))
-
-    def is_alternating(self) -> bool:
-        n, a = self.rows, self.to_rows()
-        return self.cols == n and all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
+def _alternating_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A fresh list-of-lists copy of a square alternating integer matrix,
+    for an elimination to consume; any other input raises ``ValueError``.
+    Column i of an alternating matrix is minus row i, zero diagonal included."""
+    a = [list(row) for row in m]
+    if (
+        any(len(row) != len(a) for row in a)
+        or not all(isinstance(x, int) for row in a for x in row)
+        or any(list(col) != [-x for x in row] for row, col in zip(a, zip(*a)))
+    ):
+        raise ValueError("expected a square alternating integer matrix")
+    return a
 
 
-def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form of a square alternating matrix.
 
     An alternating integer matrix is congruent, m -> P^T m P with P
@@ -72,11 +50,10 @@ def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     A nonzero remainder is a smaller pivot for the next step; once the
     rows are clear, an entry the pivot p does not divide has its basis
     vector added into e_t, and otherwise the block p * J splits off.
-    Anything but a square alternating matrix raises ``ValueError``.
+    Anything but a square alternating integer matrix raises ``ValueError``.
     """
-    if not m.is_alternating():
-        raise ValueError("expected a square alternating matrix")
-    n, a = m.rows, m.to_rows()
+    a = _alternating_rows(m)
+    n = len(a)
 
     def swap(u, v):
         a[u], a[v] = a[v], a[u]
@@ -167,10 +144,10 @@ class PfaffianCache:
     full set; the class stays because the benchmark traces its method.
     """
 
-    def __init__(self, a: IntMatrix):
-        if a.rows % 2 != 0 or not a.is_alternating():
+    def __init__(self, a: Sequence[Sequence[int]]):
+        self._rows = _alternating_rows(a)
+        if len(self._rows) % 2:
             raise ValueError("expected an alternating matrix of even dimension")
-        self._flat = a.to_rows()
         self._memo: dict[tuple[int, ...], int] = {}
 
     def pfaffian_of(self, indices: Sequence[int]) -> int:
@@ -181,8 +158,8 @@ class PfaffianCache:
             raise ValueError("index set must have even size")
         value = self._memo.get(key)
         if value is None:
-            flat = self._flat
-            value = self._memo[key] = _pfaffian([[flat[i][j] for j in key] for i in key])[0]
+            rows = self._rows
+            value = self._memo[key] = _pfaffian([[rows[i][j] for j in key] for i in key])[0]
         return value
 
 
@@ -212,7 +189,9 @@ def integer_root(n: int, g: int) -> int:
     """Largest m with m**g <= n, by integer Newton iteration."""
     if n < 1 or g < 1:
         raise ValueError("integer_root requires n >= 1 and g >= 1")
-    if g == 1 or n == 1:
+    if g >= n.bit_length():
+        return 1  # n < 2**g
+    if g == 1:
         return n
     # Start from a power of two guaranteed to be >= n**(1/g).
     x = 1 << -(-n.bit_length() // g)

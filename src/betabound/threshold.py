@@ -121,7 +121,14 @@ class Bound:
     def __hash__(self):
         if self.is_rational:
             return hash(("bound", self.ratio))
-        return hash(("bound", self.radicand, self.degree))
+        # Hash x = radicand^(1/degree) in lowest terms, so equal roots hash
+        # alike: the least m with x^m an integer s divides degree and depends
+        # on x alone; m = degree always qualifies.
+        for m in range(1, self.degree + 1):
+            if self.degree % m == 0:
+                s = integer_root(self.radicand, self.degree // m)
+                if s ** (self.degree // m) == self.radicand:
+                    return hash(("bound", s, m))
 
     def __repr__(self):
         return f"Bound({self})"
@@ -234,9 +241,9 @@ def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None =
     """
     form = _ample_form(cls, form)
     order = _check_order(order, form.g)
-    flat = form.e.to_rows()
+    e = form.e
     coords = [c for i in reversed(order) for c in (2 * i, 2 * i + 1)]
-    _, pivots = _pfaffian([[flat[u][v] for v in coords] for u in coords])
+    _, pivots = _pfaffian([[e[u][v] for v in coords] for u in coords])
     if len(pivots) != form.g or any(p <= 0 for p in pivots):
         raise LatticeInvariantError("ample restriction with nonpositive chi")
     return tuple(reversed(pivots))

@@ -26,12 +26,12 @@ linear algebra.  A class is ample exactly when chi > 0 (``is_ample``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from typing import Sequence
 
 from .exactmath import (
-    IntMatrix,
     PfaffianCache,
     leading_minors_all_positive,
     smith_normal_form,
@@ -44,7 +44,7 @@ from .exactmath import (
 # with the limit lifted, explicit `beta` on the all-ones class and
 # `beta --general g 2^(g+1)+5` each take 0.12-0.17 s as a process at g = 12,
 # 14, 16 and 20 (best of 3; 2 cores, Python 3.11.7).  The limit stays because
-# the search's CERTIFICATE_COST table is measured up to g = 12 only.
+# the search's certificate_cost bound is measured up to g = 12 only.
 MAX_DIMENSION = 12
 
 
@@ -154,49 +154,45 @@ class FiniteGroupShape:
 class AltForm:
     """Alternating lattice form of a class.
 
-    ``factor_k`` records the basis denominator of each (kept) factor, which
-    fixes the complex structure J, so restrictions remain self-contained.
-    The Pfaffians and the Smith diagonal (from the skew normal form, so
-    its entries pair up) are each computed once per form and memoized on
-    it.
+    ``e`` is the 2g x 2g matrix as a tuple of integer rows, built once
+    by ``alt_form`` (or cut from one by ``restrict``), so it is alternating
+    with int entries by construction.  ``factor_k`` records the basis
+    denominator of each (kept) factor, which fixes the complex structure
+    J, so restrictions remain self-contained.  The Pfaffians and the Smith
+    diagonal (from the skew normal form, so its entries pair up) are each
+    computed once per form and cached on it.
     """
 
-    e: IntMatrix
+    e: tuple[tuple[int, ...], ...]
     factor_k: tuple[int, ...]
-    _cache: PfaffianCache | None = field(default=None, compare=False, repr=False)
-    _snf_diag: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def g(self) -> int:
         return len(self.factor_k)
 
+    @cached_property
     def pfaffian_cache(self) -> PfaffianCache:
-        if self._cache is None:
-            object.__setattr__(self, "_cache", PfaffianCache(self.e))
-        return self._cache
+        return PfaffianCache(self.e)
 
+    @cached_property
     def snf_diagonal(self) -> tuple[int, ...]:
-        if self._snf_diag is None:
-            object.__setattr__(self, "_snf_diag", smith_normal_form(self.e))
-        return self._snf_diag
+        return smith_normal_form(self.e)
 
 
-def _scaled_pairing(e: IntMatrix, factor_k: Sequence[int]) -> list[list[int]]:
+def _scaled_pairing(e: Sequence[Sequence[int]], factor_k: Sequence[int]) -> list[list[int]]:
     """Integer matrix congruent to the pairing E(x, Jy).
 
     Rescaling the odd basis vector of factor i by k_i clears the
     denominators; a diagonal congruence preserves symmetry and
     definiteness, so this is what the ampleness test runs on.
     """
-    n = e.rows
-    scale = [1 if u % 2 == 0 else factor_k[u // 2] for u in range(n)]
     rows = []
-    for u in range(n):
-        du = scale[u]
+    for u, row_e in enumerate(e):
+        du = 1 if u % 2 == 0 else factor_k[u // 2]
         row = []
         for i, k in enumerate(factor_k):
-            row.append(du * k * e.at(u, 2 * i + 1))
-            row.append(-du * e.at(u, 2 * i))
+            row.append(du * k * row_e[2 * i + 1])
+            row.append(-du * row_e[2 * i])
         rows.append(row)
     return rows
 
@@ -232,7 +228,7 @@ def alt_form(cls: DivisorClass) -> AltForm:
             for v in range(n):
                 xv, yv = cols[v]
                 e[u][v] += cls.c * (xu * yv - yu * xv)
-    return AltForm(e=IntMatrix.from_rows(e), factor_k=space.k_full)
+    return AltForm(e=tuple(map(tuple, e)), factor_k=space.k_full)
 
 
 def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
@@ -279,13 +275,13 @@ def chi_multilinear(cls: DivisorClass) -> int:
 
 def chi_pfaffian(form: AltForm) -> int:
     """Euler characteristic as the Pfaffian of the alternating form."""
-    return form.pfaffian_cache().pfaffian_of(range(form.e.rows))
+    return form.pfaffian_cache.pfaffian_of(range(len(form.e)))
 
 
 def _paired_divisors(form: AltForm) -> tuple[int, ...]:
     """The elementary divisors d_1, d_1, d_2, d_2, ... of a nondegenerate
     form; they pair up by construction (``smith_normal_form``)."""
-    diag = form.snf_diagonal()
+    diag = form.snf_diagonal
     if 0 in diag:
         raise DegenerateFormError("form is degenerate")
     return diag
@@ -346,11 +342,10 @@ def restrict(form: AltForm, keep: Sequence[int]) -> AltForm:
     if kept[0] < 0 or kept[-1] >= form.g:
         raise ValueError("factor index out of range")
     coords = [c for i in kept for c in (2 * i, 2 * i + 1)]
-    e_sub = form.e.principal_submatrix(coords)
-    factor_k = tuple(form.factor_k[i] for i in kept)
-    return AltForm(e=e_sub, factor_k=factor_k)
+    e_sub = tuple(tuple(form.e[u][v] for v in coords) for u in coords)
+    return AltForm(e=e_sub, factor_k=tuple(form.factor_k[i] for i in kept))
 
 
 def curve_degrees(form: AltForm) -> tuple[int, ...]:
     """Degrees of the restrictions to the coordinate elliptic curves."""
-    return tuple(form.e.at(2 * i, 2 * i + 1) for i in range(form.g))
+    return tuple(form.e[2 * i][2 * i + 1] for i in range(form.g))

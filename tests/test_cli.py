@@ -1,7 +1,12 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -231,8 +236,17 @@ class TestCliContract:
             ["search", "--g", "3", "--d", str(10**40), "--max-a", "999", "--max-b", "999", "--max-k", "1"],
             # 944,784 pairs at g = 12: 944,848 steps; 3.0 s of enumeration unchecked
             ["search", "--g", "12", "--d", str(10**40), "--max-a", "3", "--max-b", "3", "--max-k", "3", "--max-c", "3"],
-            # 462 candidates: under 10^4, but above the g = 12 limit of 10^4 / 30
-            ["search", "--g", "12", "--d", "18", "--max-a", "1", "--max-b", "1", "--max-k", "2"],
+            # 2,048 candidates: under 10^4, but above the g = 12 limit of 10^4 // 9;
+            # with b = 0, chi = a_0 for every multiplier
+            ["search", "--g", "12", "--d", "1", "--max-a", "1", "--max-b", "0", "--max-k", "2"],
+            # boxes holding more than 2^63 - 1 values of one coefficient; the
+            # default box at g = 2 takes max_k = d
+            ["search", "--g", "2", "--d", str(2**63)],
+            ["search", "--g", "3", "--d", "40", "--max-k", str(2**63)],
+            ["search", "--g", "3", "--d", "40", "--max-a", str(2**63)],
+            ["search", "--g", "3", "--d", "40", "--generalized", "--max-c", str(2**63)],
+            # b = 0: chi does not depend on k_1, so every one of 2^63 values fits
+            ["search", "--g", "2", "--d", "3", "--max-a", "3", "--max-b", "0", "--max-k", str(2**63)],
             # one above the degree limit of 10^100
             ["beta", "--general", "12", str(10**100 + 1)],
             ["np", "--g", "12", "--d", str(10**100 + 1)],
@@ -248,6 +262,23 @@ class TestCliContract:
             assert main(argv) == EXIT_PARSE
             assert time.perf_counter() - start < 1.0
             assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_dimension_refused_at_once(self):
+        # The default box takes an integer g-th root of d before the dimension
+        # check, which once cost 2^(g - 1) for g >= d.bit_length(): run the CLI
+        # in a child capped at 1 GiB and 10 s, since that cost grows with g.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "betabound.cli", "search", "--g", str(10**23), "--d", "5"],
+            capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_PARSE
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_render_errors_exit_two(self, monkeypatch, capsys):
         # class entries stop at 10^100, so no result reaches Python's limit

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from betabound import IntMatrix, integer_root, smith_normal_form
+from betabound import integer_root, smith_normal_form
 from betabound.exactmath import PfaffianCache, _pfaffian
 from util import (
+    IntMatrix,
     determinantal_divisors,
     diagonal,
     exact_det,
@@ -18,7 +19,7 @@ from util import (
 )
 
 
-def snf_checks(m: IntMatrix, snf=smith_normal_form):
+def snf_checks(m: IntMatrix, snf=lambda m: smith_normal_form(m.to_rows())):
     """Verify a Smith diagonal against the determinantal divisors and return it.
 
     The library kernel takes alternating matrices only; any other matrix
@@ -88,7 +89,7 @@ class TestSmithNormalForm:
     def test_rejects_non_alternating_input(self):
         for rows in ([[0, 1, 2], [-1, 0, 3]], [[0, 1], [1, 0]], [[1, 1], [-1, 0]], [[1]]):
             with pytest.raises(ValueError):
-                smith_normal_form(IntMatrix.from_rows(rows))
+                smith_normal_form(rows)
 
 
 class TestPfaffian:
@@ -144,7 +145,7 @@ class TestPfaffian:
         assert _pfaffian(rows) == (0, [0])
 
     def test_one_memo_entry_per_index_set(self):
-        cache = PfaffianCache(random_alternating(random.Random(3), 8))
+        cache = PfaffianCache(random_alternating(random.Random(3), 8).to_rows())
         cache.pfaffian_of([0, 1, 2, 3])
         cache.pfaffian_of([3, 2, 1, 0, 2])
         cache.pfaffian_of(range(8))
@@ -197,6 +198,16 @@ class TestIntegerRoot:
     )
     def test_examples(self, n, g, expected):
         assert integer_root(n, g) == expected
+
+    @pytest.mark.parametrize(
+        "n, g, expected",
+        [(1, 1, 1), (3, 2, 1), (4, 2, 2), (7, 3, 1), (8, 3, 2), (2**63, 64, 1), (2**64 - 1, 64, 1),
+         (2**64, 64, 2), (5, 10**5, 1), (10**100, 333, 1), (10**100, 332, 2)],
+    )
+    def test_dimension_at_or_above_bit_length(self, n, g, expected):
+        # g >= n.bit_length() means n < 2^g, so the root is 1 with no power of 2^g taken
+        assert integer_root(n, g) == expected
+        assert expected**g <= n < (expected + 1) ** g
 
     def test_bracketing_property(self):
         rng = random.Random(6)

@@ -14,7 +14,6 @@ from betabound import (
     ConstructionParams,
     ConstructionSpace,
     DivisorClass,
-    IntMatrix,
     NoRecipeError,
     Scope,
     SearchBox,
@@ -42,6 +41,7 @@ from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
 from betabound.torusmodel import _scaled_pairing, restriction_chi
 from util import (
+    IntMatrix,
     generic_smith_normal_form,
     hermitian_pairing,
     is_positive_definite,
@@ -112,7 +112,7 @@ def alternating_with_indices(draw):
      [-2, -5, 0, 0, 8, 9], [-3, -6, 0, -8, 0, 1], [-4, -7, 0, -9, -1, 0]]), list(range(6))))
 def test_pfaffian_matches_cofactor_expansion(case):
     m, indices = case
-    cache = PfaffianCache(m)
+    cache = PfaffianCache(m.to_rows())
     distinct = sorted(set(indices))
     if len(distinct) % 2:
         with pytest.raises(ValueError):
@@ -151,7 +151,81 @@ def test_pfaffian_pivots_are_leading_pfaffians(m):
 # the pivot 2 does not divide the 3 it leaves behind: e_2 is added into e_0
 @example(IntMatrix.from_rows([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]))
 def test_skew_normal_form_matches_generic_smith_form(m):
-    assert smith_normal_form(m) == generic_smith_normal_form(m)
+    assert smith_normal_form(m.to_rows()) == generic_smith_normal_form(m)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Rows for the form kernels, as lists or tuples: (rows, None) for an
+    alternating integer matrix of even size, else (rows, fault) with one
+    fault of the kinds the shared input check refuses."""
+    n = 2 * draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-5, 5))
+            rows[j][i] = -rows[i][j]
+    fault = draw(st.sampled_from([None, "long", "short", "wide", "tall", "asymmetric", "diagonal", "float", "string"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if fault == "long":
+        rows[i].append(0)
+    elif fault == "short":
+        rows[i].pop()
+    elif fault == "wide":
+        rows = [row + [0] for row in rows]
+    elif fault == "tall":
+        rows.append([0] * n)
+    elif fault == "asymmetric":
+        j = (i + 1 + j % (n - 1)) % n  # j != i
+        rows[i][j] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif fault == "diagonal":
+        rows[i][i] = draw(st.sampled_from([-2, -1, 1, 2]))
+    elif fault == "float":
+        rows[i][j] = float(rows[i][j])  # still alternating as numbers
+    elif fault == "string":
+        rows[i][j] = str(rows[i][j])
+    container = draw(st.sampled_from([list, tuple]))
+    return container(container(row) for row in rows), fault
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+# a short last row is the one fault a column-against-row comparison misses
+@example(([[0, 1], [-1]], "short"))
+def test_form_kernels_share_one_input_check(case):
+    rows, fault = case
+    if fault is not None:
+        for kernel in (smith_normal_form, PfaffianCache):
+            with pytest.raises(ValueError):
+                kernel(rows)
+        return
+    m, n = IntMatrix.from_rows(rows), len(rows)
+    assert smith_normal_form(rows) == generic_smith_normal_form(m)
+    assert PfaffianCache(rows).pfaffian_of(range(n)) == reference_pfaffian(m, range(n))
+    assert IntMatrix.from_rows(rows) == m  # the input is copied, not consumed
+
+
+@SETTINGS
+@given(classes(max_g=12), st.integers(1, 2**12 - 1))
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 0), 0b101)
+def test_class_form_is_alternating_integer_rows(cls, mask):
+    form = alt_form(cls)
+    assert isinstance(form.e, tuple) and all(isinstance(row, tuple) for row in form.e)
+    assert all(type(x) is int for row in form.e for x in row)
+    m = IntMatrix.from_rows(form.e)
+    assert m.is_alternating()
+    keep = [i for i in range(form.g) if mask >> i & 1] or [form.g - 1]
+    coords = [c for i in keep for c in (2 * i, 2 * i + 1)]
+    assert restrict(form, keep).e == tuple(map(tuple, m.principal_submatrix(coords).to_rows()))
+
+
+@SETTINGS
+@given(st.integers(1, 50), st.integers(1, 6), st.integers(1, 4))
+@example(2, 2, 3)
+def test_equal_inverse_roots_hash_alike(s, n, k):
+    a, b = Bound.inverse_root(s**k, n * k), Bound.inverse_root(s, n)
+    assert a == b
+    assert hash(a) == hash(b)
 
 
 @SETTINGS
@@ -159,7 +233,7 @@ def test_skew_normal_form_matches_generic_smith_form(m):
 @example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1))
 def test_class_form_smith_diagonal_matches_generic(cls):
     m = alt_form(cls).e
-    assert smith_normal_form(m) == generic_smith_normal_form(m)
+    assert smith_normal_form(m) == generic_smith_normal_form(IntMatrix.from_rows(m))
 
 
 @SETTINGS

@@ -53,6 +53,15 @@ class TestBound:
         assert Bound.inverse_root(5, 2) < Bound.inverse_root(3, 2)
         assert Bound.inverse_root(7, 3) > Bound.inverse_root(7, 2)
 
+    def test_equal_roots_hash_alike(self):
+        # 8^(-1/6) = 4^(-1/4) = 2^(-1/2): a set holds one of them, each keeps its display
+        roots = [Bound.inverse_root(8, 6), Bound.inverse_root(2, 2), Bound.inverse_root(4, 4)]
+        assert roots[0] == roots[1] == roots[2]
+        assert len({hash(b) for b in roots}) == 1
+        assert len(set(roots)) == 1
+        assert [str(b) for b in roots] == ["8^(-1/6)", "2^(-1/2)", "4^(-1/4)"]
+        assert hash(Bound.inverse_root(8, 6)) != hash(Bound.inverse_root(8, 3))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Bound.rational(0)
@@ -227,7 +236,7 @@ class TestFlagLowerBound:
             form = alt_form(DivisorClass(ConstructionSpace(g, k), a, c))
             keep = sorted(rng.sample(range(g), rng.randint(1, g)))
             coords = [x for i in keep for x in (2 * i, 2 * i + 1)]
-            assert chi_pfaffian(restrict(form, keep)) == form.pfaffian_cache().pfaffian_of(coords)
+            assert chi_pfaffian(restrict(form, keep)) == form.pfaffian_cache.pfaffian_of(coords)
 
     def test_lower_never_exceeds_best_flag(self):
         rng = random.Random(31)

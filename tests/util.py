@@ -1,5 +1,8 @@
 """Independent oracles shared by the test modules.
 
+``IntMatrix``, a general (also rectangular) integer matrix, is a test
+type: the library's kernels take square alternating forms as integer
+rows, and only the generic oracles below work on other matrices.
 The determinant here is intentionally computed by plain fraction
 Gaussian elimination so that Pfaffian and Smith-form assertions are
 checked against a path that shares no code with the library kernel.
@@ -19,6 +22,7 @@ the dynamic program over all 2^g subsets of factors the reference for
 the greedy flag optimum.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -33,7 +37,6 @@ from betabound import (
     ConstructionParams,
     ConstructionSpace,
     DivisorClass,
-    IntMatrix,
     NoRecipeError,
     SearchBox,
     alt_form,
@@ -47,9 +50,48 @@ from betabound.exactmath import PfaffianCache
 from betabound.torusmodel import LatticeInvariantError
 
 
+@dataclass(frozen=True)
+class IntMatrix:
+    """Immutable integer matrix, entries stored row-major."""
+
+    rows: int
+    cols: int
+    entries: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError("matrix dimensions must be positive")
+        if len(self.entries) != self.rows * self.cols:
+            raise ValueError("entry count does not match dimensions")
+        if not all(isinstance(e, int) for e in self.entries):
+            raise ValueError("entries must be integers")
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
+
+    def at(self, i: int, j: int) -> int:
+        return self.entries[i * self.cols + j]
+
+    def to_rows(self) -> list[list[int]]:
+        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
+
+    def principal_submatrix(self, indices: Sequence[int]) -> "IntMatrix":
+        idx = list(indices)
+        return IntMatrix(len(idx), len(idx), tuple(self.at(i, j) for i in idx for j in idx))
+
+    def is_alternating(self) -> bool:
+        n, a = self.rows, self.to_rows()
+        return self.cols == n and all(a[i][j] == -a[j][i] for i in range(n) for j in range(i, n))
+
+
 def pfaffian(m: IntMatrix) -> int:
     """Pfaffian of a whole alternating matrix, through the library's cache."""
-    return PfaffianCache(m).pfaffian_of(range(m.rows))
+    return PfaffianCache(m.to_rows()).pfaffian_of(range(m.rows))
 
 
 def _pfaffian_mask(flat: list[list[int]], mask: int, memo: dict[int, int]) -> int:
@@ -226,14 +268,12 @@ def hermitian_pairing(form: AltForm) -> tuple[tuple[Fraction, ...], ...]:
     J has two nonzero entries per factor block, so column 2i of S is
     k_i * (column 2i+1 of E) and column 2i+1 is -(column 2i of E) / k_i.
     """
-    e = form.e
-    n = e.rows
     rows = []
-    for u in range(n):
+    for row_e in form.e:
         row = []
         for i, k in enumerate(form.factor_k):
-            row.append(Fraction(k * e.at(u, 2 * i + 1)))
-            row.append(Fraction(-e.at(u, 2 * i), k))
+            row.append(Fraction(k * row_e[2 * i + 1]))
+            row.append(Fraction(-row_e[2 * i], k))
         rows.append(tuple(row))
     return tuple(rows)
 
