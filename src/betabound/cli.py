@@ -5,7 +5,9 @@ Classes are described by --g, --k k1,k2,..., --a a1,...,ag and --c;
 factor indices in the output are 0-based.  Output defaults to JSON with
 a versioned envelope; every numeric claim carries the name of the oracle
 or rule that produced it, and rationals are printed as "p/q" strings,
-never as decimals.  Exit codes: 0 ok, 2 parse error, 3 internal oracle
+never as decimals.  The JSON text comes from one small writer,
+``_json_text``, byte-identical to ``json.dumps(indent=2, sort_keys=True)``;
+it refuses floats.  Exit codes: 0 ok, 2 parse error, 3 internal oracle
 disagreement (a bug trap), 4 no certificate.  A library ValueError
 (an input outside a function's domain) exits 2 like a parse error, and
 so does one raised while rendering (an integer too long to print).
@@ -244,10 +246,46 @@ def _render_csv(envelope: dict) -> str:
     return out.getvalue().rstrip("\n")
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str = "") -> str:
+    """JSON text of value, byte for byte ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    Takes dicts with str keys, lists, tuples (written as lists), str, int,
+    bool and None; anything else, a float included, raises TypeError.  An
+    int too long to print raises ValueError, as ``int.__repr__`` does.
+    With ``indent`` the stdlib call cannot use its C encoder (Python <=
+    3.13), and its pure-Python fallback takes about twice as long.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        parts = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        parts = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render(envelope: dict) -> str:
     fmt = envelope["format"]
     if fmt == "json":
-        return json.dumps(envelope, indent=2, sort_keys=True)
+        return _json_text(envelope)
     if fmt == "markdown":
         return _render_markdown(envelope)
     if fmt == "csv":

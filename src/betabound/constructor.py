@@ -333,9 +333,10 @@ def brute_search(
     The default search sweeps standard classes (interior coefficients 1,
     correspondence coefficient 1); ``generalized=True`` also varies the
     interior coefficients and c.  Both run one loop over coefficient
-    shapes and k_2, ..., k_(g-1), solving k_1 from chi = d.  Results are
-    ranked by flag bound, ties by the chi chain along the witness flag,
-    then by parameters, so the output order is deterministic.  g above
+    shapes and k_2, ..., k_(g-1), solving k_1 from chi = d; a shape whose
+    chi cannot reach d with multipliers in the box is skipped.  Results
+    are ranked by flag bound, ties by the chi chain along the witness
+    flag, then by parameters, so the output order is deterministic.  g above
     torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS and boxes with
     more than MAX_SEARCH_CANDIDATES // certificate_cost(g) candidates are
     refused before anything is certified.
@@ -363,6 +364,10 @@ def brute_search(
     # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.
     for coeffs, c in product(product(*coeff_ranges), c_range):
         constant, weights = chi_affine(coeffs, c)
+        # weights are >= 0 and every k_i lies in [1, max_k], so chi stays in this range
+        total = sum(weights)
+        if not constant + total <= d <= constant + box.max_k * total:
+            continue
         middle = coeffs[1:-1] if generalized else None
         for rest in product(k_range, repeat=g - 2):
             free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))

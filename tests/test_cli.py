@@ -22,6 +22,7 @@ from betabound.cli import (
     EXIT_OK,
     EXIT_ORACLE,
     EXIT_PARSE,
+    _json_text,
     main,
     render,
     run,
@@ -153,6 +154,28 @@ class TestSearchCommand:
         assert main(argv) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["results"]["count"] == 0
 
+    def test_out_of_range_shapes_walk_no_multipliers(self, monkeypatch, capsys):
+        # chi of each of the 4 shapes is at most 29 with k_i <= 3, far below d:
+        # every shape is visited and none walks its 3^8 multiplier tuples
+        real_affine, real_product = betabound.constructor.chi_affine, betabound.constructor.product
+        shapes = []
+
+        def affine_spy(a, c):
+            shapes.append((tuple(a), c))
+            return real_affine(a, c)
+
+        def product_spy(*ranges, repeat=1):
+            if repeat != 1:
+                raise AssertionError("a (shape, multiplier) pair was walked")
+            return real_product(*ranges)
+
+        monkeypatch.setattr(betabound.constructor, "chi_affine", affine_spy)
+        monkeypatch.setattr(betabound.constructor, "product", product_spy)
+        argv = ["search", "--g", "10", "--d", "1000000", "--max-a", "1", "--max-b", "1", "--max-k", "3"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["results"]["count"] == 0
+        assert len(shapes) == 4
+
 
 class TestNpCommand:
     def test_threefold_forty(self):
@@ -236,6 +259,9 @@ class TestCliContract:
             ["search", "--g", "3", "--d", str(10**40), "--max-a", "999", "--max-b", "999", "--max-k", "1"],
             # 944,784 pairs at g = 12: 944,848 steps; 3.0 s of enumeration unchecked
             ["search", "--g", "12", "--d", str(10**40), "--max-a", "3", "--max-b", "3", "--max-k", "3", "--max-c", "3"],
+            # 236,212 steps, under the limit, but 1,112 candidates: refused only
+            # after about 186,000 steps unless shapes whose chi range misses d are skipped
+            ["search", "--g", "12", "--d", "26", "--max-a", "1", "--max-b", "1", "--max-k", "3"],
             # 2,048 candidates: under 10^4, but above the g = 12 limit of 10^4 // 9;
             # with b = 0, chi = a_0 for every multiplier
             ["search", "--g", "12", "--d", "1", "--max-a", "1", "--max-b", "0", "--max-k", "2"],
@@ -279,6 +305,10 @@ class TestCliContract:
         assert proc.returncode == EXIT_PARSE
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+    def test_writer_refuses_an_int_too_long_to_print(self):
+        with pytest.raises(ValueError):
+            _json_text({"chi": 10**5000})
 
     def test_render_errors_exit_two(self, monkeypatch, capsys):
         # class entries stop at 10^100, so no result reaches Python's limit

@@ -9,6 +9,7 @@ To re-record after an intended output change (review the diff):
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -31,6 +32,23 @@ def _run(argv):
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_envelope_is_unchanged(case):
     assert _run(case["argv"]) == case
+
+
+# sha256 of the full stdout of the largest requests (0.1-0.8 MB each),
+# recorded with json.dumps(indent=2, sort_keys=True) as the renderer
+LARGE_STDOUT_SHA256 = {
+    "search --g 3 --d 64": "0bddc24a937e62f5fea30fbffc0276fda76d5904bbe7131f2e25cc81898f0372",
+    "search --g 2 --d 24 --generalized": "90605caac0d064fa21f24950cfe5c02dd3981f929e25ce90ee7482718f929fa9",
+    "search --g 4 --d 10": "7538c3d542e8c2b6a45b737fe479da91af3f35dfab8442d5ac036ae40b517a5f",
+    "table --max 300": "86f238c71a67c5f97122105ecad2c1d6dfbd8be00ebe3715be509e1146e9f615",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_STDOUT_SHA256))
+def test_large_output_is_unchanged(argv):
+    result = _run(argv.split())
+    assert (result["exit"], result["stderr"]) == (0, "")
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == LARGE_STDOUT_SHA256[argv]
 
 
 if __name__ == "__main__":

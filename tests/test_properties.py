@@ -1,5 +1,6 @@
 """Property tests: library results against independent reference oracles."""
 
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -35,7 +36,7 @@ from betabound import (
     smith_normal_form,
     surface_beta,
 )
-from betabound.cli import run
+from betabound.cli import _json_text, run
 from betabound.exactmath import PfaffianCache, _pfaffian
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
@@ -405,10 +406,17 @@ def test_explicit_beta_matches_certify(k, a, b):
 @SETTINGS
 @given(
     st.integers(2, 3),
-    st.integers(1, 12),
+    # chi stays below 250 in these boxes, so large d is out of every shape's range
+    st.one_of(st.integers(1, 12), st.integers(1, 300)),
     st.builds(SearchBox, st.integers(0, 3), st.integers(0, 3), st.integers(0, 5), st.integers(0, 2)),
     st.booleans(),
 )
+# b = 0 or a = 0 leave chi independent of some k_i (zero weights): at g = 2 with
+# b = 0, chi = a for every k_1; d = 10^6 is out of range for every shape
+@example(2, 2, SearchBox(3, 0, 5), False)
+@example(3, 2, SearchBox(3, 0, 4), True)
+@example(3, 3, SearchBox(0, 3, 4), True)
+@example(3, 10**6, SearchBox(3, 3, 5), True)
 def test_brute_search_matches_full_enumeration(g, d, box, generalized):
     expected = [c.params for c in reference_search(g, d, box, generalized)]
     assert [c.params for c in brute_search(g, d, box, generalized)] == expected
@@ -472,3 +480,26 @@ def upper_bounds(draw):
 def test_np_from_beta_matches_scan(upper):
     interval = BetaInterval(Bound.rational(Fraction(1, 10**5)), upper, Scope.GENERAL)
     assert np_from_beta(interval) == scan_np_from_beta(interval)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | st.text(),
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+@SETTINGS
+@given(json_values)
+# non-ASCII (BMP and astral), quotes, backslashes and control characters
+@example({"\u00e9\U0001f600": ["\"\\", "\x00\x1f\n\t\x7f"], "": [[], {}, ()], "b": (2**64 + 1, -3)})
+def test_json_writer_matches_stdlib(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_types():
+    assert _json_text([True, 1, False, 0, None]) == "[\n  true,\n  1,\n  false,\n  0,\n  null\n]"
+    for value in (1.0, {"x": [0.5]}, {1: 2}, {1, 2}):
+        with pytest.raises(TypeError):
+            _json_text(value)
