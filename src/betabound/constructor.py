@@ -71,15 +71,16 @@ CASE_EXPLICIT = "explicit"
 # 16 us at g = 12).  So a box counts pairs + SHAPE_STEPS * shapes steps; boxes
 # at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
 # 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
-# certificates at g <= 4, where one costs about 0.44 ms, so 4.4 s of
+# certificates at g <= 4, where one costs about 0.2 ms, so 2 s of
 # certifying.  Above g = 4 it is divided by certificate_cost(g), an upper
 # bound on the cost of one certificate in g = 4 certificates.  The median
 # certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
-# best of 3 each; median of 24 runs of 21 classes) is 0.44 / 0.55 / 0.66 /
-# 0.84 / 1.02 / 1.27 / 1.55 / 1.77 / 2.12 ms at g = 4..12, that is 1.2 / 1.5 /
-# 1.9 / 2.3 / 2.9 / 3.5 / 4.0 / 4.8 certificates of g = 4 at g = 5..12 (2
-# cores, Python 3.11.7; a run on a faster stretch of the shared host reached
-# 5.1 at g = 12), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
+# best of 3 each; median of 24 runs of 21 classes) is 0.17 / 0.21 / 0.24 /
+# 0.29 / 0.37 / 0.42 / 0.49 / 0.58 / 0.67 ms at g = 4..12, that is 1.2 / 1.4 /
+# 1.7 / 2.1 / 2.4 / 2.9 / 3.3 / 3.9 certificates of g = 4 at g = 5..12 (2
+# cores, Python 3.11.7; the largest over four runs on the shared host were
+# 1.3 / 1.5 / 1.7 / 2.1 / 3.5 / 4.4 / 3.4 / 4.0), against costs of 2 / 3 / 4 /
+# 4 / 6 / 7 / 8 / 9.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5

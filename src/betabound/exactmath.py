@@ -5,15 +5,14 @@ rows of Python's arbitrary-precision ints, elimination is fraction-free,
 and integer roots come from integer Newton iteration.  No floating point
 anywhere.
 
-The matrices handled here are the small alternating forms of classes
-(2g x 2g, g <= torusmodel.MAX_DIMENSION), so the algorithms favour
+The matrices handled here are small (g x g blocks and 2g x 2g forms of
+classes, g <= torusmodel.MAX_DIMENSION), so the algorithms favour
 simplicity and determinism over asymptotics; none is exponential in g.
-The Smith form and the Pfaffian check their input in one place
-(``_alternating_rows``) and eliminate the copy it returns.  The Pfaffian
-and the leading-minor test are fraction-free eliminations of O(n^3)
-integer operations; the Smith form of an alternating matrix is a
-congruence reduction that shares no arithmetic with the Pfaffian, so
-each checks the other.
+Three eliminations of O(n^3) integer operations: the Smith diagonal by
+row and column operations, the Pfaffian by fraction-free skew
+elimination, and the leading principal minors by Bareiss elimination.
+The Smith form runs on the g x g block of a form and the Pfaffian on the
+whole form, so they share no arithmetic and each checks the other.
 """
 
 from __future__ import annotations
@@ -21,105 +20,85 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def _alternating_rows(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """A fresh list-of-lists copy of a square alternating integer matrix,
-    for an elimination to consume; any other input raises ``ValueError``.
-    Column i of an alternating matrix is minus row i, zero diagonal included."""
-    a = [list(row) for row in m]
-    if (
-        any(len(row) != len(a) for row in a)
-        or not all(isinstance(x, int) for row in a for x in row)
-        or any(list(col) != [-x for x in row] for row, col in zip(a, zip(*a)))
-    ):
-        raise ValueError("expected a square alternating integer matrix")
-    return a
-
-
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of a square alternating matrix.
+    """Diagonal of the Smith normal form of a square integer matrix.
 
-    An alternating integer matrix is congruent, m -> P^T m P with P
-    unimodular, to a direct sum of blocks d_i * [[0, 1], [-1, 0]] and
-    zeros with d_1 | d_2 | ... (the skew normal form; M. Newman, *Integral
-    Matrices*, 1972).  A congruence is a row-and-column equivalence
-    and the Smith diagonal is unique, so it is (d_1, d_1, d_2, d_2, ...,
-    0, ...): the elementary divisors come in pairs by construction.  Each
-    step takes the smallest nonzero |m_ij| with i < j (ties to the lowest
-    i, then j), moves it to (t, t + 1) by symmetric swaps, makes it
-    positive and clears rows t and t + 1 with e_k += r * e_t - q * e_(t+1).
-    A nonzero remainder is a smaller pivot for the next step; once the
-    rows are clear, an entry the pivot p does not divide has its basis
-    vector added into e_t, and otherwise the block p * J splits off.
-    Anything but a square alternating integer matrix raises ``ValueError``.
+    The entries are nonnegative, each divides the next and zeros come
+    last; the product of the first k is the gcd of the k x k minors, so
+    the diagonal is unique (M. Newman, *Integral Matrices*, 1972).  Each
+    step takes the smallest nonzero |m_ij| of the trailing block (ties to
+    the lowest i, then j), moves it to (t, t) by row and column swaps,
+    makes it positive and reduces column t, then row t, by integer
+    multiples of the pivot row and column.  A nonzero remainder is a
+    smaller pivot for the next step; once both are clear, a row whose
+    entries the pivot p does not all divide is added into row t, and
+    otherwise p is d_t.  A unit pivot clears both exactly and divides
+    everything, so it is d_t at once.  Rows above t are never read again,
+    so the column swaps skip them.  Anything but a square integer matrix
+    raises ``ValueError``; the input is copied, not consumed.
     """
-    a = _alternating_rows(m)
+    a = [list(row) for row in m]
     n = len(a)
-
-    def swap(u, v):
-        a[u], a[v] = a[v], a[u]
-        for row in a:
-            row[u], row[v] = row[v], row[u]
-
-    def add(k, r, u, q, v):
-        # e_k += r * e_u + q * e_v: row k, then column k as minus row k
-        row = a[k] = [x + r * y + q * z for x, y, z in zip(a[k], a[u], a[v])]
-        row[k] = 0
-        for i, x in enumerate(row):
-            a[i][k] = -x
-
+    if any(len(row) != n for row in a) or not all(isinstance(x, int) for row in a for x in row):
+        raise ValueError("expected a square integer matrix")
     diag, t = [], 0
-    while t + 1 < n:
-        nonzero = ((abs(x), i, j) for i in range(t, n) for j in range(i + 1, n) if (x := a[i][j]))
-        pivot = min(nonzero, default=None)
-        if pivot is None:
+    while t < n:
+        sizes = [abs(x) for row in a[t:] for x in row[t:]]  # the trailing block, row by row
+        p = min(filter(None, sizes), default=0)
+        if not p:
             break
-        _, i, j = pivot
-        swap(t, i)
-        swap(t + 1, j)
-        if a[t][t + 1] < 0:
-            swap(t, t + 1)
-        p, row_t, row_u = a[t][t + 1], a[t], a[t + 1]
-        for k in range(t + 2, n):
-            q, r = row_t[k] // p, row_u[k] // p
-            if q or r:
-                add(k, r, t, -q, t + 1)
-        if any(row_t[t + 2 :]) or any(row_u[t + 2 :]):
+        i, j = divmod(sizes.index(p), n - t)
+        i, j = i + t, j + t
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+        row_t = a[t]
+        if row_t[t] < 0:
+            a[t] = row_t = [-x for x in row_t]
+        for i in range(t + 1, n):
+            q = a[i][t] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], row_t)]
+        if p == 1:
+            diag.append(1)
+            t += 1
             continue
-        rest = range(t + 2, n) if p > 1 else ()  # a unit pivot divides everything
-        bad = next((i for i in rest for j in range(i + 1, n) if a[i][j] % p), None)
+        if any(a[i][t] for i in range(t + 1, n)):
+            continue
+        # column t is clear below p, so a column operation changes row t only
+        row_t[t + 1 :] = [x % p for x in row_t[t + 1 :]]
+        if any(row_t[t + 1 :]):
+            continue
+        bad = next((i for i in range(t + 1, n) if any(x % p for x in a[i][t + 1 :])), None)
         if bad is not None:
-            add(t, 1, bad, 0, t + 1)
+            a[t] = [x + y for x, y in zip(row_t, a[bad])]
             continue
-        diag += (p, p)
-        t += 2
+        diag.append(p)
+        t += 1
     return tuple(diag + [0] * (n - len(diag)))
 
 
-def _pfaffian(b: list[list[int]]) -> tuple[int, list[int]]:
-    """Pfaffian of an alternating matrix by fraction-free skew elimination,
-    with the pivot of every step taken.
+def _pfaffian(b: list[list[int]]) -> int:
+    """Pfaffian of an alternating matrix by fraction-free skew elimination.
 
     Step t pivots on (x, y) = (2t, 2t + 1), p = b_xy, and sets each later
     b_ik to (p * b_ik - b_xi * b_yk + b_xk * b_yi) / prev, a division by the
     previous pivot that is exact and leaves the Pfaffian of {0, ..., 2t + 1,
     i, k} (Galbiati and Maffioli, "On the computation of Pfaffians", 1994),
-    so the last pivot is the Pfaffian.  Each pivot is recorded before any
-    swap: while no step has swapped, pivot t is the Pfaffian of the leading
-    2t + 2 block, and a zero leading Pfaffian shows up as a 0.  A zero pivot
-    swaps in the first later j with b_xj != 0, flipping the sign; with none,
-    row x is zero and so is the Pfaffian, and the pivot list stops at that
-    0.  Returns (Pfaffian, pivots).  The input is consumed.
+    so the last pivot is the Pfaffian.  A zero pivot swaps in the first
+    later j with b_xj != 0, flipping the sign; with none, row x is zero and
+    so is the Pfaffian.  The input is consumed.
     """
     n = len(b)
-    sign, prev, pivots = 1, 1, []
+    sign, prev = 1, 1
     for x in range(0, n, 2):
         y = x + 1
         row_x = b[x]
-        pivots.append(row_x[y])
         if row_x[y] == 0:
             j = next((j for j in range(y + 1, n) if row_x[j]), None)
             if j is None:
-                return 0, pivots
+                return 0
             b[y], b[j] = b[j], b[y]
             for row in b:
                 row[y], row[j] = row[j], row[y]
@@ -132,22 +111,32 @@ def _pfaffian(b: list[list[int]]) -> tuple[int, list[int]]:
                 row_i[k] = v
                 b[k][i] = -v
         prev = p
-    return sign * prev, pivots
+    return sign * prev
 
 
 class PfaffianCache:
     """Pfaffians of principal submatrices of one alternating matrix.
 
-    Each index set asked for is eliminated once (``_pfaffian``) and its
-    value kept, so the memo holds one entry per distinct set asked.  In
-    the package only ``torusmodel.chi_pfaffian`` asks, always for the
+    The matrix is checked once and kept as given, not copied, so it must
+    not change afterwards; each index set asked for is copied once into
+    the elimination (``_pfaffian``) that consumes it, and its value kept.
+    In the package only ``torusmodel.chi_pfaffian`` asks, always for the
     full set; the class stays because the benchmark traces its method.
+    Anything but a square alternating integer matrix of even dimension
+    raises ``ValueError``; column i of an alternating matrix is minus
+    row i, zero diagonal included.
     """
 
     def __init__(self, a: Sequence[Sequence[int]]):
-        self._rows = _alternating_rows(a)
-        if len(self._rows) % 2:
-            raise ValueError("expected an alternating matrix of even dimension")
+        n = len(a)
+        if (
+            n % 2
+            or any(len(row) != n for row in a)
+            or not all(isinstance(x, int) for row in a for x in row)
+            or any(list(col) != [-x for x in row] for row, col in zip(a, zip(*a)))
+        ):
+            raise ValueError("expected a square alternating integer matrix of even dimension")
+        self._rows = a
         self._memo: dict[tuple[int, ...], int] = {}
 
     def pfaffian_of(self, indices: Sequence[int]) -> int:
@@ -159,30 +148,44 @@ class PfaffianCache:
         value = self._memo.get(key)
         if value is None:
             rows = self._rows
-            value = self._memo[key] = _pfaffian([[rows[i][j] for j in key] for i in key])[0]
+            value = self._memo[key] = _pfaffian([[rows[i][j] for j in key] for i in key])
         return value
 
 
-def leading_minors_all_positive(rows: list[list[int]]) -> bool:
-    """Whether every leading principal minor of an integer matrix is positive.
+def _leading_minors(rows: list[list[int]]) -> list[int]:
+    """Leading principal minors of a square integer matrix, up to and
+    including the first one <= 0.
 
-    Fraction-free Bareiss elimination: after step k the pivot equals the
-    k-th leading principal minor, so the check can stop at the first
-    nonpositive pivot.  The input is consumed.
+    Fraction-free Bareiss elimination without row exchanges (E. H. Bareiss,
+    Math. Comp. 22, 1968): step k sets each later r_ij to (p * r_ij -
+    r_ik * r_kj) / prev, p = r_kk, a division by the previous pivot that is
+    exact, and the pivot of step k is then the determinant of the leading
+    (k + 1) x (k + 1) block.  A zero pivot would make the next division
+    fail, so the list stops at the first nonpositive one.  The input is
+    consumed.
     """
     n = len(rows)
-    prev = 1
+    prev, minors = 1, []
     for k in range(n):
-        piv = rows[k][k]
-        if piv <= 0:
-            return False
+        row_k = rows[k]
+        p = row_k[k]
+        minors.append(p)
+        if p <= 0:
+            break
         for i in range(k + 1, n):
-            row_i, row_k = rows[i], rows[k]
+            row_i = rows[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
-        prev = piv
-    return True
+                row_i[j] = (p * row_i[j] - aik * row_k[j]) // prev
+        prev = p
+    return minors
+
+
+def leading_minors_all_positive(rows: list[list[int]]) -> bool:
+    """Whether every leading principal minor of an integer matrix is positive
+    (``_leading_minors``).  The input is consumed."""
+    minors = _leading_minors(rows)
+    return len(minors) == len(rows) and all(p > 0 for p in minors)
 
 
 def integer_root(n: int, g: int) -> int:

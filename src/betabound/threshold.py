@@ -10,7 +10,7 @@ found greedily on closed-form restriction chis: the cost of dropping a
 factor never falls as more factors are kept, so the min-max order is a
 single-machine scheduling problem that an exchange argument solves in
 O(g^2) ratios, not g! orders.  Its witness chain is then read off the
-pivots of one Pfaffian elimination of the form, and the two must agree.
+Bareiss minors of the g x g block of the form, and the two must agree.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Sequence
 
-from .exactmath import _pfaffian, integer_root
+from .exactmath import _leading_minors, integer_root
 from .torusmodel import (
     AltForm,
     DivisorClass,
@@ -93,8 +93,10 @@ class Bound:
 
     def _cmp(self, other: "Bound") -> int:
         if self.is_rational and other.is_rational:
+            # p1/q1 vs p2/q2 with positive denominators: p1 * q2 vs p2 * q1
             a, b = self.ratio, other.ratio
-            return (a > b) - (a < b)
+            lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+            return (lhs > rhs) - (lhs < rhs)
         if self.is_rational:
             # p/q vs d^(-1/g):  p/q > d^(-1/g)  iff  p^g * d > q^g
             p, q = self.ratio.numerator, self.ratio.denominator
@@ -117,6 +119,12 @@ class Bound:
         if not isinstance(other, Bound):
             return NotImplemented
         return self._cmp(other) < 0
+
+    def __gt__(self, other):
+        # defined directly: total_ordering would call __lt__ and then __eq__
+        if not isinstance(other, Bound):
+            return NotImplemented
+        return self._cmp(other) > 0
 
     def __hash__(self):
         if self.is_rational:
@@ -230,23 +238,47 @@ def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None =
     """The chain of restriction Euler characteristics along one flag.
 
     Factors are dropped in the given order, so entry t is chi of the
-    restriction to the factors left after t drops.  One fraction-free
-    elimination (``_pfaffian``) runs on the form with its factor pairs in
-    reverse drop order: the leading 2t x 2t block is then the restriction
-    to the t factors dropped last, and its Pfaffian is that restriction's
-    chi, since reordering 2 x 2 blocks is an even permutation.  On an
-    ample class every restriction has positive chi, so no step swaps,
-    and the pivots read backwards are the chain.  A zero, negative or
-    missing pivot raises LatticeInvariantError.
+    restriction to the factors left after t drops.  The chi of a
+    restriction to factors S is the Pfaffian of its form in interleaved
+    order, which is det M[S, S] for M the form's block (``AltForm.block``):
+    reordering to even coordinates first gives [[0, B], [-B^T, 0]], whose
+    Pfaffian is (-1)^(t(t-1)/2) det B, and the reordering has that sign
+    too.  So one fraction-free Bareiss elimination (``_leading_minors``)
+    runs on the block with its factors in reverse drop order: its leading
+    t x t minor is the chi of the restriction to the t factors dropped
+    last, and the minors read backwards are the chain.  On an ample class
+    every restriction has positive chi; a zero, negative or missing minor
+    raises LatticeInvariantError.
     """
     form = _ample_form(cls, form)
     order = _check_order(order, form.g)
-    e = form.e
-    coords = [c for i in reversed(order) for c in (2 * i, 2 * i + 1)]
-    _, pivots = _pfaffian([[e[u][v] for v in coords] for u in coords])
-    if len(pivots) != form.g or any(p <= 0 for p in pivots):
+    m, rev = form.block, order[::-1]
+    minors = _leading_minors([[m[u][v] for v in rev] for u in rev])
+    if len(minors) != form.g or any(p <= 0 for p in minors):
         raise LatticeInvariantError("ample restriction with nonpositive chi")
-    return tuple(reversed(pivots))
+    return tuple(reversed(minors))
+
+
+def _drop_chis(cls: DivisorClass, keep: Sequence[int]) -> list[int]:
+    """chi(S - i) for each i of the kept factors S, in order, in O(|S|).
+
+    chi(T) = P(T) + c * Q(T) (``restriction_chi``), and the pair (P, Q) of
+    a union of disjoint sets composes as (P1 * P2, P1 * Q2 + Q1 * P2),
+    which commutes, with (a_i, k_i) for factor i alone and (1, 0) for
+    nothing.  So the products of the factors before i (a forward pass) and
+    after i (a backward one) give each S - i as one composition.
+    """
+    a, k, c = cls.a, cls.space.k_full, cls.c
+    before, p, q = [], 1, 0
+    for i in keep:
+        before.append((p, q))
+        p, q = p * a[i], q * a[i] + k[i] * p
+    chis, p, q = [], 1, 0  # (p, q): the factors after i
+    for i, (p1, q1) in zip(reversed(keep), reversed(before)):
+        chis.append(p1 * p + c * (p1 * q + q1 * p))
+        p, q = p * a[i], q * a[i] + k[i] * p
+    chis.reverse()
+    return chis
 
 
 def best_flag_bound(
@@ -258,7 +290,8 @@ def best_flag_bound(
     with chi(S) the formula chi of that restriction (``restriction_chi``)
     and chi = 1 on nothing kept, so the last drop, of j, costs 1/chi({j}).
     A flag's bound is the largest cost along it.  Where the drop orders
-    number g!, two greedy passes of O(g^2) ratios each find the minimum:
+    number g!, two greedy passes find the minimum, each from one O(|S|)
+    pass per set (``_drop_chis``), O(g^2) in all:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -285,16 +318,13 @@ def best_flag_bound(
     smallest optimal order.  This is Lawler's rule for the single-machine
     f_max problem (E. L. Lawler, Management Science 19(5), 1973).
 
-    The chi chain is the ``flag_profile`` of the witness order, the pivots
-    of one Pfaffian elimination of the form, a second oracle independent of
-    the formula: the chain must equal the formula chain and its bound the
-    greedy's, else OracleDisagreement.
+    The chi chain is the ``flag_profile`` of the witness order, the Bareiss
+    minors of the form's block, a second oracle independent of the formula:
+    the chain must equal the formula chain and its bound the greedy's, else
+    OracleDisagreement.
     """
     form = _ample_form(cls, form)
     g = form.g
-
-    def rest_chi(keep: list[int], i: int) -> int:
-        return restriction_chi(cls, [j for j in keep if j != i])
 
     # Costs are num/den pairs compared by cross-multiplication (denominators
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
@@ -304,17 +334,16 @@ def best_flag_bound(
     while keep:
         if chi_s <= 0:
             raise LatticeInvariantError("ample restriction with nonpositive chi")
-        chi_t, i = min((rest_chi(keep, i), i) for i in keep)
+        chi_t, i = min(zip(_drop_chis(cls, keep), keep))
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s
         keep.remove(i)
         chi_s = chi_t
-    bound, order, keep, formula_chain = Fraction(num, den), [], list(range(g)), [chi_full]
+    order, keep, formula_chain = [], list(range(g)), [chi_full]
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
-        for i in keep:
-            chi_t = rest_chi(keep, i)
+        for i, chi_t in zip(keep, _drop_chis(cls, keep)):
             if chi_t * den <= num * formula_chain[-1]:
                 break
         order.append(i)
@@ -322,24 +351,29 @@ def best_flag_bound(
         formula_chain.append(chi_t)
     formula_chain.pop()  # chi = 1 on nothing kept
     chis = flag_profile(cls, order, form)
-    pf_bound = max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, g)])
-    if chis != tuple(formula_chain) or pf_bound != bound:
+    pf_num, pf_den = 1, chis[-1]
+    for prev, nxt in zip(chis, chis[1:]):
+        if nxt * pf_den > pf_num * prev:
+            pf_num, pf_den = nxt, prev
+    if chis != tuple(formula_chain) or pf_num * den != num * pf_den:
         raise OracleDisagreement(
             f"flag chain oracles disagree on {cls} along order {order}: "
-            f"formula {formula_chain} (bound {bound}), pfaffian {list(chis)} (bound {pf_bound})"
+            f"formula {formula_chain} (bound {Fraction(num, den)}), "
+            f"pfaffian {list(chis)} (bound {Fraction(pf_num, pf_den)})"
         )
-    return bound, tuple(order), chis
+    return Fraction(num, den), tuple(order), chis
 
 
 def flag_lower_bound(cls: DivisorClass, form: AltForm | None = None) -> Fraction:
-    """Largest inverse degree over the coordinate elliptic curves.
+    """Largest inverse degree over the coordinate elliptic curves, that is
+    one over the least degree (every degree of an ample class is positive).
 
     Restriction can only decrease beta, and beta of a degree-e bundle on
     an elliptic curve is exactly 1/e, so this is a lower bound for the
     specific construction (not for the general member).
     """
     form = _ample_form(cls, form)
-    return max(Fraction(1, deg) for deg in curve_degrees(form))
+    return Fraction(1, min(curve_degrees(form)))
 
 
 def combine_interval(

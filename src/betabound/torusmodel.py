@@ -156,11 +156,13 @@ class AltForm:
 
     ``e`` is the 2g x 2g matrix as a tuple of integer rows, built once
     by ``alt_form`` (or cut from one by ``restrict``), so it is alternating
-    with int entries by construction.  ``factor_k`` records the basis
+    with int entries by construction.  It pairs even coordinates only with
+    odd ones, so it is fixed by its g x g ``block``, block[i][j] =
+    e[2i][2j+1] (see ``alt_form``); the block of a restriction is the
+    principal block of the kept factors.  ``factor_k`` records the basis
     denominator of each (kept) factor, which fixes the complex structure
-    J, so restrictions remain self-contained.  The Pfaffians and the Smith
-    diagonal (from the skew normal form, so its entries pair up) are each
-    computed once per form and cached on it.
+    J, so restrictions remain self-contained.  The block, the Pfaffians and
+    the Smith diagonal are each computed once per form and cached on it.
     """
 
     e: tuple[tuple[int, ...], ...]
@@ -171,12 +173,23 @@ class AltForm:
         return len(self.factor_k)
 
     @cached_property
+    def block(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(row[1::2] for row in self.e[::2])
+
+    @cached_property
     def pfaffian_cache(self) -> PfaffianCache:
         return PfaffianCache(self.e)
 
     @cached_property
     def snf_diagonal(self) -> tuple[int, ...]:
-        return smith_normal_form(self.e)
+        """The Smith diagonal of ``e``: each entry of the block's twice.
+
+        Listing the even coordinates first turns e into [[0, M], [-M^T, 0]]
+        with M the block; right-multiplying by the unimodular
+        [[0, -I], [I, 0]] gives diag(M, M^T), and M^T has the Smith
+        diagonal of M.  So the elementary divisors of e pair up, and the
+        Smith form runs on g x g entries instead of 2g x 2g."""
+        return tuple(d for d in smith_normal_form(self.block) for _ in (0, 1))
 
 
 def _scaled_pairing(e: Sequence[Sequence[int]], factor_k: Sequence[int]) -> list[list[int]]:
@@ -200,35 +213,36 @@ def _scaled_pairing(e: Sequence[Sequence[int]], factor_k: Sequence[int]) -> list
 def alt_form(cls: DivisorClass) -> AltForm:
     """Alternating matrix of a class on the period lattice.
 
-    The matrix is alternating by construction, and the pairing E(x, Jy)
-    is symmetric with no check needed: every summand of E is f^* E_std
-    for a C-linear map f onto one curve (the projection for F_i; for G
-    the defining homomorphism, z |-> -k_i z on factor i < g-1 and the
-    identity on the last), so E(x, Jy) = sum E_std(fx, J fy), and
-    E_std(u, Jv) is symmetric on the curve.  The property tests check it.
+    The form is bipartite: each F_i pairs coordinate 2i with 2i + 1, and
+    G = f^* of the point class of the last curve, for f the defining map
+    with columns (x_i, 0) at 2i and (0, y_i) at 2i + 1, pairs u and v by
+    c * (f_u[0] * f_v[1] - f_u[1] * f_v[0]), which vanishes unless one is
+    even and the other odd.  With x = (-k_0, ..., -k_{g-2}, 1) and
+    y = (-1, ..., -1, 1), the form is then fixed by its g x g block
+
+        M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
+
+    and every other entry is 0, so it is built from the g^2 entries of M
+    and is alternating by construction.  The pairing E(x, Jy) is symmetric
+    with no check needed: every summand of E is f^* E_std for a C-linear
+    map f onto one curve (the projection for F_i; for G the defining
+    homomorphism, z |-> -k_i z on factor i < g-1 and the identity on the
+    last), so E(x, Jy) = sum E_std(fx, J fy), and E_std(u, Jv) is
+    symmetric on the curve.  The property tests check both.
     """
-    space = cls.space
-    g = space.g
-    n = 2 * g
-    e = [[0] * n for _ in range(n)]
-    for i, coeff in enumerate(cls.a):
-        e[2 * i][2 * i + 1] += coeff
-        e[2 * i + 1][2 * i] -= coeff
-    if cls.c:
-        # Columns of the 2 x 2g lattice matrix of the defining map of G:
-        # -diag(k_i, 1) on factor i < g-1, the identity on the last factor.
-        cols: list[tuple[int, int]] = []
-        for k in space.k:
-            cols.append((-k, 0))
-            cols.append((0, -1))
-        cols.append((1, 0))
-        cols.append((0, 1))
-        for u in range(n):
-            xu, yu = cols[u]
-            for v in range(n):
-                xv, yv = cols[v]
-                e[u][v] += cls.c * (xu * yv - yu * xv)
-    return AltForm(e=tuple(map(tuple, e)), factor_k=space.k_full)
+    space, c = cls.space, cls.c
+    x = [-k for k in space.k] + [1]
+    cy = [-c] * len(space.k) + [c]  # c * y
+    block = [[xi * v for v in cy] for xi in x]
+    for i, a in enumerate(cls.a):
+        block[i][i] += a
+    n, e = 2 * space.g, []
+    for row, col in zip(block, zip(*block)):
+        even, odd = [0] * n, [0] * n
+        even[1::2] = row
+        odd[::2] = [-m for m in col]
+        e += (tuple(even), tuple(odd))
+    return AltForm(e=tuple(e), factor_k=space.k_full)
 
 
 def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
@@ -280,7 +294,7 @@ def chi_pfaffian(form: AltForm) -> int:
 
 def _paired_divisors(form: AltForm) -> tuple[int, ...]:
     """The elementary divisors d_1, d_1, d_2, d_2, ... of a nondegenerate
-    form; they pair up by construction (``smith_normal_form``)."""
+    form; they pair up by construction (``AltForm.snf_diagonal``)."""
     diag = form.snf_diagonal
     if 0 in diag:
         raise DegenerateFormError("form is degenerate")

@@ -3,28 +3,36 @@ from fractions import Fraction
 
 import pytest
 
+import betabound.exactmath
 from betabound import integer_root, smith_normal_form
-from betabound.exactmath import PfaffianCache, _pfaffian
+from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian
 from util import (
     IntMatrix,
     determinantal_divisors,
     diagonal,
     exact_det,
-    generic_smith_normal_form,
     is_positive_definite,
     matmul,
     pfaffian,
     random_alternating,
+    reference_pfaffian,
+    skew_normal_form,
     transpose,
 )
 
 
-def snf_checks(m: IntMatrix, snf=lambda m: smith_normal_form(m.to_rows())):
-    """Verify a Smith diagonal against the determinantal divisors and return it.
+def padded(m: IntMatrix) -> IntMatrix:
+    """m with zero rows or columns appended to make it square: the Smith
+    diagonal gains only zeros, and the determinantal divisors are unchanged."""
+    n = max(m.rows, m.cols)
+    rows = [row + [0] * (n - m.cols) for row in m.to_rows()] + [[0] * n] * (n - m.rows)
+    return IntMatrix.from_rows(rows)
 
-    The library kernel takes alternating matrices only; any other matrix
-    goes through the generic oracle ``snf``."""
-    diag = snf(m)
+
+def snf_checks(m: IntMatrix):
+    """Verify the library's Smith diagonal of a square matrix against its
+    determinantal divisors and return it."""
+    diag = smith_normal_form(m.to_rows())
     assert len(diag) == min(m.rows, m.cols)
     assert all(x >= 0 for x in diag)
     for prev, nxt in zip(diag, diag[1:]):
@@ -41,16 +49,17 @@ def snf_checks(m: IntMatrix, snf=lambda m: smith_normal_form(m.to_rows())):
 
 class TestSmithNormalForm:
     def test_identity(self):
-        assert generic_smith_normal_form(diagonal((1, 1, 1, 1))) == (1, 1, 1, 1)
+        assert smith_normal_form(diagonal((1, 1, 1, 1)).to_rows()) == (1, 1, 1, 1)
 
     def test_diag_2_3(self):
         # By hand: gcd(2, 3) = 1 and lcm(2, 3) = 6.
-        diag = snf_checks(diagonal((2, 3)), generic_smith_normal_form)
+        diag = snf_checks(diagonal((2, 3)))
         assert diag == (1, 6)
 
     def test_rectangular(self):
-        diag = snf_checks(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]]), generic_smith_normal_form)
-        assert diag == (2, 6)
+        # the kernel is square: a 2 x 3 matrix goes in with a zero row
+        diag = snf_checks(padded(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12]])))
+        assert diag == (2, 6, 0)
 
     def test_zero_matrix(self):
         diag = snf_checks(IntMatrix.from_rows([[0, 0], [0, 0]]))
@@ -64,7 +73,8 @@ class TestSmithNormalForm:
             m = IntMatrix(
                 rows, cols, tuple(rng.randint(-50, 50) for _ in range(rows * cols))
             )
-            diag = snf_checks(m, generic_smith_normal_form)
+            diag = snf_checks(padded(m))
+            assert diag[min(rows, cols) :] == (0,) * abs(rows - cols)
             if rows == cols:
                 det = exact_det(m)
                 prod = 1
@@ -80,16 +90,24 @@ class TestSmithNormalForm:
             diag = snf_checks(m)
             for i in range(0, dim, 2):
                 assert diag[i] == diag[i + 1]
-            assert diag == generic_smith_normal_form(m)
+            assert diag == skew_normal_form(m.to_rows())
 
     def test_deterministic(self):
-        m = IntMatrix.from_rows([[12, 8, -7], [3, 0, 14], [5, 5, 5]])
-        assert generic_smith_normal_form(m) == generic_smith_normal_form(m)
+        rows = [[12, 8, -7], [3, 0, 14], [5, 5, 5]]
+        assert smith_normal_form(rows) == smith_normal_form(rows) == (1, 1, 505)  # det = -505
+        assert rows == [[12, 8, -7], [3, 0, 14], [5, 5, 5]]  # copied, not consumed
 
     def test_rejects_non_alternating_input(self):
-        for rows in ([[0, 1, 2], [-1, 0, 3]], [[0, 1], [1, 0]], [[1, 1], [-1, 0]], [[1]]):
+        # the kernel takes any square integer matrix and rejects the rest;
+        # the skew oracle also rejects a square one that is not alternating
+        for rows in ([[0, 1, 2], [-1, 0, 3]], [[0, 1], [-1]], [[0, 1.0], [-1.0, 0]], [[0, "1"], [-1, 0]]):
+            for kernel in (smith_normal_form, skew_normal_form):
+                with pytest.raises(ValueError):
+                    kernel(rows)
+        for rows, diag in (([[0, 1], [1, 0]], (1, 1)), ([[1, 1], [-1, 0]], (1, 1)), ([[1]], (1,))):
+            assert smith_normal_form(rows) == diag
             with pytest.raises(ValueError):
-                smith_normal_form(rows)
+                skew_normal_form(rows)
 
 
 class TestPfaffian:
@@ -134,15 +152,27 @@ class TestPfaffian:
     def test_pivots_are_leading_pfaffians(self):
         # Pf = a12*a34 - a13*a24 + a14*a23 = 6 - 10 + 12; leading block a12 = 1
         rows = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
-        assert _pfaffian(rows) == (8, [1, 8])
+        assert _pfaffian([row[:2] for row in rows[:2]]) == 1
+        assert _pfaffian(rows) == 8
+        # the bipartite form of the block [[1, 2], [-2, 4]] has the same
+        # leading Pfaffians, and they are the block's leading minors
+        rows = [[0, 1, 0, 2], [-1, 0, 2, 0], [0, -2, 0, 4], [-2, 0, -4, 0]]
+        assert _pfaffian([row[:2] for row in rows[:2]]) == 1
+        assert _pfaffian(rows) == 8
+        assert _leading_minors([[1, 2], [-2, 4]]) == [1, 8]
 
     def test_zero_leading_pfaffian_is_a_zero_pivot(self):
-        # b_01 = 0: the 0 is recorded, then index 2 is swapped in (Pf = -1)
+        # b_01 = 0: index 2 is swapped in (Pf = -1)
         rows = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-        assert _pfaffian(rows) == (-1, [0, 1])
-        # row 0 is zero: the pivot list stops at its 0
+        assert _pfaffian(rows) == -1
+        # row 0 is zero
         rows = [[0, 0, 0, 0], [0, 0, 2, 3], [0, -2, 0, 4], [0, -3, -4, 0]]
-        assert _pfaffian(rows) == (0, [0])
+        assert _pfaffian(rows) == 0
+        # a zero or negative leading minor is the last pivot: [[0, 1], [1, 0]]
+        # has determinant -1, and [[1, 2, 0], [3, 6, 1], [0, 1, 1]] is 1 after a 0
+        assert _leading_minors([[0, 1], [1, 0]]) == [0]
+        assert _leading_minors([[1, 2, 0], [3, 6, 1], [0, 1, 1]]) == [1, 0]
+        assert _leading_minors([[1, 2, 0], [2, 1, 0], [0, 0, 1]]) == [1, -3]
 
     def test_one_memo_entry_per_index_set(self):
         cache = PfaffianCache(random_alternating(random.Random(3), 8).to_rows())
@@ -150,6 +180,27 @@ class TestPfaffian:
         cache.pfaffian_of([3, 2, 1, 0, 2])
         cache.pfaffian_of(range(8))
         assert len(cache._memo) == 2
+
+    def test_full_set_copies_the_form_once(self, monkeypatch):
+        # the cache keeps the rows as given, and pfaffian_of builds the one
+        # list-of-lists copy that the elimination consumes
+        m = random_alternating(random.Random(5), 6)
+        rows = tuple(map(tuple, m.to_rows()))
+        consumed = []
+
+        def spy(b):
+            consumed.append(b)
+            return _pfaffian(b)
+
+        monkeypatch.setattr(betabound.exactmath, "_pfaffian", spy)
+        cache = PfaffianCache(rows)
+        assert cache._rows is rows
+        assert cache.pfaffian_of(range(6)) == reference_pfaffian(m, range(6))
+        assert len(consumed) == 1
+        assert type(consumed[0]) is list and all(type(row) is list for row in consumed[0])
+        assert cache.pfaffian_of([5, 4, 3, 2, 1, 0]) == cache.pfaffian_of(range(6))
+        assert len(consumed) == 1  # memoized
+        assert rows == tuple(map(tuple, m.to_rows()))
 
     def test_square_equals_determinant(self):
         rng = random.Random(7)

@@ -2,7 +2,8 @@
 
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import lcm
 
 import pytest
 
@@ -37,20 +38,24 @@ from betabound import (
     surface_beta,
 )
 from betabound.cli import _json_text, run
-from betabound.exactmath import PfaffianCache, _pfaffian
+from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
+from betabound.threshold import _drop_chis
 from betabound.torusmodel import _scaled_pairing, restriction_chi
 from util import (
     IntMatrix,
-    generic_smith_normal_form,
+    bipartite,
+    exact_det,
     hermitian_pairing,
     is_positive_definite,
+    leading_minors,
     reference_pfaffian,
     reference_search,
     scan_max_np_arithmetic,
     scan_np_from_beta,
     scan_recipe_strict,
+    skew_normal_form,
     subset_chis,
     subset_flag_bound,
 )
@@ -142,7 +147,31 @@ def alternating_matrices(draw, odd=False):
 def test_pfaffian_pivots_are_leading_pfaffians(m):
     leading = [reference_pfaffian(m, range(2 * t)) for t in range(1, m.rows // 2 + 1)]
     assume(all(leading))
-    assert _pfaffian(m.to_rows()) == (leading[-1], leading)
+    rows = m.to_rows()
+    assert [_pfaffian([row[: 2 * t] for row in rows[: 2 * t]]) for t in range(1, m.rows // 2 + 1)] == leading
+
+
+@st.composite
+def square_matrices(draw, max_n=8):
+    """A square integer matrix of size 1..max_n with zero, small, negative
+    or huge entries (singular ones common), or a Gram matrix B^T B, whose
+    leading minors are all >= 0 and mostly positive."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(10**12), 10**12))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[sum(rows[k][i] * rows[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+# a zero leading minor after a positive one stops the list, and a negative one
+@example([[1, 2, 0], [3, 6, 1], [0, 1, 1]])
+@example([[1, 2], [2, 1]])
+@example([[0]])
+def test_leading_minors_match_reference(m):
+    assert _leading_minors([list(row) for row in m]) == leading_minors(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,14 +181,28 @@ def test_pfaffian_pivots_are_leading_pfaffians(m):
 # the pivot 2 does not divide the 3 it leaves behind: e_2 is added into e_0
 @example(IntMatrix.from_rows([[0, 2, 0, 0], [-2, 0, 0, 0], [0, 0, 0, 3], [0, 0, -3, 0]]))
 def test_skew_normal_form_matches_generic_smith_form(m):
-    assert smith_normal_form(m.to_rows()) == generic_smith_normal_form(m)
+    assert smith_normal_form(m.to_rows()) == skew_normal_form(m.to_rows())
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+@example([[0]])
+@example([[-3]])
+@example([[2, 4], [3, 6]])  # singular, with a pivot that divides nothing else
+@example([[2, 0], [0, 3]])
+def test_smith_diagonal_doubled_is_skew_form_of_bipartite(m):
+    # [[0, M], [-M^T, 0]] is equivalent to diag(M, M^T), so its elementary
+    # divisors are those of M, each twice
+    diag = smith_normal_form(m)
+    assert tuple(d for d in diag for _ in (0, 1)) == skew_normal_form(bipartite(m))
 
 
 @st.composite
 def kernel_inputs(draw):
     """Rows for the form kernels, as lists or tuples: (rows, None) for an
     alternating integer matrix of even size, else (rows, fault) with one
-    fault of the kinds the shared input check refuses."""
+    fault of the kinds ``PfaffianCache`` refuses; the Smith kernel refuses
+    the STRUCTURAL_FAULTS and accepts the asymmetric and diagonal ones."""
     n = 2 * draw(st.integers(1, 4))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -189,21 +232,40 @@ def kernel_inputs(draw):
     return container(container(row) for row in rows), fault
 
 
+STRUCTURAL_FAULTS = ("long", "short", "wide", "tall", "float", "string")
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_inputs())
+@example(([[0, 1], [-1]], "short"))
+def test_smith_kernel_input_check(case):
+    # any square integer matrix is accepted, alternating or not
+    rows, fault = case
+    if fault in STRUCTURAL_FAULTS:
+        with pytest.raises(ValueError):
+            smith_normal_form(rows)
+        return
+    m = IntMatrix.from_rows(rows)
+    diag = smith_normal_form(rows)
+    assert tuple(d for d in diag for _ in (0, 1)) == skew_normal_form(bipartite(rows))
+    if fault is None:
+        assert diag == skew_normal_form(rows)
+    assert IntMatrix.from_rows(rows) == m  # the input is copied, not consumed
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_inputs())
 # a short last row is the one fault a column-against-row comparison misses
 @example(([[0, 1], [-1]], "short"))
-def test_form_kernels_share_one_input_check(case):
+def test_pfaffian_cache_input_check(case):
     rows, fault = case
     if fault is not None:
-        for kernel in (smith_normal_form, PfaffianCache):
-            with pytest.raises(ValueError):
-                kernel(rows)
+        with pytest.raises(ValueError):
+            PfaffianCache(rows)
         return
     m, n = IntMatrix.from_rows(rows), len(rows)
-    assert smith_normal_form(rows) == generic_smith_normal_form(m)
     assert PfaffianCache(rows).pfaffian_of(range(n)) == reference_pfaffian(m, range(n))
-    assert IntMatrix.from_rows(rows) == m  # the input is copied, not consumed
+    assert IntMatrix.from_rows(rows) == m  # the input is kept, not consumed
 
 
 @SETTINGS
@@ -220,6 +282,36 @@ def test_class_form_is_alternating_integer_rows(cls, mask):
     assert restrict(form, keep).e == tuple(map(tuple, m.principal_submatrix(coords).to_rows()))
 
 
+@st.composite
+def bounds(draw):
+    """A positive rational, or an inverse root R^(-1/n) (a rational when R
+    is a perfect n-th power)."""
+    if draw(st.booleans()):
+        return Bound.rational(Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))))
+    return Bound.inverse_root(draw(st.integers(1, 10**6)), draw(st.integers(1, 6)))
+
+
+def bound_power(b: Bound, n: int) -> Fraction:
+    """b^n as a Fraction, for n a multiple of b's root degree."""
+    if b.is_rational:
+        return b.ratio**n
+    return Fraction(1, b.radicand ** (n // b.degree))
+
+
+@SETTINGS
+@given(bounds(), bounds())
+@example(Bound.rational(Fraction(1, 3)), Bound.inverse_root(27, 3))
+@example(Bound.rational(Fraction(13, 40)), Bound.rational(Fraction(26, 80)))
+@example(Bound.inverse_root(8, 6), Bound.inverse_root(2, 2))
+@example(Bound.rational(Fraction(1, 2)), Bound.inverse_root(5, 2))
+def test_bound_order_matches_fraction(x, y):
+    # x -> x^n is increasing on positive numbers, so comparing the powers
+    # as Fractions decides the order
+    n = lcm(x.degree or 1, y.degree or 1)
+    fx, fy = bound_power(x, n), bound_power(y, n)
+    assert (x == y, x != y, x < y, x > y, x <= y, x >= y) == (fx == fy, fx != fy, fx < fy, fx > fy, fx <= fy, fx >= fy)
+
+
 @SETTINGS
 @given(st.integers(1, 50), st.integers(1, 6), st.integers(1, 4))
 @example(2, 2, 3)
@@ -233,8 +325,47 @@ def test_equal_inverse_roots_hash_alike(s, n, k):
 @given(classes(max_g=12))
 @example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1))
 def test_class_form_smith_diagonal_matches_generic(cls):
-    m = alt_form(cls).e
-    assert smith_normal_form(m) == generic_smith_normal_form(IntMatrix.from_rows(m))
+    # the block's diagonal doubled, the kernel on the whole form, and the
+    # skew oracle on the whole form
+    form = alt_form(cls)
+    assert form.snf_diagonal == smith_normal_form(form.e) == skew_normal_form(form.e)
+
+
+@SETTINGS
+@given(classes(max_g=12), st.integers(1, 2**12 - 1))
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 0), 0b101)
+@example(DivisorClass(ConstructionSpace(1, ()), (2,), 1), 1)
+def test_class_form_is_its_block(cls, mask):
+    form, g = alt_form(cls), cls.space.g
+    e, m = form.e, form.block
+    assert all(e[u][v] == 0 for u in range(2 * g) for v in range(u % 2, 2 * g, 2))
+    x = [-k for k in cls.space.k] + [1]
+    y = [-1] * (g - 1) + [1]
+    for i in range(g):
+        for j in range(g):
+            assert m[i][j] == cls.a[i] * (i == j) + cls.c * x[i] * y[j] == e[2 * i][2 * j + 1] == -e[2 * j + 1][2 * i]
+    keep = [i for i in range(g) if mask >> i & 1] or [g - 1]
+    assert restrict(form, keep).block == tuple(tuple(m[i][j] for j in keep) for i in keep)
+
+
+@SETTINGS
+@given(classes(max_g=6))
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1))
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 1, 2), 1))
+def test_principal_block_minors_are_restriction_chis(cls):
+    m, g = alt_form(cls).block, cls.space.g
+    for size in range(1, g + 1):
+        for keep in combinations(range(g), size):
+            minor = exact_det(IntMatrix.from_rows([[m[i][j] for j in keep] for i in keep]))
+            assert minor == restriction_chi(cls, keep)
+
+
+@SETTINGS
+@given(classes(max_g=12), st.integers(1, 2**12 - 1))
+def test_drop_chis_match_restriction_chi(cls, mask):
+    keep = [i for i in range(cls.space.g) if mask >> i & 1] or [0]
+    expected = [restriction_chi(cls, [j for j in keep if j != i]) for i in keep]
+    assert _drop_chis(cls, keep) == expected
 
 
 @SETTINGS

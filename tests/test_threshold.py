@@ -20,7 +20,7 @@ from betabound import (
     flag_profile,
     standard_class,
 )
-from betabound.exactmath import _pfaffian
+from betabound.exactmath import _leading_minors
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import LatticeInvariantError, chi_multilinear
 from util import closed_form_bound, flag_upper_bound, subset_flag_bound
@@ -116,18 +116,19 @@ class TestFlagBounds:
 
         def counted(b):
             calls.append(len(b))
-            return _pfaffian(b)
+            return _leading_minors(b)
 
-        monkeypatch.setattr(betabound.threshold, "_pfaffian", counted)
+        # one elimination of the g x g block, not of the 2g x 2g form
+        monkeypatch.setattr(betabound.threshold, "_leading_minors", counted)
         cls = DivisorClass(ConstructionSpace(5, (3, 2, 7, 1)), (1, 2, 1, 3, 2), 1)
         assert len(flag_profile(cls, (3, 0, 4, 1, 2))) == 5
-        assert calls == [10]
+        assert calls == [5]
         best_flag_bound(cls)
-        assert calls == [10, 10]
+        assert calls == [5, 5]
 
     def test_zero_leading_pfaffian_in_chain_raises(self, monkeypatch):
         # c*G alone: chi is k_i on factor i but 0 on every pair, so the
-        # second leading block of the reversed order has Pfaffian 0 (pivots
+        # second leading minor of the block in reversed order is 0 (minors
         # [1, 0], where the elimination stops); only a skipped chi > 0 guard
         # lets such a class reach the chain
         monkeypatch.setattr(betabound.threshold, "chi_multilinear", lambda cls: 1)
@@ -137,7 +138,7 @@ class TestFlagBounds:
 
     def test_short_pivot_list_raises(self, monkeypatch):
         # a kernel that stops early must not yield a shorter chain
-        monkeypatch.setattr(betabound.threshold, "_pfaffian", lambda b: (1, _pfaffian(b)[1][:-1]))
+        monkeypatch.setattr(betabound.threshold, "_leading_minors", lambda b: _leading_minors(b)[:-1])
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
             flag_profile(THREEFOLD_40, (0, 1, 2))
 

@@ -1,14 +1,17 @@
 """Independent oracles shared by the test modules.
 
 ``IntMatrix``, a general (also rectangular) integer matrix, is a test
-type: the library's kernels take square alternating forms as integer
-rows, and only the generic oracles below work on other matrices.
+type: the library's kernels take square matrices as integer rows, and
+only the generic oracles below work on rectangular ones.
 The determinant here is intentionally computed by plain fraction
 Gaussian elimination so that Pfaffian and Smith-form assertions are
 checked against a path that shares no code with the library kernel.
-The generic row-and-column Smith form is the reference for the library's
-congruence reduction of alternating matrices, and its own diagonal is
-checked through the gcds of minors built on exact_det.
+The skew normal form by congruence is the reference for the library's
+row-and-column Smith form: it works on the 2g x 2g alternating form where
+the library reduces the g x g block, and the library's diagonal is also
+checked through the gcds of minors built on exact_det.  The leading
+minors by exact_det are the reference for the library's Bareiss
+elimination.
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
 enumeration with chi by Pfaffian the reference for the search.  The
@@ -181,75 +184,88 @@ def determinantal_divisors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(divisors)
 
 
-def generic_smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form of ``m``.
+def skew_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of a square alternating matrix,
+    by congruence.
 
-    The min(rows, cols) entries are nonnegative, each dividing the next;
-    they are the invariant factors, so the product of the first k is the
-    gcd of the k x k minors.  Only the diagonal is kept: the unimodular
-    row and column transforms are never materialized.  Pivot choice:
-    smallest nonzero absolute value, ties broken by lowest row then
-    column index, so the elimination path is deterministic.
+    An alternating integer matrix is congruent, m -> P^T m P with P
+    unimodular, to a direct sum of blocks d_i * [[0, 1], [-1, 0]] and
+    zeros with d_1 | d_2 | ... (the skew normal form; M. Newman, *Integral
+    Matrices*, 1972).  A congruence is a row-and-column equivalence
+    and the Smith diagonal is unique, so it is (d_1, d_1, d_2, d_2, ...,
+    0, ...).  Each step takes the smallest nonzero |m_ij| with i < j (ties
+    to the lowest i, then j), moves it to (t, t + 1) by symmetric swaps,
+    makes it positive and clears rows t and t + 1 with e_k += r * e_t -
+    q * e_(t+1).  A nonzero remainder is a smaller pivot for the next step;
+    once the rows are clear, an entry the pivot p does not divide has its
+    basis vector added into e_t, and otherwise the block p * J splits off.
+    Anything but a square alternating integer matrix raises ``ValueError``.
     """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+    a = [list(row) for row in m]
+    if (
+        any(len(row) != len(a) for row in a)
+        or not all(isinstance(x, int) for row in a for x in row)
+        or any(list(col) != [-x for x in row] for row, col in zip(a, zip(*a)))
+    ):
+        raise ValueError("expected a square alternating integer matrix")
+    n = len(a)
 
-    def add_row(src, dst, factor):
-        # row_dst += factor * row_src
-        arow, srow = a[dst], a[src]
-        for jj in range(ncols):
-            arow[jj] += factor * srow[jj]
-
-    def add_col(src, dst, factor):
+    def swap(u, v):
+        a[u], a[v] = a[v], a[u]
         for row in a:
-            row[dst] += factor * row[src]
+            row[u], row[v] = row[v], row[u]
 
-    t = 0
-    limit = min(nrows, ncols)
-    while t < limit:
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    key = (abs(a[i][j]), i, j)
-                    if pivot is None or key < pivot:
-                        pivot = key
+    def add(k, r, u, q, v):
+        # e_k += r * e_u + q * e_v: row k, then column k as minus row k
+        row = a[k] = [x + r * y + q * z for x, y, z in zip(a[k], a[u], a[v])]
+        row[k] = 0
+        for i, x in enumerate(row):
+            a[i][k] = -x
+
+    diag, t = [], 0
+    while t + 1 < n:
+        nonzero = ((abs(x), i, j) for i in range(t, n) for j in range(i + 1, n) if (x := a[i][j]))
+        pivot = min(nonzero, default=None)
         if pivot is None:
             break
-        _, pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-
-        piv = a[t][t]
-        dirty = False
-        for i in range(nrows):
-            if i != t and a[i][t] != 0:
-                add_row(t, i, -(a[i][t] // piv))
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(ncols):
-            if j != t and a[t][j] != 0:
-                add_col(t, j, -(a[t][j] // piv))
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
+        _, i, j = pivot
+        swap(t, i)
+        swap(t + 1, j)
+        if a[t][t + 1] < 0:
+            swap(t, t + 1)
+        p, row_t, row_u = a[t][t + 1], a[t], a[t + 1]
+        for k in range(t + 2, n):
+            q, r = row_t[k] // p, row_u[k] // p
+            if q or r:
+                add(k, r, t, -q, t + 1)
+        if any(row_t[t + 2 :]) or any(row_u[t + 2 :]):
             continue
-
-        # Ensure the pivot divides every remaining entry before locking it in.
-        absorbed = False
-        for i in range(t + 1, nrows):
-            if any(a[i][j] % piv for j in range(t + 1, ncols)):
-                add_row(i, t, 1)
-                absorbed = True
-                break
-        if absorbed:
+        rest = range(t + 2, n) if p > 1 else ()  # a unit pivot divides everything
+        bad = next((i for i in rest for j in range(i + 1, n) if a[i][j] % p), None)
+        if bad is not None:
+            add(t, 1, bad, 0, t + 1)
             continue
-        t += 1
+        diag += (p, p)
+        t += 2
+    return tuple(diag + [0] * (n - len(diag)))
 
-    return tuple(a[i][i] for i in range(limit))
+
+def bipartite(m: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The alternating matrix [[0, m], [-m^T, 0]] of a square matrix m."""
+    n = len(m)
+    top = [[0] * n + list(row) for row in m]
+    return top + [[-m[i][j] for i in range(n)] + [0] * n for j in range(n)]
+
+
+def leading_minors(m: Sequence[Sequence[int]]) -> list[int]:
+    """Leading principal minors of a square matrix by exact_det, up to and
+    including the first one <= 0."""
+    minors = []
+    for k in range(1, len(m) + 1):
+        minors.append(int(exact_det(IntMatrix.from_rows([row[:k] for row in m[:k]]))))
+        if minors[-1] <= 0:
+            break
+    return minors
 
 
 def random_alternating(rng: random.Random, dim: int, max_entry: int = 100) -> IntMatrix:
