@@ -71,16 +71,16 @@ CASE_EXPLICIT = "explicit"
 # 16 us at g = 12).  So a box counts pairs + SHAPE_STEPS * shapes steps; boxes
 # at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
 # 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
-# certificates at g <= 4, where one costs about 0.2 ms, so 2 s of
+# certificates at g <= 4, where one costs about 0.1 ms, so 1 s of
 # certifying.  Above g = 4 it is divided by certificate_cost(g), an upper
 # bound on the cost of one certificate in g = 4 certificates.  The median
 # certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
-# best of 3 each; median of 24 runs of 21 classes) is 0.17 / 0.21 / 0.24 /
-# 0.29 / 0.37 / 0.42 / 0.49 / 0.58 / 0.67 ms at g = 4..12, that is 1.2 / 1.4 /
-# 1.7 / 2.1 / 2.4 / 2.9 / 3.3 / 3.9 certificates of g = 4 at g = 5..12 (2
-# cores, Python 3.11.7; the largest over four runs on the shared host were
-# 1.3 / 1.5 / 1.7 / 2.1 / 3.5 / 4.4 / 3.4 / 4.0), against costs of 2 / 3 / 4 /
-# 4 / 6 / 7 / 8 / 9.
+# best of 3 each; median of 24 runs of 21 classes; median of four such
+# measurements) is 0.10 / 0.12 / 0.15 / 0.17 / 0.19 / 0.22 / 0.26 / 0.30 /
+# 0.34 ms at g = 4..12, that is 1.2 / 1.4 / 1.7 / 1.9 / 2.2 / 2.5 / 2.9 / 3.3
+# certificates of g = 4 at g = 5..12 (2 cores, Python 3.11.7; the largest of
+# the four on the shared host were 1.4 / 1.5 / 1.9 / 2.1 / 2.3 / 2.8 / 3.2 /
+# 3.6), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5
@@ -96,11 +96,12 @@ def certificate_cost(g: int) -> int:
 
 # Largest degree general_beta accepts, checked before any construction, and
 # the largest class entry the CLI accepts.  The recipes' multipliers grow with
-# d, and so does the cost of certifying them (Smith form, Pfaffians, flag
-# search): with the limit lifted, `np --g 12` takes 0.27 s as a process at
-# d = 10^100, 0.32 s at 10^200 and 1.3 s at 10^1000 (best of 3; 2 cores,
-# Python 3.11.7).  At g = 12 with every entry just under 10^100, explicit
-# `ample` takes 0.42 s and `beta` 0.79 s.
+# d, and so does the cost of certifying them (Smith form, Bareiss minors, flag
+# search), but start-up dominates: with the limit lifted, `np --g 12` takes
+# 0.07 s as a process at d = 10^100 and 10^200 and 0.09 s at 10^1000, and at
+# g = 12 with every entry just under 10^100 explicit `ample` takes 0.09 s,
+# `beta` 0.08 s and `type` 0.07 s, against 0.07 s for `chi` (best of 3,
+# bytecode cache warm; 0.02 s more each without it; 2 cores, Python 3.11.7).
 MAX_DEGREE = 10**100
 
 

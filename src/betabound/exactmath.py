@@ -5,14 +5,14 @@ rows of Python's arbitrary-precision ints, elimination is fraction-free,
 and integer roots come from integer Newton iteration.  No floating point
 anywhere.
 
-The matrices handled here are small (g x g blocks and 2g x 2g forms of
-classes, g <= torusmodel.MAX_DIMENSION), so the algorithms favour
-simplicity and determinism over asymptotics; none is exponential in g.
-Three eliminations of O(n^3) integer operations: the Smith diagonal by
-row and column operations, the Pfaffian by fraction-free skew
-elimination, and the leading principal minors by Bareiss elimination.
-The Smith form runs on the g x g block of a form and the Pfaffian on the
-whole form, so they share no arithmetic and each checks the other.
+The matrices handled here are small (g x g blocks of classes, g <=
+torusmodel.MAX_DIMENSION), so the algorithms favour simplicity and
+determinism over asymptotics; none is exponential in g.  Three
+eliminations of O(n^3) integer operations: the Smith diagonal by row and
+column operations and the leading principal minors by Bareiss
+elimination run on the block of a form and share no arithmetic, so the
+determinant (the last minor) checks the Smith form's product; the
+Pfaffian by fraction-free skew elimination is the tests' reference.
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ class PfaffianCache:
     The matrix is checked once and kept as given, not copied, so it must
     not change afterwards; each index set asked for is copied once into
     the elimination (``_pfaffian``) that consumes it, and its value kept.
-    In the package only ``torusmodel.chi_pfaffian`` asks, always for the
-    full set; the class stays because the benchmark traces its method.
-    Anything but a square alternating integer matrix of even dimension
-    raises ``ValueError``; column i of an alternating matrix is minus
-    row i, zero diagonal included.
+    Nothing in the package calls it (chi is det M, ``torusmodel.chi_pfaffian``):
+    it is the tests' reference for det M, on the form written out from M,
+    and the benchmark traces its method.  Anything but a square alternating
+    integer matrix of even dimension raises ``ValueError``; column i of an
+    alternating matrix is minus row i, zero diagonal included.
     """
 
     def __init__(self, a: Sequence[Sequence[int]]):

@@ -39,7 +39,7 @@ from .torusmodel import (
     LatticeInvariantError,
     OracleDisagreement,
     alt_form,
-    chi_multilinear,
+    chi_pfaffian,
     curve_degrees,
     restriction_chi,
 )
@@ -219,12 +219,13 @@ def beta_lower_chi(chi: int, g: int) -> Bound:
 
 
 def _ample_form(cls: DivisorClass, form: AltForm | None) -> AltForm:
-    """The form of the class, once its chi is positive: for these classes
-    that is ampleness, and every restriction then has chi > 0 too
-    (``torusmodel.is_ample``), so no elimination or minor test runs here."""
-    if chi_multilinear(cls) <= 0:
+    """The form of the class, once its chi (memoized on the form) is positive:
+    for these classes that is ampleness, and every restriction then has
+    chi > 0 too (``torusmodel.is_ample``), so no minor test runs here."""
+    form = form if form is not None else alt_form(cls)
+    if chi_pfaffian(form) <= 0:
         raise ValueError("flag bounds require an ample class")
-    return form if form is not None else alt_form(cls)
+    return form
 
 
 def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:

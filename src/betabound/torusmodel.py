@@ -17,6 +17,9 @@ on the universal cover.  Its first Chern class is the alternating matrix
 where E_{F_i} is the standard symplectic block on factor i with sign
 convention E(e_{2i}, e_{2i+1}) = +1, E_std is that block on the last
 factor, and S is the 2 x 2g lattice matrix of the defining map of G.
+E pairs even coordinates only with odd ones, so it is fixed by a g x g
+block M (``alt_form``), and chi, the type and ampleness are read off M;
+only the tests write E, as the oracle those readings are checked against.
 
 The choice tau = i makes the complex structure J rational (blocks
 [[0, -1/k_i], [k_i, 0]]), so every invariant below (Euler characteristic,
@@ -31,11 +34,7 @@ from functools import cached_property
 from math import prod
 from typing import Sequence
 
-from .exactmath import (
-    PfaffianCache,
-    leading_minors_all_positive,
-    smith_normal_form,
-)
+from .exactmath import _leading_minors, leading_minors_all_positive, smith_normal_form
 
 
 # Largest accepted g, for classes, `beta --general`, `np` and `search` alike.
@@ -152,20 +151,18 @@ class FiniteGroupShape:
 
 @dataclass(frozen=True)
 class AltForm:
-    """Alternating lattice form of a class.
+    """Alternating lattice form of a class, held as its g x g block.
 
-    ``e`` is the 2g x 2g matrix as a tuple of integer rows, built once
-    by ``alt_form`` (or cut from one by ``restrict``), so it is alternating
-    with int entries by construction.  It pairs even coordinates only with
-    odd ones, so it is fixed by its g x g ``block``, block[i][j] =
-    e[2i][2j+1] (see ``alt_form``); the block of a restriction is the
-    principal block of the kept factors.  ``factor_k`` records the basis
-    denominator of each (kept) factor, which fixes the complex structure
-    J, so restrictions remain self-contained.  The block, the Pfaffians and
-    the Smith diagonal are each computed once per form and cached on it.
+    ``block`` is M, with M[i][j] = E[2i][2j+1] for E the 2g x 2g form (see
+    ``alt_form``), as a tuple of integer rows, built by ``alt_form`` (or
+    cut from one by ``restrict``), so it is the block of a class by
+    construction.  ``factor_k`` records the basis denominator of each
+    (kept) factor, which fixes the complex structure J, so restrictions
+    remain self-contained.  The determinant and the Smith diagonal are
+    each computed once per form and cached on it.
     """
 
-    e: tuple[tuple[int, ...], ...]
+    block: tuple[tuple[int, ...], ...]
     factor_k: tuple[int, ...]
 
     @property
@@ -173,45 +170,27 @@ class AltForm:
         return len(self.factor_k)
 
     @cached_property
-    def block(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(row[1::2] for row in self.e[::2])
-
-    @cached_property
-    def pfaffian_cache(self) -> PfaffianCache:
-        return PfaffianCache(self.e)
+    def det(self) -> int:
+        """det M by one Bareiss elimination (``chi_pfaffian``)."""
+        minors = _leading_minors([list(row) for row in self.block])
+        if minors[-1] < 0:
+            raise LatticeInvariantError("negative leading minor of a semidefinite block")
+        return minors[-1] if len(minors) == self.g else 0
 
     @cached_property
     def snf_diagonal(self) -> tuple[int, ...]:
-        """The Smith diagonal of ``e``: each entry of the block's twice.
+        """The Smith diagonal of E: each entry of the block's twice.
 
-        Listing the even coordinates first turns e into [[0, M], [-M^T, 0]]
+        Listing the even coordinates first turns E into [[0, M], [-M^T, 0]]
         with M the block; right-multiplying by the unimodular
         [[0, -I], [I, 0]] gives diag(M, M^T), and M^T has the Smith
-        diagonal of M.  So the elementary divisors of e pair up, and the
+        diagonal of M.  So the elementary divisors of E pair up, and the
         Smith form runs on g x g entries instead of 2g x 2g."""
         return tuple(d for d in smith_normal_form(self.block) for _ in (0, 1))
 
 
-def _scaled_pairing(e: Sequence[Sequence[int]], factor_k: Sequence[int]) -> list[list[int]]:
-    """Integer matrix congruent to the pairing E(x, Jy).
-
-    Rescaling the odd basis vector of factor i by k_i clears the
-    denominators; a diagonal congruence preserves symmetry and
-    definiteness, so this is what the ampleness test runs on.
-    """
-    rows = []
-    for u, row_e in enumerate(e):
-        du = 1 if u % 2 == 0 else factor_k[u // 2]
-        row = []
-        for i, k in enumerate(factor_k):
-            row.append(du * k * row_e[2 * i + 1])
-            row.append(-du * row_e[2 * i])
-        rows.append(row)
-    return rows
-
-
 def alt_form(cls: DivisorClass) -> AltForm:
-    """Alternating matrix of a class on the period lattice.
+    """Alternating matrix of a class on the period lattice, as its block.
 
     The form is bipartite: each F_i pairs coordinate 2i with 2i + 1, and
     G = f^* of the point class of the last curve, for f the defining map
@@ -222,13 +201,13 @@ def alt_form(cls: DivisorClass) -> AltForm:
 
         M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
 
-    and every other entry is 0, so it is built from the g^2 entries of M
-    and is alternating by construction.  The pairing E(x, Jy) is symmetric
-    with no check needed: every summand of E is f^* E_std for a C-linear
-    map f onto one curve (the projection for F_i; for G the defining
-    homomorphism, z |-> -k_i z on factor i < g-1 and the identity on the
-    last), so E(x, Jy) = sum E_std(fx, J fy), and E_std(u, Jv) is
-    symmetric on the curve.  The property tests check both.
+    and every other entry of E is 0; only M is built.  The pairing
+    E(x, Jy) is symmetric with no check needed: every summand of E is
+    f^* E_std for a C-linear map f onto one curve (the projection for F_i;
+    for G the defining homomorphism, z |-> -k_i z on factor i < g-1 and
+    the identity on the last), so E(x, Jy) = sum E_std(fx, J fy), and
+    E_std(u, Jv) is symmetric on the curve.  The property tests check both
+    against E written out from M.
     """
     space, c = cls.space, cls.c
     x = [-k for k in space.k] + [1]
@@ -236,13 +215,7 @@ def alt_form(cls: DivisorClass) -> AltForm:
     block = [[xi * v for v in cy] for xi in x]
     for i, a in enumerate(cls.a):
         block[i][i] += a
-    n, e = 2 * space.g, []
-    for row, col in zip(block, zip(*block)):
-        even, odd = [0] * n, [0] * n
-        even[1::2] = row
-        odd[::2] = [-m for m in col]
-        e += (tuple(even), tuple(odd))
-    return AltForm(e=tuple(e), factor_k=space.k_full)
+    return AltForm(block=tuple(map(tuple, block)), factor_k=space.k_full)
 
 
 def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
@@ -288,8 +261,23 @@ def chi_multilinear(cls: DivisorClass) -> int:
 
 
 def chi_pfaffian(form: AltForm) -> int:
-    """Euler characteristic as the Pfaffian of the alternating form."""
-    return form.pfaffian_cache.pfaffian_of(range(len(form.e)))
+    """Euler characteristic as the Pfaffian of the alternating form, which
+    is det M for M its block, memoized on the form (``AltForm.det``).
+
+    In interleaved order Pf(E) = det M (the sign argument is in the
+    ``threshold.flag_profile`` docstring), and det M is the last pivot of
+    one fraction-free Bareiss elimination of M (``_leading_minors``),
+    which stops at the first pivot <= 0.  Proof that a stop means
+    det M = 0: y * k = x entrywise, so M * diag(k) = diag(a_i * k_i) +
+    c * x * x^T is positive semidefinite (a_i, k_i, c >= 0), and each
+    leading minor of M is that of M * diag(k) divided by a positive
+    product of the k_i.  A positive semidefinite matrix with a singular
+    leading block is singular (v^T A v = 0 forces A v = 0), so a zero
+    pivot means det M = 0, and a negative one cannot occur; it raises
+    LatticeInvariantError.  This holds for the form of every class and
+    every restriction of one.
+    """
+    return form.det
 
 
 def _paired_divisors(form: AltForm) -> tuple[int, ...]:
@@ -324,7 +312,15 @@ def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
 
 def is_ample(form: AltForm) -> bool:
     """Ampleness as exact positive definiteness of the pairing E(x, Jy):
-    fraction-free leading minors of its integer rescaling.
+    fraction-free leading minors of M * diag(k), M the form's block.
+
+    Rescaling the odd basis vector of factor i by k_i clears the
+    denominators of E(x, Jy), and that diagonal congruence preserves
+    symmetry and definiteness.  The rescaled pairing pairs even
+    coordinates only with even ones and odd only with odd, and both g x g
+    halves are M * diag(k) = diag(a_i * k_i) + c * x * x^T (``alt_form``,
+    with y * k = x entrywise), so the pairing is definite iff M * diag(k)
+    is, and the minor test runs on that one g x g matrix.
 
     On every class accepted here this is chi > 0, which the ``ample``
     command checks it against.  Proof: F_i and G are pullbacks of a point
@@ -340,26 +336,27 @@ def is_ample(form: AltForm) -> bool:
     ``restriction_chi``, from chi = 1 on nothing kept, it is a sum of
     terms >= 0: every restriction of an ample class has chi > 0.
     """
-    return leading_minors_all_positive(_scaled_pairing(form.e, form.factor_k))
+    return leading_minors_all_positive([[m * kj for m, kj in zip(row, form.factor_k)] for row in form.block])
 
 
 def restrict(form: AltForm, keep: Sequence[int]) -> AltForm:
     """Restriction to the subtorus spanned by the kept factors.
 
     Both E and J restrict to the principal submatrix on the kept
-    factors' lattice coordinates.  A restriction of a valid form is
-    automatically valid, so no revalidation is needed.
+    factors' lattice coordinates, so the block restricts to its principal
+    block M[S, S].  A restriction of a valid form is automatically valid,
+    so no revalidation is needed.
     """
     kept = sorted(set(keep))
     if not kept:
         raise ValueError("cannot restrict to an empty set of factors")
     if kept[0] < 0 or kept[-1] >= form.g:
         raise ValueError("factor index out of range")
-    coords = [c for i in kept for c in (2 * i, 2 * i + 1)]
-    e_sub = tuple(tuple(form.e[u][v] for v in coords) for u in coords)
-    return AltForm(e=e_sub, factor_k=tuple(form.factor_k[i] for i in kept))
+    m = form.block
+    sub = tuple(tuple(m[i][j] for j in kept) for i in kept)
+    return AltForm(block=sub, factor_k=tuple(form.factor_k[i] for i in kept))
 
 
 def curve_degrees(form: AltForm) -> tuple[int, ...]:
-    """Degrees of the restrictions to the coordinate elliptic curves."""
-    return tuple(form.e[2 * i][2 * i + 1] for i in range(form.g))
+    """Degrees of the restrictions to the coordinate elliptic curves, the diagonal of M."""
+    return tuple(row[i] for i, row in enumerate(form.block))

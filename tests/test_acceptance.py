@@ -33,7 +33,7 @@ from betabound import (
 )
 from betabound.cli import run
 from betabound.threshold import Bound
-from util import exact_det, pfaffian, random_alternating, skew_normal_form
+from util import exact_det, form_e, pfaffian, random_alternating, skew_normal_form
 
 TABLE_16_EXPECTED = [
     ("1", True), ("1", True), ("2/3", True), ("1/2", True),
@@ -59,7 +59,7 @@ def test_criterion_1_table_reproduction():
 def test_criterion_2_threefold_type_40_construction():
     cls = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
     form = alt_form(cls)
-    assert smith_normal_form(form.e) == (1, 1, 1, 1, 40, 40)
+    assert smith_normal_form(form_e(form)) == (1, 1, 1, 1, 40, 40)
     assert polarization_type(form).d == (1, 1, 40)
     cert = certify(recipe_strict(3, 40))
     assert cert.params.k == (9, 3)

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import betabound.exactmath
 from betabound import (
     BetaInterval,
     Bound,
     ConstructionParams,
     ConstructionSpace,
+    DegenerateFormError,
     DivisorClass,
     NoRecipeError,
     Scope,
@@ -24,6 +26,7 @@ from betabound import (
     brute_search,
     certify,
     certify_class,
+    chi_multilinear,
     chi_pfaffian,
     flag_profile,
     integer_root,
@@ -38,15 +41,16 @@ from betabound import (
     surface_beta,
 )
 from betabound.cli import _json_text, run
-from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian
+from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, leading_minors_all_positive
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
 from betabound.threshold import _drop_chis
-from betabound.torusmodel import _scaled_pairing, restriction_chi
+from betabound.torusmodel import restriction_chi
 from util import (
     IntMatrix,
     bipartite,
     exact_det,
+    form_e,
     hermitian_pairing,
     is_positive_definite,
     leading_minors,
@@ -55,6 +59,7 @@ from util import (
     scan_max_np_arithmetic,
     scan_np_from_beta,
     scan_recipe_strict,
+    scaled_pairing,
     skew_normal_form,
     subset_chis,
     subset_flag_bound,
@@ -272,14 +277,19 @@ def test_pfaffian_cache_input_check(case):
 @given(classes(max_g=12), st.integers(1, 2**12 - 1))
 @example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 0), 0b101)
 def test_class_form_is_alternating_integer_rows(cls, mask):
+    # the block is a tuple of int rows, and so is a restriction's; E written
+    # from them is alternating and restricts to its principal submatrix
     form = alt_form(cls)
-    assert isinstance(form.e, tuple) and all(isinstance(row, tuple) for row in form.e)
-    assert all(type(x) is int for row in form.e for x in row)
-    m = IntMatrix.from_rows(form.e)
-    assert m.is_alternating()
     keep = [i for i in range(form.g) if mask >> i & 1] or [form.g - 1]
+    sub = restrict(form, keep)
+    for f in (form, sub):
+        assert isinstance(f.block, tuple) and all(isinstance(row, tuple) for row in f.block)
+        assert all(type(x) is int for row in f.block for x in row)
+        assert len(f.block) == f.g and all(len(row) == f.g for row in f.block)
+    m = IntMatrix.from_rows(form_e(form))
+    assert m.is_alternating()
     coords = [c for i in keep for c in (2 * i, 2 * i + 1)]
-    assert restrict(form, keep).e == tuple(map(tuple, m.principal_submatrix(coords).to_rows()))
+    assert form_e(sub) == tuple(map(tuple, m.principal_submatrix(coords).to_rows()))
 
 
 @st.composite
@@ -328,7 +338,8 @@ def test_class_form_smith_diagonal_matches_generic(cls):
     # the block's diagonal doubled, the kernel on the whole form, and the
     # skew oracle on the whole form
     form = alt_form(cls)
-    assert form.snf_diagonal == smith_normal_form(form.e) == skew_normal_form(form.e)
+    e = form_e(form)
+    assert form.snf_diagonal == smith_normal_form(e) == skew_normal_form(e)
 
 
 @SETTINGS
@@ -336,11 +347,20 @@ def test_class_form_smith_diagonal_matches_generic(cls):
 @example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 0), 0b101)
 @example(DivisorClass(ConstructionSpace(1, ()), (2,), 1), 1)
 def test_class_form_is_its_block(cls, mask):
+    # E from its definition, sum_i a_i * E_{F_i} + c * f^* E_std with f the
+    # defining map of G (columns (x_i, 0) at 2i and (0, y_i) at 2i + 1), is
+    # the matrix written from the block, and the block is diag(a) + c * x * y^T
     form, g = alt_form(cls), cls.space.g
-    e, m = form.e, form.block
-    assert all(e[u][v] == 0 for u in range(2 * g) for v in range(u % 2, 2 * g, 2))
+    m = form.block
     x = [-k for k in cls.space.k] + [1]
     y = [-1] * (g - 1) + [1]
+    f = [col for i in range(g) for col in ((x[i], 0), (0, y[i]))]
+    e = [[cls.c * (fu[0] * fv[1] - fu[1] * fv[0]) for fv in f] for fu in f]
+    for i, a in enumerate(cls.a):
+        e[2 * i][2 * i + 1] += a
+        e[2 * i + 1][2 * i] -= a
+    assert form_e(form) == tuple(map(tuple, e))
+    assert all(e[u][v] == 0 for u in range(2 * g) for v in range(u % 2, 2 * g, 2))
     for i in range(g):
         for j in range(g):
             assert m[i][j] == cls.a[i] * (i == j) + cls.c * x[i] * y[j] == e[2 * i][2 * j + 1] == -e[2 * j + 1][2 * i]
@@ -373,8 +393,66 @@ def test_drop_chis_match_restriction_chi(cls, mask):
 @example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (0, 2, 0, 1), 0))
 @example(DivisorClass(ConstructionSpace(3, (5, 4)), (0, 0, 0), 2))
 def test_pairing_is_symmetric(cls):
-    s = _scaled_pairing(alt_form(cls).e, cls.space.k_full)
+    # and pairs even coordinates only with even ones, odd only with odd,
+    # each half being M * diag(k), the matrix ``is_ample`` runs on
+    form, k = alt_form(cls), cls.space.k_full
+    s = scaled_pairing(form_e(form), k)
     assert all(s[u][v] == s[v][u] for u in range(len(s)) for v in range(u))
+    for i, row in enumerate(form.block):
+        for j, m in enumerate(row):
+            assert s[2 * i][2 * j] == s[2 * i + 1][2 * j + 1] == m * k[j]
+            assert s[2 * i][2 * j + 1] == s[2 * i + 1][2 * j] == 0
+
+
+# the zero-pivot path: the block's second leading minor is 0 (rows 0 and 1
+# are proportional), so the elimination stops and det M = 0
+DEGENERATE_ZERO_PIVOT = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 5), 1)
+
+
+@SETTINGS
+@given(classes(max_g=12))
+@example(DEGENERATE_ZERO_PIVOT)
+@example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (0, 2, 0, 1), 0))
+def test_block_determinant_is_the_pfaffian(cls):
+    # det M of the block, Pf(E) of the 2g x 2g form and the intersection
+    # formula, degenerate classes included
+    form = alt_form(cls)
+    pf = PfaffianCache(form_e(form)).pfaffian_of(range(2 * form.g))
+    assert chi_pfaffian(form) == pf == chi_multilinear(cls)
+
+
+@SETTINGS
+@given(classes(max_g=12), st.integers(1, 2**12 - 1))
+@example(DEGENERATE_ZERO_PIVOT, 0b111)
+def test_is_ample_matches_scaled_pairing(cls, mask):
+    # the minor test on M * diag(k) decides as the one on the whole 2g x 2g
+    # rescaled pairing, for the form and a restriction of it
+    form = alt_form(cls)
+    keep = [i for i in range(form.g) if mask >> i & 1] or [form.g - 1]
+    for f in (form, restrict(form, keep)):
+        assert is_ample(f) == leading_minors_all_positive(scaled_pairing(form_e(f), f.factor_k))
+
+
+@SETTINGS
+@given(classes(max_g=12))
+@example(DEGENERATE_ZERO_PIVOT)
+def test_runtime_never_runs_the_skew_pfaffian(cls):
+    # the certificate and the form commands read chi off the block; the
+    # skew elimination of the 2g x 2g form is a test oracle only
+    calls, real = [], betabound.exactmath._pfaffian
+    argv = ["--g", str(cls.space.g), "--k", ",".join(map(str, cls.space.k)),
+            "--a", ",".join(map(str, cls.a)), "--c", str(cls.c)]
+    chi = chi_multilinear(cls)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(betabound.exactmath, "_pfaffian", lambda b: calls.append(len(b)) or real(b))
+        for command in ("chi", "ample", "type", "kgroup"):
+            try:
+                run([command] + argv)
+            except DegenerateFormError:
+                assert chi == 0 and command in ("type", "kgroup")
+        if chi:
+            certify_class(cls)
+    assert calls == []
 
 
 def permutation_flag_oracle(form):
@@ -497,6 +575,7 @@ def test_subset_chis_match_restriction_pfaffians(cls):
 @SETTINGS
 @given(classes(max_g=6))
 @example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 1, 2), 1))
+@example(DEGENERATE_ZERO_PIVOT)
 def test_restriction_chi_matches_restriction_pfaffians(cls):
     form = alt_form(cls)
     g = cls.space.g

@@ -20,10 +20,10 @@ from betabound import (
     flag_profile,
     standard_class,
 )
-from betabound.exactmath import _leading_minors
+from betabound.exactmath import PfaffianCache, _leading_minors
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import LatticeInvariantError, chi_multilinear
-from util import closed_form_bound, flag_upper_bound, subset_flag_bound
+from util import closed_form_bound, flag_upper_bound, form_e, subset_flag_bound
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
 
@@ -131,7 +131,7 @@ class TestFlagBounds:
         # second leading minor of the block in reversed order is 0 (minors
         # [1, 0], where the elimination stops); only a skipped chi > 0 guard
         # lets such a class reach the chain
-        monkeypatch.setattr(betabound.threshold, "chi_multilinear", lambda cls: 1)
+        monkeypatch.setattr(betabound.threshold, "chi_pfaffian", lambda form: 1)
         cls = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 0), 1)
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
             flag_profile(cls, (0, 1, 2))
@@ -222,8 +222,8 @@ class TestFlagLowerBound:
             flag_lower_bound(cls)
 
     def test_restriction_chis_match_submatrix_pfaffians(self):
-        # flag bounds read restriction chis off cached principal
-        # sub-Pfaffians; they must agree with restrict-then-Pfaffian
+        # a restriction's chi, det of the principal block, must agree with
+        # the sub-Pfaffian of the whole 2g x 2g form on the kept coordinates
         from betabound import chi_pfaffian, restrict
 
         rng = random.Random(1618)
@@ -237,7 +237,7 @@ class TestFlagLowerBound:
             form = alt_form(DivisorClass(ConstructionSpace(g, k), a, c))
             keep = sorted(rng.sample(range(g), rng.randint(1, g)))
             coords = [x for i in keep for x in (2 * i, 2 * i + 1)]
-            assert chi_pfaffian(restrict(form, keep)) == form.pfaffian_cache.pfaffian_of(coords)
+            assert chi_pfaffian(restrict(form, keep)) == PfaffianCache(form_e(form)).pfaffian_of(coords)
 
     def test_lower_never_exceeds_best_flag(self):
         rng = random.Random(31)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import betabound.torusmodel
 from betabound import (
     ConstructionSpace,
     DegenerateFormError,
@@ -20,7 +21,9 @@ from betabound import (
     smith_normal_form,
     standard_class,
 )
-from util import IntMatrix, hermitian_pairing, is_positive_definite, pfaffian, tail_sum
+from betabound.exactmath import _leading_minors
+from betabound.torusmodel import LatticeInvariantError
+from util import IntMatrix, form_e, hermitian_pairing, is_positive_definite, pfaffian, tail_sum
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
 
@@ -75,14 +78,15 @@ class TestAltForm:
         for i in range(3):
             expected[2 * i][2 * i + 1] = 1
             expected[2 * i + 1][2 * i] = -1
-        assert [list(row) for row in form.e] == expected
+        assert [list(row) for row in form_e(form)] == expected
+        assert form.block == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_surface_pfaffian_six(self):
         cls = standard_class(ConstructionSpace(2, (2,)), 2, 1)
-        assert pfaffian(IntMatrix.from_rows(alt_form(cls).e)) == 6
+        assert pfaffian(IntMatrix.from_rows(form_e(alt_form(cls)))) == 6
 
     def test_threefold_pfaffian_forty(self):
-        assert pfaffian(IntMatrix.from_rows(alt_form(THREEFOLD_40).e)) == 40
+        assert pfaffian(IntMatrix.from_rows(form_e(alt_form(THREEFOLD_40)))) == 40
 
     def test_pairing_symmetric_and_matches_blocks(self):
         form = alt_form(principal_class(2, (3,)))
@@ -122,6 +126,13 @@ class TestChiOracles:
             assert chi_multilinear(cls) == expected
             assert chi_pfaffian(alt_form(cls)) == expected
 
+    def test_negative_block_pivot_raises(self, monkeypatch):
+        # the block times diag(k) is positive semidefinite, so a negative
+        # pivot is a bug, not a value of chi
+        monkeypatch.setattr(betabound.torusmodel, "_leading_minors", lambda b: _leading_minors(b)[:-1] + [-1])
+        with pytest.raises(LatticeInvariantError):
+            chi_pfaffian(alt_form(THREEFOLD_40))
+
     def test_dual_oracle_random_family(self):
         rng = random.Random(20240)
         checked = 0
@@ -143,7 +154,7 @@ class TestTypeAndKGroup:
 
     def test_threefold_type_40(self):
         form = alt_form(THREEFOLD_40)
-        assert smith_normal_form(form.e) == (1, 1, 1, 1, 40, 40)
+        assert smith_normal_form(form_e(form)) == (1, 1, 1, 1, 40, 40)
         assert polarization_type(form).d == (1, 1, 40)
 
     def test_surface_type_examples(self):
@@ -226,7 +237,7 @@ class TestRestrict:
     def test_keep_all_is_identity(self):
         form = alt_form(THREEFOLD_40)
         again = restrict(form, (0, 1, 2))
-        assert again.e == form.e
+        assert again.block == form.block
         assert again.factor_k == form.factor_k
 
     def test_empty_keep_raises(self):
@@ -257,6 +268,6 @@ class TestSnfPairing:
             if not any(a) and c == 0:
                 continue
             form = alt_form(DivisorClass(ConstructionSpace(g, k), a, c))
-            diag = smith_normal_form(form.e)
+            diag = smith_normal_form(form_e(form))
             for i in range(0, len(diag), 2):
                 assert diag[i] == diag[i + 1]

@@ -12,6 +12,11 @@ the library reduces the g x g block, and the library's diagonal is also
 checked through the gcds of minors built on exact_det.  The leading
 minors by exact_det are the reference for the library's Bareiss
 elimination.
+The 2g x 2g alternating form E, which the library never writes, is
+written here from a form's block, with its integer pairing E(x, Jy)
+rescaled by the multipliers; the Pfaffian of E is the reference for the
+library's chi (the determinant of the block) and the minor test on the
+rescaled pairing the reference for its ampleness test (on M * diag(k)).
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
 enumeration with chi by Pfaffian the reference for the search.  The
@@ -278,6 +283,36 @@ def random_alternating(rng: random.Random, dim: int, max_entry: int = 100) -> In
     return IntMatrix.from_rows(rows)
 
 
+def form_e(form: AltForm) -> tuple[tuple[int, ...], ...]:
+    """The 2g x 2g alternating matrix E of a form, as integer rows, written
+    from its block M: E[2i][2j+1] = M[i][j] = -E[2j+1][2i], every other
+    entry 0."""
+    n = 2 * form.g
+    e = [[0] * n for _ in range(n)]
+    for i, row in enumerate(form.block):
+        for j, x in enumerate(row):
+            e[2 * i][2 * j + 1], e[2 * j + 1][2 * i] = x, -x
+    return tuple(map(tuple, e))
+
+
+def scaled_pairing(e: Sequence[Sequence[int]], factor_k: Sequence[int]) -> list[list[int]]:
+    """Integer matrix congruent to the pairing E(x, Jy).
+
+    Rescaling the odd basis vector of factor i by k_i clears the
+    denominators; a diagonal congruence preserves symmetry and
+    definiteness.
+    """
+    rows = []
+    for u, row_e in enumerate(e):
+        du = 1 if u % 2 == 0 else factor_k[u // 2]
+        row = []
+        for i, k in enumerate(factor_k):
+            row.append(du * k * row_e[2 * i + 1])
+            row.append(-du * row_e[2 * i])
+        rows.append(row)
+    return rows
+
+
 def hermitian_pairing(form: AltForm) -> tuple[tuple[Fraction, ...], ...]:
     """The pairing S(x, y) = E(x, Jy), as the matrix product E * J.
 
@@ -285,7 +320,7 @@ def hermitian_pairing(form: AltForm) -> tuple[tuple[Fraction, ...], ...]:
     k_i * (column 2i+1 of E) and column 2i+1 is -(column 2i of E) / k_i.
     """
     rows = []
-    for row_e in form.e:
+    for row_e in form_e(form):
         row = []
         for i, k in enumerate(form.factor_k):
             row.append(Fraction(k * row_e[2 * i + 1]))
