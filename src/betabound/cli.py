@@ -37,6 +37,7 @@ from .surfacetable import generate_table
 from .syzygy import necessary_lower_bounds, np_report
 from .threshold import InconsistentBoundsError
 from .torusmodel import (
+    AltForm,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
@@ -69,14 +70,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise CLIError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _class_from_args(args) -> DivisorClass:
+def _class_from_args(args) -> AltForm:
+    """The form of the class the flags describe, once its entries are in range."""
     if args.g is None or args.a is None:
         raise CLIError("describing a class requires --g and --a (and --k for g >= 2)")
     space = ConstructionSpace(args.g, _parse_int_list(args.k))
     cls = DivisorClass(space, _parse_int_list(args.a), args.c)
     if max(space.k + cls.a + (cls.c,)) > MAX_DEGREE:
         raise CLIError("entries of --k, --a and --c must be <= 10^100")
-    return cls
+    return alt_form(cls)
 
 
 def _class_inputs(cls: DivisorClass) -> dict:
@@ -100,32 +102,30 @@ def _envelope(command: str, argv: Sequence[str], inputs: dict, results: dict, fm
 
 
 def _cmd_chi(args, argv) -> dict:
-    cls = _class_from_args(args)
-    chi = checked_chi(cls, alt_form(cls))
+    form = _class_from_args(args)
+    chi = checked_chi(form)
     results = {
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
         "chi_multilinear": {"value": chi, "by": "intersection-multilinear"},
         "chi_pfaffian": {"value": chi, "by": "pfaffian"},
     }
-    return _envelope("chi", argv, _class_inputs(cls), results, args.format)
+    return _envelope("chi", argv, _class_inputs(form.cls), results, args.format)
 
 
 def _cmd_type(args, argv) -> dict:
-    cls = _class_from_args(args)
-    form = alt_form(cls)
-    chi = checked_chi(cls, form)
+    form = _class_from_args(args)
+    chi = checked_chi(form)
     ptype = polarization_type(form)
     results = {
         "type": {"value": list(ptype.d), "by": "smith-normal-form"},
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
     }
-    return _envelope("type", argv, _class_inputs(cls), results, args.format)
+    return _envelope("type", argv, _class_inputs(form.cls), results, args.format)
 
 
 def _cmd_kgroup(args, argv) -> dict:
-    cls = _class_from_args(args)
-    form = alt_form(cls)
-    checked_chi(cls, form)
+    form = _class_from_args(args)
+    checked_chi(form)
     shape = k_group(form, full=args.full)
     results = {
         "k_group": {
@@ -134,22 +134,23 @@ def _cmd_kgroup(args, argv) -> dict:
             "by": "smith-normal-form",
         }
     }
-    return _envelope("kgroup", argv, _class_inputs(cls), results, args.format)
+    return _envelope("kgroup", argv, _class_inputs(form.cls), results, args.format)
 
 
 def _cmd_ample(args, argv) -> dict:
-    cls = _class_from_args(args)
-    form = alt_form(cls)
-    chi, ample = checked_chi(cls, form), is_ample(form)
+    form = _class_from_args(args)
+    chi, ample = checked_chi(form), is_ample(form)
     if ample != (chi > 0):
         # the classes accepted here are ample exactly when chi > 0 (torusmodel.is_ample)
-        raise OracleDisagreement(f"minor test says ample={ample} on {cls}, but chi = {chi}")
+        raise OracleDisagreement(f"minor test says ample={ample} on {form.cls}, but chi = {chi}")
     results = {"ample": {"value": ample, "by": "minor-test"}}
-    return _envelope("ample", argv, _class_inputs(cls), results, args.format)
+    return _envelope("ample", argv, _class_inputs(form.cls), results, args.format)
 
 
 def _cmd_beta(args, argv) -> dict:
     if args.general is not None:
+        if args.g is not None or args.k or args.a is not None or args.c:
+            raise CLIError("--general takes no --g, --k, --a or --c")
         g, d = args.general
         if g < 1 or d < 1:
             raise CLIError("--general needs g >= 1 and d >= 1")
@@ -158,7 +159,7 @@ def _cmd_beta(args, argv) -> dict:
         results["np"] = np_report(g, d, report.interval).to_json()
         return _envelope("beta", argv, {"general": {"g": g, "d": d}}, results, args.format)
 
-    cls = _class_from_args(args)
+    cls = _class_from_args(args).cls
     cert = certify_class(cls, lowers=(necessary_lower_bounds,)).to_json()
     results = {key: cert[key] for key in ("chi", "type", "flag_bound", "interval", "np")}
     return _envelope("beta", argv, _class_inputs(cls), results, args.format)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import prod
+from operator import index
 from typing import Callable, Iterable
 
 from .exactmath import integer_root
@@ -132,11 +133,11 @@ class ConstructionParams:
     def __post_init__(self):
         if self.g < 2:
             raise ValueError("constructions need g >= 2")
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        object.__setattr__(self, "k", tuple(map(index, self.k)))
         if len(self.k) != self.g - 1:
             raise ValueError("need exactly g-1 multipliers")
         if self.middle is not None:
-            object.__setattr__(self, "middle", tuple(int(x) for x in self.middle))
+            object.__setattr__(self, "middle", tuple(map(index, self.middle)))
             if len(self.middle) != self.g - 2:
                 raise ValueError("need exactly g-2 interior coefficients")
 
@@ -238,13 +239,18 @@ def recipe_strict(g: int, d: int) -> ConstructionParams:
     return _recipe(g, d, p + 2, p + 2, CASE_RECIPE_STRICT)
 
 
-def checked_chi(cls: DivisorClass, form: AltForm) -> int:
-    """chi of the class, computed by both oracles, which must agree."""
-    chi_formula = chi_multilinear(cls)
+def checked_chi(form: AltForm) -> int:
+    """chi of the form's class, computed by both oracles, which must agree:
+    the intersection formula of ``form.cls`` and the determinant of the
+    form's block.
+
+    Package-internal, and called only on ``alt_form`` forms, which keep
+    every factor of their class, so both oracles read the whole class."""
+    chi_formula = chi_multilinear(form.cls)
     chi_pf = chi_pfaffian(form)
     if chi_formula != chi_pf:
         raise OracleDisagreement(
-            f"chi oracles disagree on {cls}: formula {chi_formula}, pfaffian {chi_pf}"
+            f"chi oracles disagree on {form.cls}: formula {chi_formula}, pfaffian {chi_pf}"
         )
     return chi_pf
 
@@ -265,14 +271,14 @@ def certify_class(
     (``torusmodel.is_ample``), so no ampleness test runs here.
     """
     form = alt_form(cls)
-    chi = checked_chi(cls, form)
+    chi = checked_chi(form)
     if chi == 0:
         raise DegenerateFormError(f"class {cls} is degenerate")
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
-    bound, order, chis = best_flag_bound(cls, form=form)
-    curve_lower = flag_lower_bound(cls, form=form)
+    bound, order, chis = best_flag_bound(form)
+    curve_lower = flag_lower_bound(form)
     interval = combine_interval(
         g,
         chi,

@@ -11,6 +11,9 @@ factor never falls as more factors are kept, so the min-max order is a
 single-machine scheduling problem that an exchange argument solves in
 O(g^2) ratios, not g! orders.  Its witness chain is then read off the
 Bareiss minors of the g x g block of the form, and the two must agree.
+The flag functions take the form alone, a view of its class
+(``torusmodel.AltForm``), and read the class's formula through it, so
+the two sides of every cross-check describe the same form.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -35,10 +38,8 @@ from typing import Iterable, Sequence
 from .exactmath import _leading_minors, integer_root
 from .torusmodel import (
     AltForm,
-    DivisorClass,
     LatticeInvariantError,
     OracleDisagreement,
-    alt_form,
     chi_pfaffian,
     curve_degrees,
     restriction_chi,
@@ -218,14 +219,12 @@ def beta_lower_chi(chi: int, g: int) -> Bound:
     return Bound.inverse_root(chi, g)
 
 
-def _ample_form(cls: DivisorClass, form: AltForm | None) -> AltForm:
-    """The form of the class, once its chi (memoized on the form) is positive:
-    for these classes that is ampleness, and every restriction then has
-    chi > 0 too (``torusmodel.is_ample``), so no minor test runs here."""
-    form = form if form is not None else alt_form(cls)
+def _check_ample(form: AltForm) -> None:
+    """Refuse a form whose chi (memoized on it) is not positive: for these
+    forms that is ampleness, and every restriction then has chi > 0 too
+    (``torusmodel.is_ample``), so no minor test runs here."""
     if chi_pfaffian(form) <= 0:
         raise ValueError("flag bounds require an ample class")
-    return form
 
 
 def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
@@ -235,23 +234,24 @@ def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
     return order
 
 
-def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> tuple[int, ...]:
+def flag_profile(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
     """The chain of restriction Euler characteristics along one flag.
 
-    Factors are dropped in the given order, so entry t is chi of the
-    restriction to the factors left after t drops.  The chi of a
-    restriction to factors S is the Pfaffian of its form in interleaved
-    order, which is det M[S, S] for M the form's block (``AltForm.block``):
-    reordering to even coordinates first gives [[0, B], [-B^T, 0]], whose
-    Pfaffian is (-1)^(t(t-1)/2) det B, and the reordering has that sign
-    too.  So one fraction-free Bareiss elimination (``_leading_minors``)
-    runs on the block with its factors in reverse drop order: its leading
-    t x t minor is the chi of the restriction to the t factors dropped
-    last, and the minors read backwards are the chain.  On an ample class
-    every restriction has positive chi; a zero, negative or missing minor
-    raises LatticeInvariantError.
+    Factors are indexed by position in the form (0..g-1) and dropped in
+    the given order, so entry t is chi of the restriction to the factors
+    left after t drops.  The chi of a restriction to factors S is the
+    Pfaffian of its form in interleaved order, which is det M[S, S] for M
+    the form's block (``AltForm.block``): reordering to even coordinates
+    first gives [[0, B], [-B^T, 0]], whose Pfaffian is
+    (-1)^(t(t-1)/2) det B, and the reordering has that sign too.  So one
+    fraction-free Bareiss elimination (``_leading_minors``) runs on the
+    block with its factors in reverse drop order: its leading t x t minor
+    is the chi of the restriction to the t factors dropped last, and the
+    minors read backwards are the chain.  On an ample form every
+    restriction has positive chi; a zero, negative or missing minor raises
+    LatticeInvariantError.
     """
-    form = _ample_form(cls, form)
+    _check_ample(form)
     order = _check_order(order, form.g)
     m, rev = form.block, order[::-1]
     minors = _leading_minors([[m[u][v] for v in rev] for u in rev])
@@ -260,8 +260,9 @@ def flag_profile(cls: DivisorClass, order: Sequence[int], form: AltForm | None =
     return tuple(reversed(minors))
 
 
-def _drop_chis(cls: DivisorClass, keep: Sequence[int]) -> list[int]:
-    """chi(S - i) for each i of the kept factors S, in order, in O(|S|).
+def _drop_chis(a: Sequence[int], k: Sequence[int], c: int, keep: Sequence[int]) -> list[int]:
+    """chi(S - i) for each i of the kept factors S, in order, in O(|S|), for
+    factor i with coefficient a[i] and multiplier k[i] and the class's c.
 
     chi(T) = P(T) + c * Q(T) (``restriction_chi``), and the pair (P, Q) of
     a union of disjoint sets composes as (P1 * P2, P1 * Q2 + Q1 * P2),
@@ -269,7 +270,6 @@ def _drop_chis(cls: DivisorClass, keep: Sequence[int]) -> list[int]:
     nothing.  So the products of the factors before i (a forward pass) and
     after i (a backward one) give each S - i as one composition.
     """
-    a, k, c = cls.a, cls.space.k_full, cls.c
     before, p, q = [], 1, 0
     for i in keep:
         before.append((p, q))
@@ -282,10 +282,13 @@ def _drop_chis(cls: DivisorClass, keep: Sequence[int]) -> list[int]:
     return chis
 
 
-def best_flag_bound(
-    cls: DivisorClass, form: AltForm | None = None
-) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
+def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
     """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
+
+    Factors are indexed by position in the form (0..g-1).  The formula
+    side reads the a_i and k_i of the factor at each position, and the
+    class's c, through ``form.keep``, so a restriction's flag search runs
+    the same code as a class's.
 
     Dropping factor i from the kept factors S costs f_i(S) = chi(S - i)/chi(S),
     with chi(S) the formula chi of that restriction (``restriction_chi``)
@@ -324,56 +327,57 @@ def best_flag_bound(
     the chain must equal the formula chain and its bound the greedy's, else
     OracleDisagreement.
     """
-    form = _ample_form(cls, form)
-    g = form.g
+    _check_ample(form)
+    a, k, c = tuple(map(form.cls.a.__getitem__, form.keep)), form.factor_k, form.cls.c
 
     # Costs are num/den pairs compared by cross-multiplication (denominators
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
     # at one set share its chi as denominator, so the least leaves the least chi.
-    chi_full = restriction_chi(cls, range(g))
-    keep, chi_s, num, den = list(range(g)), chi_full, 0, 1
+    chi_full = restriction_chi(form.cls, form.keep)
+    keep, chi_s, num, den = list(range(form.g)), chi_full, 0, 1
     while keep:
         if chi_s <= 0:
             raise LatticeInvariantError("ample restriction with nonpositive chi")
-        chi_t, i = min(zip(_drop_chis(cls, keep), keep))
+        chi_t, i = min(zip(_drop_chis(a, k, c, keep), keep))
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s
         keep.remove(i)
         chi_s = chi_t
-    order, keep, formula_chain = [], list(range(g)), [chi_full]
+    order, keep, formula_chain = [], list(range(form.g)), [chi_full]
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
-        for i, chi_t in zip(keep, _drop_chis(cls, keep)):
+        for i, chi_t in zip(keep, _drop_chis(a, k, c, keep)):
             if chi_t * den <= num * formula_chain[-1]:
                 break
         order.append(i)
         keep.remove(i)
         formula_chain.append(chi_t)
     formula_chain.pop()  # chi = 1 on nothing kept
-    chis = flag_profile(cls, order, form)
+    chis = flag_profile(form, order)
     pf_num, pf_den = 1, chis[-1]
     for prev, nxt in zip(chis, chis[1:]):
         if nxt * pf_den > pf_num * prev:
             pf_num, pf_den = nxt, prev
     if chis != tuple(formula_chain) or pf_num * den != num * pf_den:
         raise OracleDisagreement(
-            f"flag chain oracles disagree on {cls} along order {order}: "
+            f"flag chain oracles disagree on {form} along order {order}: "
             f"formula {formula_chain} (bound {Fraction(num, den)}), "
             f"pfaffian {list(chis)} (bound {Fraction(pf_num, pf_den)})"
         )
     return Fraction(num, den), tuple(order), chis
 
 
-def flag_lower_bound(cls: DivisorClass, form: AltForm | None = None) -> Fraction:
-    """Largest inverse degree over the coordinate elliptic curves, that is
-    one over the least degree (every degree of an ample class is positive).
+def flag_lower_bound(form: AltForm) -> Fraction:
+    """Largest inverse degree over the coordinate elliptic curves of the
+    form's factors, that is one over the least degree, the least diagonal
+    entry of its block (every degree of an ample form is positive).
 
     Restriction can only decrease beta, and beta of a degree-e bundle on
     an elliptic curve is exactly 1/e, so this is a lower bound for the
     specific construction (not for the general member).
     """
-    form = _ample_form(cls, form)
+    _check_ample(form)
     return Fraction(1, min(curve_degrees(form)))
 
 

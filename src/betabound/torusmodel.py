@@ -18,8 +18,11 @@ where E_{F_i} is the standard symplectic block on factor i with sign
 convention E(e_{2i}, e_{2i+1}) = +1, E_std is that block on the last
 factor, and S is the 2 x 2g lattice matrix of the defining map of G.
 E pairs even coordinates only with odd ones, so it is fixed by a g x g
-block M (``alt_form``), and chi, the type and ampleness are read off M;
-only the tests write E, as the oracle those readings are checked against.
+block M (``AltForm.block``), and chi, the type and ampleness are read off
+M; only the tests write E, as the oracle those readings are checked
+against.  A form (``AltForm``) is a view of its class: the class and the
+indices of the factors it keeps, all of them (``alt_form``) or some
+(``restrict``), so a form and its class cannot be paired wrongly.
 
 The choice tau = i makes the complex structure J rational (blocks
 [[0, -1/k_i], [k_i, 0]]), so every invariant below (Euler characteristic,
@@ -32,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
+from operator import index
 from typing import Sequence
 
 from .exactmath import _leading_minors, leading_minors_all_positive, smith_normal_form
@@ -75,7 +79,7 @@ class ConstructionSpace:
             raise ValueError("dimension g must be >= 1")
         if self.g > MAX_DIMENSION:
             raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
-        object.__setattr__(self, "k", tuple(int(x) for x in self.k))
+        object.__setattr__(self, "k", tuple(map(index, self.k)))
         if len(self.k) != self.g - 1:
             raise ValueError("need exactly g-1 isogeny multipliers")
         if any(x < 1 for x in self.k):
@@ -96,8 +100,8 @@ class DivisorClass:
     c: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "c", int(self.c))
+        object.__setattr__(self, "a", tuple(map(index, self.a)))
+        object.__setattr__(self, "c", index(self.c))
         if len(self.a) != self.space.g:
             raise ValueError("need one coefficient per factor")
         if any(x < 0 for x in self.a) or self.c < 0:
@@ -151,27 +155,81 @@ class FiniteGroupShape:
 
 @dataclass(frozen=True)
 class AltForm:
-    """Alternating lattice form of a class, held as its g x g block.
+    """Alternating lattice form of a class on some of its factors, as a view
+    of the class.
 
-    ``block`` is M, with M[i][j] = E[2i][2j+1] for E the 2g x 2g form (see
-    ``alt_form``), as a tuple of integer rows, built by ``alt_form`` (or
-    cut from one by ``restrict``), so it is the block of a class by
-    construction.  ``factor_k`` records the basis denominator of each
-    (kept) factor, which fixes the complex structure J, so restrictions
-    remain self-contained.  The determinant and the Smith diagonal are
-    each computed once per form and cached on it.
+    ``cls`` is the class and ``keep`` the indices of the kept factors, in
+    any order, repeats included (ValueError if it is empty or an index is
+    not one of the class's): ``alt_form`` keeps every factor and
+    ``restrict`` a subset of a form's.  The rest is derived from the two:
+    the g x g block M[keep, keep] of the class's block M (``block``), the
+    basis denominator k_i of each kept factor, which fixes the complex
+    structure J (``factor_k``), and g = len(keep).  So every form is the
+    block of a class, by construction.  The block, the determinant and the
+    Smith diagonal are each computed once per form and cached on it.
     """
 
-    block: tuple[tuple[int, ...], ...]
-    factor_k: tuple[int, ...]
+    cls: DivisorClass
+    keep: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.keep or min(self.keep) < 0 or max(self.keep) >= self.cls.space.g:
+            raise ValueError("keep must list one or more factor indices of the class")
 
     @property
     def g(self) -> int:
-        return len(self.factor_k)
+        return len(self.keep)
+
+    @property
+    def factor_k(self) -> tuple[int, ...]:
+        return tuple(map(self.cls.space.k_full.__getitem__, self.keep))
+
+    @cached_property
+    def block(self) -> tuple[tuple[int, ...], ...]:
+        """M[keep, keep] as a tuple of integer rows, M the block of the class:
+        row s, column t is M[keep[s]][keep[t]].
+
+        E pairs even coordinates only with odd ones: each F_i pairs
+        coordinate 2i with 2i + 1, and G = f^* of the point class of the
+        last curve, for f the defining map with columns (x_i, 0) at 2i and
+        (0, y_i) at 2i + 1, pairs u and v by
+        c * (f_u[0] * f_v[1] - f_u[1] * f_v[0]), which vanishes unless one
+        is even and the other odd.  With x = (-k_0, ..., -k_{g-2}, 1) and
+        y = (-1, ..., -1, 1), E is then fixed by its g x g block
+
+            M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
+
+        and every other entry of E is 0; only M[keep, keep] is built, as
+        the outer product on the kept factors plus the diagonal.  The
+        pairing E(x, Jy) is symmetric with no check needed: every summand
+        of E is f^* E_std for a C-linear map f onto one curve (the
+        projection for F_i; for G the defining homomorphism, z |-> -k_i z
+        on factor i < g-1 and the identity on the last), so E(x, Jy) =
+        sum E_std(fx, J fy), and E_std(u, Jv) is symmetric on the curve.
+        Both E and J restrict to the principal submatrix on the kept
+        factors' lattice coordinates, so a restriction's block is M[S, S].
+        The property tests check all of this against E written out from M.
+        """
+        cls, keep = self.cls, self.keep
+        x = [-k for k in cls.space.k] + [1]
+        cy = [-cls.c] * len(cls.space.k) + [cls.c]  # c * y
+        rows = [[x[i] * cy[j] for j in keep] for i in keep]
+        # a_i goes into the row of factor i's first position, at each of its
+        # columns, and a factor kept twice repeats that row
+        for s, i in enumerate(keep):
+            rows[keep.index(i)][s] += cls.a[i]
+        return tuple([tuple(rows[keep.index(i)]) for i in keep])
 
     @cached_property
     def det(self) -> int:
-        """det M by one Bareiss elimination (``chi_pfaffian``)."""
+        """det M[keep, keep] by one Bareiss elimination (``chi_pfaffian``).
+
+        The zero-pivot rule of ``chi_pfaffian`` holds for every form that
+        can be built: its block is M[keep, keep] for the block M of a
+        class, repeats and any order included, and
+        M[keep, keep] * diag(k_keep) = (M * diag(k))[keep, keep] =
+        P^T (M * diag(k)) P, for P the 0/1 matrix that picks the columns
+        keep, is positive semidefinite because M * diag(k) is."""
         minors = _leading_minors([list(row) for row in self.block])
         if minors[-1] < 0:
             raise LatticeInvariantError("negative leading minor of a semidefinite block")
@@ -190,32 +248,9 @@ class AltForm:
 
 
 def alt_form(cls: DivisorClass) -> AltForm:
-    """Alternating matrix of a class on the period lattice, as its block.
-
-    The form is bipartite: each F_i pairs coordinate 2i with 2i + 1, and
-    G = f^* of the point class of the last curve, for f the defining map
-    with columns (x_i, 0) at 2i and (0, y_i) at 2i + 1, pairs u and v by
-    c * (f_u[0] * f_v[1] - f_u[1] * f_v[0]), which vanishes unless one is
-    even and the other odd.  With x = (-k_0, ..., -k_{g-2}, 1) and
-    y = (-1, ..., -1, 1), the form is then fixed by its g x g block
-
-        M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
-
-    and every other entry of E is 0; only M is built.  The pairing
-    E(x, Jy) is symmetric with no check needed: every summand of E is
-    f^* E_std for a C-linear map f onto one curve (the projection for F_i;
-    for G the defining homomorphism, z |-> -k_i z on factor i < g-1 and
-    the identity on the last), so E(x, Jy) = sum E_std(fx, J fy), and
-    E_std(u, Jv) is symmetric on the curve.  The property tests check both
-    against E written out from M.
-    """
-    space, c = cls.space, cls.c
-    x = [-k for k in space.k] + [1]
-    cy = [-c] * len(space.k) + [c]  # c * y
-    block = [[xi * v for v in cy] for xi in x]
-    for i, a in enumerate(cls.a):
-        block[i][i] += a
-    return AltForm(block=tuple(map(tuple, block)), factor_k=space.k_full)
+    """Alternating matrix of a class on the period lattice: the view that
+    keeps every factor, in order, so its block is M (``AltForm.block``)."""
+    return AltForm(cls, tuple(range(cls.space.g)))
 
 
 def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
@@ -274,8 +309,8 @@ def chi_pfaffian(form: AltForm) -> int:
     product of the k_i.  A positive semidefinite matrix with a singular
     leading block is singular (v^T A v = 0 forces A v = 0), so a zero
     pivot means det M = 0, and a negative one cannot occur; it raises
-    LatticeInvariantError.  This holds for the form of every class and
-    every restriction of one.
+    LatticeInvariantError.  This holds for every form that can be built,
+    since its block is M[keep, keep] for a class's M (``AltForm.det``).
     """
     return form.det
 
@@ -318,9 +353,10 @@ def is_ample(form: AltForm) -> bool:
     denominators of E(x, Jy), and that diagonal congruence preserves
     symmetry and definiteness.  The rescaled pairing pairs even
     coordinates only with even ones and odd only with odd, and both g x g
-    halves are M * diag(k) = diag(a_i * k_i) + c * x * x^T (``alt_form``,
-    with y * k = x entrywise), so the pairing is definite iff M * diag(k)
-    is, and the minor test runs on that one g x g matrix.
+    halves are M * diag(k) = diag(a_i * k_i) + c * x * x^T
+    (``AltForm.block``, with y * k = x entrywise), so the pairing is
+    definite iff M * diag(k) is, and the minor test runs on that one
+    g x g matrix.
 
     On every class accepted here this is chi > 0, which the ``ample``
     command checks it against.  Proof: F_i and G are pullbacks of a point
@@ -342,19 +378,16 @@ def is_ample(form: AltForm) -> bool:
 def restrict(form: AltForm, keep: Sequence[int]) -> AltForm:
     """Restriction to the subtorus spanned by the kept factors.
 
-    Both E and J restrict to the principal submatrix on the kept
-    factors' lattice coordinates, so the block restricts to its principal
-    block M[S, S].  A restriction of a valid form is automatically valid,
-    so no revalidation is needed.
+    ``keep`` holds positions in the form (0..g-1), checked here (an empty
+    set is refused by ``AltForm``); the restriction is the view of the
+    same class on the factors at those positions, in increasing position
+    order, so its block is the principal block M[S, S]
+    (``AltForm.block``) and needs no check of its own.
     """
     kept = sorted(set(keep))
-    if not kept:
-        raise ValueError("cannot restrict to an empty set of factors")
-    if kept[0] < 0 or kept[-1] >= form.g:
+    if kept and (kept[0] < 0 or kept[-1] >= form.g):
         raise ValueError("factor index out of range")
-    m = form.block
-    sub = tuple(tuple(m[i][j] for j in kept) for i in kept)
-    return AltForm(block=sub, factor_k=tuple(form.factor_k[i] for i in kept))
+    return AltForm(form.cls, tuple(form.keep[i] for i in kept))  # AltForm refuses an empty keep
 
 
 def curve_degrees(form: AltForm) -> tuple[int, ...]:

@@ -107,6 +107,16 @@ class TestBetaCommand:
             assert time.perf_counter() - start < 1.0
             assert capsys.readouterr().err.startswith("no certificate: ")
 
+    def test_general_refuses_class_flags(self, capsys):
+        # --general bounds a (g, d) target, so class flags would be dropped
+        # silently; a zero --c is the flag's default and is taken
+        for flags in (["--g", "3", "--a", "1,1,1"], ["--g", "3"], ["--k", "9,3"], ["--a", "1,1,3"], ["--c", "1"]):
+            assert main(["beta", "--general", "3", "40"] + flags) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --general takes no --g, --k, --a or --c\n"
+        assert main(["beta", "--general", "3", "40", "--c", "0"]) == EXIT_OK
+
     def test_general_above_g_eight(self):
         for g, d in ((9, 600), (12, 4396)):
             witness = run(["beta", "--general", str(g), str(d)])["results"]["witness"]

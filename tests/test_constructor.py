@@ -155,6 +155,15 @@ class TestCertify:
             ConstructionParams(g=3, k=(2,), a=1, b=1)
         with pytest.raises(ValueError):
             ConstructionParams(g=3, k=(2, 2), a=1, b=1, middle=(1, 1))
+        with pytest.raises(TypeError):
+            ConstructionParams(g=3, k=(9.7, 3), a=1, b=3)
+        with pytest.raises(TypeError):
+            ConstructionParams(g=3, k=(9, 3), a=1, b=3, middle=(Fraction(1),))
+
+    def test_non_integer_entries_are_refused_not_truncated(self):
+        # int() would certify a = (1, 1, 3), c = 1, k = (9, 3), with chi 40
+        with pytest.raises(TypeError):
+            certify_class(DivisorClass(ConstructionSpace(3, (9.7, 3)), (1.9, 1, 3.5), 1.2))
 
 
 class TestRecipeGuarantees:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import betabound.exactmath
 from betabound import (
+    AltForm,
     BetaInterval,
     Bound,
     ConstructionParams,
@@ -28,6 +29,7 @@ from betabound import (
     certify_class,
     chi_multilinear,
     chi_pfaffian,
+    flag_lower_bound,
     flag_profile,
     integer_root,
     is_ample,
@@ -385,7 +387,7 @@ def test_principal_block_minors_are_restriction_chis(cls):
 def test_drop_chis_match_restriction_chi(cls, mask):
     keep = [i for i in range(cls.space.g) if mask >> i & 1] or [0]
     expected = [restriction_chi(cls, [j for j in keep if j != i]) for i in keep]
-    assert _drop_chis(cls, keep) == expected
+    assert _drop_chis(cls.a, cls.space.k_full, cls.c, keep) == expected
 
 
 @SETTINGS
@@ -419,6 +421,59 @@ def test_block_determinant_is_the_pfaffian(cls):
     form = alt_form(cls)
     pf = PfaffianCache(form_e(form)).pfaffian_of(range(2 * form.g))
     assert chi_pfaffian(form) == pf == chi_multilinear(cls)
+
+
+@st.composite
+def views(draw):
+    """A class and a nonempty tuple of its factor indices, in any order,
+    with repeats or without."""
+    cls = draw(classes(max_g=12))
+    g = cls.space.g
+    return cls, tuple(draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=g + 2, unique=draw(st.booleans()))))
+
+
+THREEFOLD_40 = DivisorClass(ConstructionSpace(3, (9, 3)), (1, 1, 3), 1)
+
+
+@SETTINGS
+@given(views())
+@example((DEGENERATE_ZERO_PIVOT, (0, 1, 2)))
+@example((THREEFOLD_40, (2, 0, 2)))
+@example((THREEFOLD_40, (2, 1)))
+def test_view_determinant_is_the_block_determinant(view):
+    # the zero-pivot rule of chi_pfaffian holds for every form that can be
+    # built: its block is M[keep, keep] for the class's M, repeats and any
+    # order included
+    cls, keep = view
+    form, m = AltForm(cls, keep), alt_form(cls).block
+    assert form.block == tuple(tuple(m[i][j] for j in keep) for i in keep)
+    assert chi_pfaffian(form) == exact_det(IntMatrix.from_rows(form.block))
+    if len(set(keep)) == len(keep):
+        assert chi_pfaffian(form) == restriction_chi(cls, keep)
+
+
+@SETTINGS
+@given(classes(max_g=12), st.integers(0, 2**11 - 1), st.integers(1, 2**12 - 1))
+@example(THREEFOLD_40, 0b01, 0b10)
+# not ample, with an ample restriction on {1, 2}
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 1), 1), 0b10, 0b11)
+def test_restriction_is_the_class_on_its_factors(cls, mask, sub_mask):
+    # the flag search on a restriction holding the last factor is the one on
+    # the class those factors carry, and restrictions compose
+    g = cls.space.g
+    keep = tuple(i for i in range(g - 1) if mask >> i & 1) + (g - 1,)
+    a = tuple(cls.a[i] for i in keep)
+    assume(any(a) or cls.c)
+    sub = DivisorClass(ConstructionSpace(len(keep), tuple(cls.space.k[i] for i in keep[:-1])), a, cls.c)
+    view = restrict(alt_form(cls), keep)
+    if chi_multilinear(sub) > 0:
+        assert best_flag_bound(view) == best_flag_bound(alt_form(sub))
+        assert flag_lower_bound(view) == flag_lower_bound(alt_form(sub))
+    else:
+        with pytest.raises(ValueError):
+            best_flag_bound(view)
+    kept = [t for t in range(len(keep)) if sub_mask >> t & 1] or [0]
+    assert restrict(view, kept).keep == tuple(keep[t] for t in kept)
 
 
 @SETTINGS
@@ -482,8 +537,8 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
     form = alt_form(cls)
     assume(is_ample(form))
     bound, order, chis = permutation_flag_oracle(form)
-    assert best_flag_bound(cls) == (bound, order, chis)
-    assert flag_profile(cls, order) == chis
+    assert best_flag_bound(form) == (bound, order, chis)
+    assert flag_profile(form, order) == chis
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,7 +550,7 @@ def test_best_flag_bound_matches_permutation_oracle(cls):
 @example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 1, 1), 1))
 @example(DivisorClass(ConstructionSpace(4, (3, 2, 1)), (1, 1, 2, 0), 2))
 def test_best_flag_bound_matches_subset_dp(cls):
-    assert best_flag_bound(cls) == subset_flag_bound(cls)
+    assert best_flag_bound(alt_form(cls)) == subset_flag_bound(cls)
 
 
 @SETTINGS

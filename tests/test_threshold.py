@@ -80,7 +80,7 @@ class TestBound:
 class TestFlagBounds:
     def test_threefold_identity_order(self):
         assert flag_upper_bound(THREEFOLD_40, (0, 1, 2)) == Fraction(13, 40)
-        assert flag_profile(THREEFOLD_40, (0, 1, 2)) == (40, 13, 4)
+        assert flag_profile(alt_form(THREEFOLD_40), (0, 1, 2)) == (40, 13, 4)
 
     def test_threefold_other_orders(self):
         # dropping the last factor first still passes through chi = 13,
@@ -100,16 +100,16 @@ class TestFlagBounds:
 
     def test_invalid_order(self):
         with pytest.raises(ValueError):
-            flag_profile(THREEFOLD_40, (0, 1))
+            flag_profile(alt_form(THREEFOLD_40), (0, 1))
         with pytest.raises(ValueError):
-            flag_profile(THREEFOLD_40, (0, 0, 1))
+            flag_profile(alt_form(THREEFOLD_40), (0, 0, 1))
 
     def test_not_ample_rejected(self):
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 0), 1)
         with pytest.raises(ValueError):
-            best_flag_bound(cls)
+            best_flag_bound(alt_form(cls))
         with pytest.raises(ValueError):
-            flag_profile(cls, (0, 1))
+            flag_profile(alt_form(cls), (0, 1))
 
     def test_one_elimination_per_chain(self, monkeypatch):
         calls = []
@@ -120,10 +120,10 @@ class TestFlagBounds:
 
         # one elimination of the g x g block, not of the 2g x 2g form
         monkeypatch.setattr(betabound.threshold, "_leading_minors", counted)
-        cls = DivisorClass(ConstructionSpace(5, (3, 2, 7, 1)), (1, 2, 1, 3, 2), 1)
-        assert len(flag_profile(cls, (3, 0, 4, 1, 2))) == 5
+        form = alt_form(DivisorClass(ConstructionSpace(5, (3, 2, 7, 1)), (1, 2, 1, 3, 2), 1))
+        assert len(flag_profile(form, (3, 0, 4, 1, 2))) == 5
         assert calls == [5]
-        best_flag_bound(cls)
+        best_flag_bound(form)
         assert calls == [5, 5]
 
     def test_zero_leading_pfaffian_in_chain_raises(self, monkeypatch):
@@ -134,16 +134,16 @@ class TestFlagBounds:
         monkeypatch.setattr(betabound.threshold, "chi_pfaffian", lambda form: 1)
         cls = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 0), 1)
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
-            flag_profile(cls, (0, 1, 2))
+            flag_profile(alt_form(cls), (0, 1, 2))
 
     def test_short_pivot_list_raises(self, monkeypatch):
         # a kernel that stops early must not yield a shorter chain
         monkeypatch.setattr(betabound.threshold, "_leading_minors", lambda b: _leading_minors(b)[:-1])
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
-            flag_profile(THREEFOLD_40, (0, 1, 2))
+            flag_profile(alt_form(THREEFOLD_40), (0, 1, 2))
 
     def test_best_flag_threefold(self):
-        assert best_flag_bound(THREEFOLD_40) == (Fraction(13, 40), (0, 1, 2), (40, 13, 4))
+        assert best_flag_bound(alt_form(THREEFOLD_40)) == (Fraction(13, 40), (0, 1, 2), (40, 13, 4))
 
     def test_best_flag_surface_by_hand(self):
         # class 2F_0 + F_1 + G with k = 2: curve degrees 4 and 2, chi = 6;
@@ -151,16 +151,16 @@ class TestFlagBounds:
         # max(1/4, 4/6) = 2/3, so the minimum is 1/2 with witness (0, 1)
         # and chi chain (6, 2).
         cls = standard_class(ConstructionSpace(2, (2,)), 2, 1)
-        assert best_flag_bound(cls) == (Fraction(1, 2), (0, 1), (6, 2))
+        assert best_flag_bound(alt_form(cls)) == (Fraction(1, 2), (0, 1), (6, 2))
 
     def test_best_flag_principal(self):
         cls = DivisorClass(ConstructionSpace(2, (1,)), (1, 1), 0)
-        assert best_flag_bound(cls)[0] == 1
+        assert best_flag_bound(alt_form(cls))[0] == 1
 
     def test_dimension_one(self):
         cls = DivisorClass(ConstructionSpace(1, ()), (5,), 0)
         assert flag_upper_bound(cls, (0,)) == Fraction(1, 5)
-        assert best_flag_bound(cls) == (Fraction(1, 5), (0,), (5,))
+        assert best_flag_bound(alt_form(cls)) == (Fraction(1, 5), (0,), (5,))
 
     def test_greedy_matches_subset_dp_on_threefold_box(self):
         # every ample class with a in [0, 4]^3, k in [1, 4]^2 and c in [0, 3]:
@@ -175,7 +175,7 @@ class TestFlagBounds:
                     cls = DivisorClass(space, a, c)
                     if chi_multilinear(cls) > 0:
                         ample += 1
-                        assert best_flag_bound(cls) == subset_flag_bound(cls)
+                        assert best_flag_bound(alt_form(cls)) == subset_flag_bound(cls)
         assert ample == 6400
 
 
@@ -196,30 +196,28 @@ class TestClosedFormBound:
                         if a == 0 and b == 0:
                             continue
                         cls = standard_class(space, a, b)
-                        assert closed_form_bound(space, a, b) == flag_upper_bound(
-                            cls, tuple(range(g)), form=alt_form(cls)
-                        )
+                        assert closed_form_bound(space, a, b) == flag_upper_bound(cls, tuple(range(g)))
 
 
 class TestFlagLowerBound:
     def test_threefold(self):
-        assert flag_lower_bound(THREEFOLD_40) == Fraction(1, 4)
+        assert flag_lower_bound(alt_form(THREEFOLD_40)) == Fraction(1, 4)
 
     def test_principal(self):
         cls = DivisorClass(ConstructionSpace(2, (1,)), (1, 1), 0)
-        assert flag_lower_bound(cls) == 1
+        assert flag_lower_bound(alt_form(cls)) == 1
 
     def test_graph_with_one_fiber(self):
         # degrees 0 + 1*3 = 3 and 1 + 1*1 = 2 on the two coordinate
         # curves (the correspondence divisor meets both), so the best
         # curve lower bound is 1/2
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 1), 1)
-        assert flag_lower_bound(cls) == Fraction(1, 2)
+        assert flag_lower_bound(alt_form(cls)) == Fraction(1, 2)
 
     def test_not_ample_rejected(self):
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 0), 1)
         with pytest.raises(ValueError):
-            flag_lower_bound(cls)
+            flag_lower_bound(alt_form(cls))
 
     def test_restriction_chis_match_submatrix_pfaffians(self):
         # a restriction's chi, det of the principal block, must agree with
@@ -247,8 +245,8 @@ class TestFlagLowerBound:
             a, b = rng.randint(0, 4), rng.randint(0, 4)
             if a == 0 and b == 0:
                 continue
-            cls = standard_class(ConstructionSpace(g, k), a, b)
-            assert flag_lower_bound(cls) <= best_flag_bound(cls)[0]
+            form = alt_form(standard_class(ConstructionSpace(g, k), a, b))
+            assert flag_lower_bound(form) <= best_flag_bound(form)[0]
 
 
 class TestCombineInterval:

@@ -1,10 +1,14 @@
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import betabound
 import betabound.torusmodel
 from betabound import (
+    AltForm,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
@@ -58,6 +62,21 @@ class TestSpacesAndClasses:
         with pytest.raises(ValueError):
             DivisorClass(space, (-1, 2), 1)
 
+    def test_entries_must_be_integers(self):
+        # a float, Fraction or str is refused, not truncated: int(9.7) would
+        # certify the class with k = (9, 3) instead
+        for k in ((9.7, 3), (Fraction(9), 3), ("9", 3)):
+            with pytest.raises(TypeError):
+                ConstructionSpace(3, k)
+        space = ConstructionSpace(3, (9, 3))
+        for a, c in (((1.9, 1, 3.5), 1), ((1, 1, 3), 1.2), ((1, Fraction(1), 3), 1), ((1, 1, 3), "1")):
+            with pytest.raises(TypeError):
+                DivisorClass(space, a, c)
+        # ints and bools are taken as before
+        assert DivisorClass(ConstructionSpace(3, [True, 3]), [True, 1, 3], True) == DivisorClass(
+            ConstructionSpace(3, (1, 3)), (1, 1, 3), 1
+        )
+
     def test_standard_class_layout(self):
         cls = standard_class(ConstructionSpace(4, (4, 2, 2)), 3, 5)
         assert cls.a == (3, 1, 1, 5)
@@ -72,6 +91,34 @@ class TestSpacesAndClasses:
 
 
 class TestAltForm:
+    def test_form_is_a_view_of_its_class(self):
+        form = alt_form(THREEFOLD_40)
+        assert [f.name for f in dataclasses.fields(AltForm)] == ["cls", "keep"]
+        assert form == AltForm(THREEFOLD_40, (0, 1, 2))
+        assert (form.g, form.factor_k) == (3, (9, 3, 1))
+        # rows are taken from the class's block in the order of keep
+        view = AltForm(THREEFOLD_40, (2, 0))
+        assert view.block == ((4, -1), (-9, 10)) and view.factor_k == (1, 9)
+        assert chi_pfaffian(view) == 31 == chi_pfaffian(restrict(form, (0, 2)))
+
+    def test_a_form_cannot_be_built_from_rows(self):
+        # det of this block is -1, which no class's block can give; the
+        # zero-pivot rule would read chi 0 from it
+        with pytest.raises(TypeError):
+            AltForm(block=((0, 1), (1, 0)), factor_k=(1, 1))
+
+    def test_keep_must_index_the_class(self):
+        for keep in ((), (3,), (-1,), (0, 3, 1)):
+            with pytest.raises(ValueError, match="factor indices of the class"):
+                AltForm(THREEFOLD_40, keep)
+
+    def test_no_public_function_takes_a_class_and_a_form(self):
+        for name in betabound.__all__:
+            obj = getattr(betabound, name)
+            if inspect.isfunction(obj):
+                annotations = " ".join(str(p.annotation) for p in inspect.signature(obj).parameters.values())
+                assert not ("DivisorClass" in annotations and "AltForm" in annotations), name
+
     def test_principal_product_is_standard_symplectic(self):
         form = alt_form(principal_class(3, (5, 2)))
         expected = [[0] * 6 for _ in range(6)]
@@ -237,6 +284,7 @@ class TestRestrict:
     def test_keep_all_is_identity(self):
         form = alt_form(THREEFOLD_40)
         again = restrict(form, (0, 1, 2))
+        assert again == form
         assert again.block == form.block
         assert again.factor_k == form.factor_k
 

@@ -393,11 +393,11 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
     return sorted(results, key=Certificate.sort_key)
 
 
-def flag_upper_bound(cls: DivisorClass, order: Sequence[int], form: AltForm | None = None) -> Fraction:
+def flag_upper_bound(cls: DivisorClass, order: Sequence[int]) -> Fraction:
     """Upper bound for beta of this construction along one coordinate flag:
     the largest of 1/chi_last and the successive ratios chi_next/chi_prev
     of the ``flag_profile`` chain."""
-    chis = flag_profile(cls, order, form)
+    chis = flag_profile(alt_form(cls), order)
     return max([Fraction(1, chis[-1])] + [Fraction(chis[i], chis[i - 1]) for i in range(1, len(chis))])
 
 
