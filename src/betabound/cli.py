@@ -37,7 +37,6 @@ from .surfacetable import generate_table
 from .syzygy import necessary_lower_bounds, np_report
 from .threshold import InconsistentBoundsError
 from .torusmodel import (
-    AltForm,
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
@@ -70,15 +69,15 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise CLIError(f"expected a comma-separated integer list, got {text!r}") from exc
 
 
-def _class_from_args(args) -> AltForm:
-    """The form of the class the flags describe, once its entries are in range."""
+def _class_from_args(args) -> DivisorClass:
+    """The class the flags describe, once its entries are in range."""
     if args.g is None or args.a is None:
         raise CLIError("describing a class requires --g and --a (and --k for g >= 2)")
     space = ConstructionSpace(args.g, _parse_int_list(args.k))
     cls = DivisorClass(space, _parse_int_list(args.a), args.c)
     if max(space.k + cls.a + (cls.c,)) > MAX_DEGREE:
         raise CLIError("entries of --k, --a and --c must be <= 10^100")
-    return alt_form(cls)
+    return cls
 
 
 def _class_inputs(cls: DivisorClass) -> dict:
@@ -102,7 +101,7 @@ def _envelope(command: str, argv: Sequence[str], inputs: dict, results: dict, fm
 
 
 def _cmd_chi(args, argv) -> dict:
-    form = _class_from_args(args)
+    form = alt_form(_class_from_args(args))
     chi = checked_chi(form)
     results = {
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
@@ -113,7 +112,7 @@ def _cmd_chi(args, argv) -> dict:
 
 
 def _cmd_type(args, argv) -> dict:
-    form = _class_from_args(args)
+    form = alt_form(_class_from_args(args))
     chi = checked_chi(form)
     ptype = polarization_type(form)
     results = {
@@ -124,7 +123,7 @@ def _cmd_type(args, argv) -> dict:
 
 
 def _cmd_kgroup(args, argv) -> dict:
-    form = _class_from_args(args)
+    form = alt_form(_class_from_args(args))
     checked_chi(form)
     shape = k_group(form, full=args.full)
     results = {
@@ -138,7 +137,7 @@ def _cmd_kgroup(args, argv) -> dict:
 
 
 def _cmd_ample(args, argv) -> dict:
-    form = _class_from_args(args)
+    form = alt_form(_class_from_args(args))
     chi, ample = checked_chi(form), is_ample(form)
     if ample != (chi > 0):
         # the classes accepted here are ample exactly when chi > 0 (torusmodel.is_ample)
@@ -159,7 +158,7 @@ def _cmd_beta(args, argv) -> dict:
         results["np"] = np_report(g, d, report.interval).to_json()
         return _envelope("beta", argv, {"general": {"g": g, "d": d}}, results, args.format)
 
-    cls = _class_from_args(args).cls
+    cls = _class_from_args(args)
     cert = certify_class(cls, lowers=(necessary_lower_bounds,)).to_json()
     results = {key: cert[key] for key in ("chi", "type", "flag_bound", "interval", "np")}
     return _envelope("beta", argv, _class_inputs(cls), results, args.format)
@@ -273,14 +272,20 @@ def _json_text(value, pad: str = "") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        parts = [_quote(key) + ": " + _json_text(value[key], inner) for key in sorted(value)]
+        parts = [_quote(key) + ": " + _child_text(value[key], inner) for key in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        parts = [_json_text(item, inner) for item in value]
+        parts = [_child_text(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _child_text(item, pad: str) -> str:
+    # str and int, most of a search's leaves, skip _json_text's type tests
+    kind = type(item)
+    return _quote(item) if kind is str else int.__repr__(item) if kind is int else _json_text(item, pad)
 
 
 def render(envelope: dict) -> str:

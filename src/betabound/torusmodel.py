@@ -159,8 +159,9 @@ class AltForm:
     of the class.
 
     ``cls`` is the class and ``keep`` the indices of the kept factors, in
-    any order, repeats included (ValueError if it is empty or an index is
-    not one of the class's): ``alt_form`` keeps every factor and
+    any order, repeats included, stored as a tuple of ints (TypeError for
+    a non-integer index, ValueError if it is empty or an index is not one
+    of the class's): ``alt_form`` keeps every factor and
     ``restrict`` a subset of a form's.  The rest is derived from the two:
     the g x g block M[keep, keep] of the class's block M (``block``), the
     basis denominator k_i of each kept factor, which fixes the complex
@@ -173,6 +174,7 @@ class AltForm:
     keep: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "keep", tuple(map(index, self.keep)))
         if not self.keep or min(self.keep) < 0 or max(self.keep) >= self.cls.space.g:
             raise ValueError("keep must list one or more factor indices of the class")
 
@@ -250,7 +252,7 @@ class AltForm:
 def alt_form(cls: DivisorClass) -> AltForm:
     """Alternating matrix of a class on the period lattice: the view that
     keeps every factor, in order, so its block is M (``AltForm.block``)."""
-    return AltForm(cls, tuple(range(cls.space.g)))
+    return AltForm(cls, range(cls.space.g))
 
 
 def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:

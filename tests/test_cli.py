@@ -94,6 +94,19 @@ class TestBetaCommand:
         assert env["results"]["interval"]["scope"] == "specific-construction"
         assert env["results"]["np"]["p_beta"] == 1
 
+    @pytest.mark.parametrize("command", ["chi", "type", "kgroup", "ample", "beta"])
+    def test_class_commands_build_one_form(self, monkeypatch, command):
+        built = []
+
+        def counted(cls):
+            built.append(cls)
+            return betabound.torusmodel.alt_form(cls)
+
+        for module in (betabound.cli, betabound.constructor):
+            monkeypatch.setattr(module, "alt_form", counted)
+        run([command, "--g", "3", "--k", "9,3", "--a", "1,1,3", "--c", "1"])
+        assert len(built) == 1
+
     def test_non_ample_class_exits_four(self, capsys):
         code = main(["beta", "--g", "2", "--k", "3", "--a", "0,0", "--c", "1"])
         assert code == EXIT_NO_CERTIFICATE

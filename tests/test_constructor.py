@@ -23,7 +23,7 @@ from betabound import (
     recipe_strict,
     recipe_weak,
 )
-from betabound.constructor import CASE_RECIPE_STRICT, CASE_RECIPE_WEAK
+from betabound.constructor import CASE_RECIPE_STRICT, CASE_RECIPE_WEAK, _certify
 
 
 class TestRecipeWeak:
@@ -148,6 +148,28 @@ class TestCertify:
         assert ruled.interval.lower == Bound.rational(Fraction(1, 2))
         assert ruled.interval.lower_reason == "projective-normality-count"
 
+    def test_shared_intervals_are_keyed_by_every_input(self):
+        # two classes of chi 14 with one flag bound and one curve bound below
+        # 1/2, the lower bound of the projective-normality count at chi < 15
+        found = brute_search(3, 14)
+        first, second = next(
+            (a, b) for a in found for b in found
+            if a.params != b.params and (a.bound, a.curve_lower) == (b.bound, b.curve_lower)
+            and a.curve_lower < Fraction(1, 2)
+        )
+        shared = {}
+        plain = [_certify(c.params.divisor_class(), None, (), shared) for c in (first, second)]
+        ruled = [
+            _certify(c.params.divisor_class(), None, (necessary_lower_bounds,), shared)
+            for c in (first, second)
+        ]
+        assert len(shared) == 2
+        assert plain[0].interval is plain[1].interval and ruled[0].interval is ruled[1].interval
+        assert ruled[0].interval == certify_class(first.params.divisor_class(), lowers=(necessary_lower_bounds,)).interval
+        assert plain[0].interval == certify_class(first.params.divisor_class()).interval != ruled[0].interval
+        # certify_class shares nothing
+        assert certify_class(first.params.divisor_class()).interval is not plain[0].interval
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             ConstructionParams(g=1, k=(), a=1, b=1)
@@ -226,6 +248,51 @@ class TestBruteSearch:
         assert [c.params for c in first] == [c.params for c in second]
         keys = [c.sort_key() for c in first]
         assert keys == sorted(keys)
+
+    def test_certificates_of_one_search_share_intervals(self):
+        # keyed by (flag bound, curve bound): g and chi = d are fixed
+        first = brute_search(3, 40)
+        owners = {}
+        for cert in first:
+            owner = owners.setdefault((cert.bound, cert.curve_lower), cert)
+            assert cert.interval is owner.interval and cert.np is owner.np
+            assert cert.to_json()["interval"] == owner.to_json()["interval"]
+        assert len(owners) < len(first)
+        # the shared objects are frozen, and each JSON dict is built fresh,
+        # so a caller that edits one changes no other certificate
+        assert first[0].to_json()["interval"] is not first[0].to_json()["interval"]
+        assert first[0].np.to_json() is not first[0].np.to_json()
+        assert len({id(cert.interval) for cert in first}) == len(owners)
+        # the sharing lives for one call: a second search shares nothing with it
+        second = brute_search(3, 40)
+        assert [c.interval for c in second] == [c.interval for c in first]
+        assert not {id(c.interval) for c in first} & {id(c.interval) for c in second}
+        assert not {id(c.np) for c in first} & {id(c.np) for c in second}
+
+    @pytest.mark.parametrize("g, d, box, generalized", [
+        (3, 40, None, False),
+        (2, 24, None, True),
+        (3, 12, SearchBox(3, 3, 12, 2), True),
+    ])
+    def test_one_interval_per_distinct_key(self, monkeypatch, g, d, box, generalized):
+        certified, calls = [], {"combine_interval": 0, "np_report": 0}
+        for name in calls:
+            def spy(*args, _name=name, _original=getattr(betabound.constructor, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(betabound.constructor, name, spy)
+        original_certify = betabound.constructor.certify
+
+        def certify_spy(*args, **kwargs):
+            certified.append(original_certify(*args, **kwargs))
+            return certified[-1]
+
+        monkeypatch.setattr(betabound.constructor, "certify", certify_spy)
+        results = brute_search(g, d, box=box, generalized=generalized)
+        # every candidate is certified, wrong types included
+        keys = {(c.chi, c.bound, c.curve_lower) for c in certified}
+        assert len(certified) > len(keys) and len(results) <= len(certified)
+        assert calls == {"combine_interval": len(keys), "np_report": len(keys)}
 
     def test_never_worse_than_recipe_inside_box(self):
         for g, d in ((2, 9), (3, 8), (3, 15)):

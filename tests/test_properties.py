@@ -1,5 +1,6 @@
 """Property tests: library results against independent reference oracles."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -15,6 +16,7 @@ from betabound import (
     AltForm,
     BetaInterval,
     Bound,
+    Certificate,
     ConstructionParams,
     ConstructionSpace,
     DegenerateFormError,
@@ -688,6 +690,35 @@ def test_brute_search_matches_full_enumeration(g, d, box, generalized):
 
 
 @st.composite
+def small_searches(draw):
+    """(g, d, box, generalized) with g <= 4, in boxes the full enumeration
+    of ``reference_search`` covers quickly."""
+    g = draw(st.integers(2, 4))
+    top_a, top_k = {2: (4, 8), 3: (3, 5), 4: (2, 3)}[g]
+    box = draw(st.builds(SearchBox, st.integers(0, top_a), st.integers(0, top_a), st.integers(1, top_k), st.integers(0, 2)))
+    return g, draw(st.integers(1, 40)), box, draw(st.booleans())
+
+
+@SETTINGS
+@given(small_searches())
+# many certificates with repeated flag bounds, some of them with different curve bounds
+@example((3, 12, SearchBox(3, 3, 5), False))
+@example((2, 12, SearchBox(4, 4, 8, 2), True))
+@example((4, 9, SearchBox(2, 2, 3, 2), True))
+def test_shared_certificates_equal_their_own(search):
+    # a search hands one interval and N_p report to every certificate with
+    # its key; each must still equal the certificate of its class alone
+    expected = reference_search(*search)
+    results = brute_search(*search)
+    assert len(results) == len(expected)
+    for cert, own in zip(results, expected):
+        for field in dataclasses.fields(Certificate):
+            assert getattr(cert, field.name) == getattr(own, field.name), field.name
+        assert cert.interval.to_json() == own.interval.to_json()
+        assert cert.np.to_json() == own.np.to_json()
+
+
+@st.composite
 def degrees(draw):
     """(g, d) with d anywhere up to 10^9 (10^5 at g = 1, where the scans
     are linear in d) or within 2 of an (N_p) threshold."""
@@ -747,8 +778,18 @@ def test_np_from_beta_matches_scan(upper):
     assert np_from_beta(interval) == scan_np_from_beta(interval)
 
 
+class _Text(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# str and int subclasses (bool among them) miss the writer's exact-type fast path
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | st.text(),
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | st.text()
+    | st.text().map(_Text) | st.integers().map(_Int),
     lambda children: st.lists(children) | st.lists(children).map(tuple)
     | st.dictionaries(st.text(), children),
     max_leaves=30,
@@ -760,6 +801,30 @@ json_values = st.recursive(
 # non-ASCII (BMP and astral), quotes, backslashes and control characters
 @example({"\u00e9\U0001f600": ["\"\\", "\x00\x1f\n\t\x7f"], "": [[], {}, ()], "b": (2**64 + 1, -3)})
 def test_json_writer_matches_stdlib(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def trees_with_shared_nodes(draw):
+    """JSON trees in which some dict and list objects appear several times,
+    at one depth and at different depths."""
+    shared = draw(st.lists(st.dictionaries(st.text(), json_values, max_size=3) | st.lists(json_values, max_size=3), min_size=1, max_size=3))
+    return draw(st.recursive(
+        st.none() | st.integers() | st.text() | st.sampled_from(shared),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+        max_leaves=20,
+    ))
+
+
+_node = {"lower": {"kind": "rational", "value": "1/4"}, "exact": False}
+_items = [1, "x", _node]
+
+
+@SETTINGS
+@given(trees_with_shared_nodes())
+@example({"a": _node, "b": [_node, {"c": _node}], "d": [_node, _node], "e": _items, "f": [_items, [_items]]})
+@example([_node, _node, _node, [_node, _node], {"x": [_node, _node]}])
+def test_json_writer_matches_stdlib_on_shared_nodes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

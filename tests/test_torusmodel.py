@@ -112,6 +112,14 @@ class TestAltForm:
             with pytest.raises(ValueError, match="factor indices of the class"):
                 AltForm(THREEFOLD_40, keep)
 
+    def test_keep_is_a_tuple_of_ints(self):
+        form = AltForm(THREEFOLD_40, [0, 1, 2])
+        assert form.keep == (0, 1, 2)
+        assert form == alt_form(THREEFOLD_40) and hash(form) == hash(alt_form(THREEFOLD_40))
+        assert AltForm(THREEFOLD_40, range(1, 3)) == restrict(alt_form(THREEFOLD_40), (1, 2))
+        with pytest.raises(TypeError):
+            AltForm(THREEFOLD_40, (0.0, 1, 2))
+
     def test_no_public_function_takes_a_class_and_a_form(self):
         for name in betabound.__all__:
             obj = getattr(betabound, name)

@@ -30,7 +30,7 @@ the dynamic program over all 2^g subsets of factors the reference for
 the greedy flag optimum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -48,7 +48,7 @@ from betabound import (
     NoRecipeError,
     SearchBox,
     alt_form,
-    certify,
+    certify_class,
     chi_pfaffian,
     flag_profile,
     np_threshold,
@@ -364,7 +364,9 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
 
     A candidate is kept when the Pfaffian of its form is d, which shares
     no code with the library's affine chi formula; d >= 1, so no kept
-    candidate is degenerate.
+    candidate is degenerate.  Each is certified on its own by
+    ``certify_class``, sharing nothing with any other, and gets its params
+    attached afterwards.
     """
     if generalized:
         shapes = [
@@ -387,7 +389,8 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
             if chi_pfaffian(alt_form(DivisorClass(ConstructionSpace(g, k), coeffs, c))) != d:
                 continue
             middle = coeffs[1:-1] if generalized else None
-            cert = certify(ConstructionParams(g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=middle, c=c))
+            params = ConstructionParams(g=g, k=k, a=coeffs[0], b=coeffs[-1], middle=middle, c=c)
+            cert = replace(certify_class(params.divisor_class()), params=params)
             if cert.ptype == target:
                 results.append(cert)
     return sorted(results, key=Certificate.sort_key)
