@@ -249,15 +249,51 @@ def _render_csv(envelope: dict) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_text(value, pad: str = "") -> str:
+def _json_text(value) -> str:
     """JSON text of value, byte for byte ``json.dumps(value, indent=2, sort_keys=True)``.
 
     Takes dicts with str keys, lists, tuples (written as lists), str, int,
     bool and None; anything else, a float included, raises TypeError.  An
     int too long to print raises ValueError, as ``int.__repr__`` does.
     With ``indent`` the stdlib call cannot use its C encoder (Python <=
-    3.13), and its pure-Python fallback takes about twice as long.
+    3.13), and its pure-Python fallback takes over twice as long.
     """
+    return _write(value, "", {})
+
+
+def _write(value, pad: str, frames: dict) -> str:
+    """``_json_text`` of a value written at indent ``pad``.
+
+    Exact str and int children, most of a search's leaves, are written
+    inline.  ``frames`` maps the key tuple of each dict met, in insertion
+    order, to its keys in sorted order, each with its quoted text and
+    ": ", so a shape that recurs, such as a search's certificates or a
+    table's rows, has its keys sorted and quoted once per call.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        shape = tuple(value)
+        frame = frames.get(shape)
+        if frame is None:
+            frame = frames[shape] = [(key, _quote(key) + ": ") for key in sorted(value)]
+        parts = []
+        for key, prefix in frame:
+            item = value[key]
+            kind = type(item)
+            text = _quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames)
+            parts.append(prefix + text)
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        parts = []
+        for item in value:
+            kind = type(item)
+            parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames))
+        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     if isinstance(value, str):
         return _quote(value)
     if value is True:
@@ -268,24 +304,7 @@ def _json_text(value, pad: str = "") -> str:
         return "null"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [_quote(key) + ": " + _child_text(value[key], inner) for key in sorted(value)]
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [_child_text(item, inner) for item in value]
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _child_text(item, pad: str) -> str:
-    # str and int, most of a search's leaves, skip _json_text's type tests
-    kind = type(item)
-    return _quote(item) if kind is str else int.__repr__(item) if kind is int else _json_text(item, pad)
 
 
 def render(envelope: dict) -> str:

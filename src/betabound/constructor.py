@@ -86,11 +86,13 @@ CASE_EXPLICIT = "explicit"
 # bound on the cost of one certificate in g = 4 certificates.  The median
 # certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
 # best of 3 each; median of 24 runs of 21 classes; median of four such
-# measurements) is 0.10 / 0.12 / 0.15 / 0.17 / 0.19 / 0.22 / 0.26 / 0.30 /
-# 0.34 ms at g = 4..12, that is 1.2 / 1.4 / 1.7 / 1.9 / 2.2 / 2.5 / 2.9 / 3.3
-# certificates of g = 4 at g = 5..12 (2 cores, Python 3.11.7; the largest of
-# the four on the shared host were 1.4 / 1.5 / 1.9 / 2.1 / 2.3 / 2.8 / 3.2 /
-# 3.6), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
+# measurements) is 0.20 / 0.23 / 0.28 / 0.32 / 0.36 / 0.41 / 0.46 / 0.58 /
+# 0.65 ms at g = 4..12, that is 1.2 / 1.4 / 1.6 / 1.8 / 2.1 / 2.3 / 2.9 / 3.3
+# certificates of g = 4 at g = 5..12 (2 cores, Python 3.11.7, the shared host
+# running about twice as slow as for earlier figures of 0.10 ms at g = 4; the
+# largest of the four were 1.2 / 1.4 / 1.6 / 1.9 / 2.1 / 2.5 / 3.0 / 3.3, and
+# up to 1.7 / 2.0 / 2.3 / 2.6 / 3.1 / 3.6 / 4.0 / 4.6 in a second, noisier
+# set), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5

@@ -27,7 +27,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     last; the product of the first k is the gcd of the k x k minors, so
     the diagonal is unique (M. Newman, *Integral Matrices*, 1972).  Each
     step takes the smallest nonzero |m_ij| of the trailing block (ties to
-    the lowest i, then j), moves it to (t, t) by row and column swaps,
+    the lowest i, then j), found by one scan that stops at the first unit
+    entry (``_pivot``), moves it to (t, t) by row and column swaps,
     makes it positive and reduces column t, then row t, by integer
     multiples of the pivot row and column.  A nonzero remainder is a
     smaller pivot for the next step; once both are clear, a row whose
@@ -43,12 +44,9 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
         raise ValueError("expected a square integer matrix")
     diag, t = [], 0
     while t < n:
-        sizes = [abs(x) for row in a[t:] for x in row[t:]]  # the trailing block, row by row
-        p = min(filter(None, sizes), default=0)
+        p, i, j = _pivot(a, t)
         if not p:
             break
-        i, j = divmod(sizes.index(p), n - t)
-        i, j = i + t, j + t
         a[t], a[i] = a[i], a[t]
         if j != t:
             for row in a[t:]:
@@ -77,6 +75,25 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
         diag.append(p)
         t += 1
     return tuple(diag + [0] * (n - len(diag)))
+
+
+def _pivot(a: list[list[int]], t: int) -> tuple[int, int, int]:
+    """(p, i, j) for the smallest nonzero p = |a_ij| with i, j >= t, ties to
+    the lowest i, then j; p = 0 if that trailing block is zero.  One scan,
+    row by row, which stops at the first unit entry: nothing is smaller,
+    and every later entry loses the tie."""
+    n, p, i, j = len(a), 0, 0, 0
+    for r in range(t, n):
+        row = a[r]
+        for s in range(t, n):
+            x = row[s]
+            if x:
+                x = abs(x)
+                if x < p or not p:
+                    if x == 1:
+                        return 1, r, s
+                    p, i, j = x, r, s
+    return p, i, j
 
 
 def _pfaffian(b: list[list[int]]) -> int:

@@ -252,7 +252,12 @@ def flag_profile(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
     LatticeInvariantError.
     """
     _check_ample(form)
-    order = _check_order(order, form.g)
+    return _flag_chain(form, _check_order(order, form.g))
+
+
+def _flag_chain(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
+    """``flag_profile`` of an ample form along an order already known to be
+    a permutation of its positions, without checking either."""
     m, rev = form.block, order[::-1]
     minors = _leading_minors([[m[u][v] for v in rev] for u in rev])
     if len(minors) != form.g or any(p <= 0 for p in minors):
@@ -295,7 +300,8 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     and chi = 1 on nothing kept, so the last drop, of j, costs 1/chi({j}).
     A flag's bound is the largest cost along it.  Where the drop orders
     number g!, two greedy passes find the minimum, each from one O(|S|)
-    pass per set (``_drop_chis``), O(g^2) in all:
+    pass per set (``_drop_chis``), O(g^2) in all; the full set's pass
+    serves both, and a one-factor set needs none:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -325,7 +331,8 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     The chi chain is the ``flag_profile`` of the witness order, the Bareiss
     minors of the form's block, a second oracle independent of the formula:
     the chain must equal the formula chain and its bound the greedy's, else
-    OracleDisagreement.
+    OracleDisagreement.  It runs through ``_flag_chain``, since the form was
+    checked above and the witness is a permutation by construction.
     """
     _check_ample(form)
     a, k, c = tuple(map(form.cls.a.__getitem__, form.keep)), form.factor_k, form.cls.c
@@ -334,27 +341,32 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
     # at one set share its chi as denominator, so the least leaves the least chi.
     chi_full = restriction_chi(form.cls, form.keep)
-    keep, chi_s, num, den = list(range(form.g)), chi_full, 0, 1
+    # chi(S - i) of the full set, read by both passes; below, a one-factor
+    # set's only drop leaves nothing kept, chi 1
+    full_drops = _drop_chis(a, k, c, range(form.g))
+    keep, drops, chi_s, num, den = list(range(form.g)), full_drops, chi_full, 0, 1
     while keep:
         if chi_s <= 0:
             raise LatticeInvariantError("ample restriction with nonpositive chi")
-        chi_t, i = min(zip(_drop_chis(a, k, c, keep), keep))
+        chi_t, i = min(zip(drops, keep))
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s
         keep.remove(i)
         chi_s = chi_t
-    order, keep, formula_chain = [], list(range(form.g)), [chi_full]
+        drops = _drop_chis(a, k, c, keep) if len(keep) > 1 else [1]
+    order, keep, drops, formula_chain = [], list(range(form.g)), full_drops, [chi_full]
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
-        for i, chi_t in zip(keep, _drop_chis(a, k, c, keep)):
+        for i, chi_t in zip(keep, drops):
             if chi_t * den <= num * formula_chain[-1]:
                 break
         order.append(i)
         keep.remove(i)
         formula_chain.append(chi_t)
+        drops = _drop_chis(a, k, c, keep) if len(keep) > 1 else [1]
     formula_chain.pop()  # chi = 1 on nothing kept
-    chis = flag_profile(form, order)
+    chis = _flag_chain(form, order)
     pf_num, pf_den = 1, chis[-1]
     for prev, nxt in zip(chis, chis[1:]):
         if nxt * pf_den > pf_num * prev:

@@ -201,8 +201,9 @@ class AltForm:
 
             M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
 
-        and every other entry of E is 0; only M[keep, keep] is built, as
-        the outer product on the kept factors plus the diagonal.  The
+        and every other entry of E is 0; only M[keep, keep] is built, one
+        entry at a time, as M[i][j] = a_i * [i = j] + c * x_i * y_j (a
+        factor kept twice repeats its row and column).  The
         pairing E(x, Jy) is symmetric with no check needed: every summand
         of E is f^* E_std for a C-linear map f onto one curve (the
         projection for F_i; for G the defining homomorphism, z |-> -k_i z
@@ -213,14 +214,9 @@ class AltForm:
         The property tests check all of this against E written out from M.
         """
         cls, keep = self.cls, self.keep
-        x = [-k for k in cls.space.k] + [1]
+        a, x = cls.a, [-k for k in cls.space.k] + [1]
         cy = [-cls.c] * len(cls.space.k) + [cls.c]  # c * y
-        rows = [[x[i] * cy[j] for j in keep] for i in keep]
-        # a_i goes into the row of factor i's first position, at each of its
-        # columns, and a factor kept twice repeats that row
-        for s, i in enumerate(keep):
-            rows[keep.index(i)][s] += cls.a[i]
-        return tuple([tuple(rows[keep.index(i)]) for i in keep])
+        return tuple([tuple([x[i] * cy[j] + (a[i] if i == j else 0) for j in keep]) for i in keep])
 
     @cached_property
     def det(self) -> int:
@@ -292,9 +288,10 @@ def restriction_chi(cls: DivisorClass, keep: Sequence[int]) -> int:
 
 
 def chi_multilinear(cls: DivisorClass) -> int:
-    """Euler characteristic from the intersection numbers of the basis (see ``chi_affine``)."""
-    constant, weights = chi_affine(cls.a, cls.c)
-    return constant + sum(k * w for k, w in zip(cls.space.k, weights))
+    """Euler characteristic from the intersection numbers of the basis (see
+    ``chi_affine``), by the O(g) recurrence of ``restriction_chi`` on every
+    factor."""
+    return restriction_chi(cls, range(cls.space.g))
 
 
 def chi_pfaffian(form: AltForm) -> int:

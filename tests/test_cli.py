@@ -346,6 +346,17 @@ class TestCliContract:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
 
+    def test_int_too_long_under_a_repeated_shape_exits_two(self, monkeypatch, capsys):
+        # under a list, in the second dict of one key set, after its frame exists
+        rows = [{"d": 1, "beta": "1"}, {"d": 10**5000, "beta": "1"}]
+        with pytest.raises(ValueError):
+            _json_text(rows)
+        monkeypatch.setattr(betabound.cli, "render", lambda envelope: render({**envelope, "results": {"rows": rows}}))
+        assert main(["table", "--max", "2"]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_inconsistent_bounds_exit_three(self, monkeypatch, capsys):
         def broken(g, d):
             raise InconsistentBoundsError("lower bound exceeds upper bound")

@@ -39,13 +39,15 @@ from betabound import (
     np_from_beta,
     np_report,
     np_threshold,
+    polarization_type,
     recipe_strict,
     restrict,
     smith_normal_form,
+    standard_class,
     surface_beta,
 )
 from betabound.cli import _json_text, run
-from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, leading_minors_all_positive
+from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, _pivot, leading_minors_all_positive
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
 from betabound.threshold import _drop_chis
@@ -67,6 +69,7 @@ from util import (
     skew_normal_form,
     subset_chis,
     subset_flag_bound,
+    type_by_minor_gcds,
 )
 
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -275,6 +278,56 @@ def test_pfaffian_cache_input_check(case):
     m, n = IntMatrix.from_rows(rows), len(rows)
     assert PfaffianCache(rows).pfaffian_of(range(n)) == reference_pfaffian(m, range(n))
     assert IntMatrix.from_rows(rows) == m  # the input is kept, not consumed
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(), st.integers(0, 7))
+@example([[2, -1], [1, 3]], 0)  # -1 and 1 tie on size: the lower row wins
+@example([[0, 0], [0, 0]], 0)
+def test_pivot_is_the_least_nonzero_entry_of_the_trailing_block(m, t):
+    # ties to the lowest i, then j: the least (|m_ij|, i, j)
+    t %= len(m)
+    entries = [(abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if i >= t and j >= t and x]
+    assert _pivot(m, t) == min(entries, default=(0, 0, 0))
+
+
+@st.composite
+def minor_law_classes(draw):
+    """A class with g <= 12, a_i <= 35 and often 0, c = 0..6 and k_i <= 30."""
+    g = draw(st.integers(1, 12))
+    k = tuple(draw(st.lists(st.integers(1, 30), min_size=g - 1, max_size=g - 1)))
+    a = tuple(draw(st.lists(st.one_of(st.just(0), st.integers(0, 35)), min_size=g, max_size=g)))
+    c = draw(st.integers(0, 6))
+    return DivisorClass(ConstructionSpace(g, k), a, c if any(a) else max(c, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(minor_law_classes())
+@example(DivisorClass(ConstructionSpace(4, (2, 4, 6)), (6, 6, 6, 6), 3))  # type (3, 6, 6, 90)
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 5), 1))  # chi = 0
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (4, 6, 0), 0))  # rank 2, no rank-one term
+def test_type_is_the_gcd_law_of_the_minors(cls):
+    # the Smith kernel's pivot scan against the determinantal divisors of
+    # diag(a) + c * x * y^T, read off the class by recurrences
+    form = alt_form(cls)
+    law = type_by_minor_gcds(cls)
+    assert smith_normal_form(form.block) == law
+    if chi_pfaffian(form) > 0:
+        assert polarization_type(form).d == law
+
+
+@SETTINGS
+@given(st.integers(2, 12).flatmap(lambda g: st.lists(st.integers(1, 30), min_size=g - 1, max_size=g - 1)),
+       st.integers(0, 35), st.integers(0, 35))
+@example([9, 3], 1, 3)
+@example([1], 0, 1)
+def test_standard_classes_are_cyclic(k, a, b):
+    # with r the last factor and T the middle ones, c * k_r * prod_T a_j = 1
+    # is a (g - 1) x (g - 1) minor, so D_(g-1) = 1 (type_by_minor_gcds)
+    assume(a or b)
+    cls = standard_class(ConstructionSpace(len(k) + 1, tuple(k)), a, b)
+    expected = (1,) * len(k) + (chi_multilinear(cls),)
+    assert polarization_type(alt_form(cls)).d == expected == type_by_minor_gcds(cls)
 
 
 @SETTINGS
@@ -825,6 +878,40 @@ _items = [1, "x", _node]
 @example({"a": _node, "b": [_node, {"c": _node}], "d": [_node, _node], "e": _items, "f": [_items, [_items]]})
 @example([_node, _node, _node, [_node, _node], {"x": [_node, _node]}])
 def test_json_writer_matches_stdlib_on_shared_nodes(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
+def repeated_shapes(draw):
+    """A list of dicts on one key set, inserted in two orders, holding any
+    JSON values (bool, None, int and str subclasses, containers), sometimes
+    a list of that shape one level further down, itself at depth 0..3."""
+    keys = draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))
+    orders = (keys, keys[::-1])
+    records = [{key: draw(json_values) for key in draw(st.sampled_from(orders))} for _ in range(draw(st.integers(2, 8)))]
+    if draw(st.booleans()):
+        records[0][keys[0]] = [{key: draw(json_values) for key in order} for order in orders]
+    value = records
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(st.sampled_from(([value], {"x": value}, [value, 0, value], ({"x": value},))))
+    return value
+
+
+_shape = {"k": [1, 2], "s": "x", "b": True}
+_hand_shapes = [
+    dict(_shape),
+    {"b": False, "s": _Text("y"), "k": []},  # reversed insertion order
+    {"k": {"nested": [dict(_shape)]}, "s": None, "b": _Int(7)},
+    {"k": (3,), "s": "", "b": 0},
+]
+
+
+@SETTINGS
+@given(repeated_shapes())
+@example(_hand_shapes)
+@example({"rows": _hand_shapes * 20, "deeper": [[{"z": [_hand_shapes]}]]})
+@example([[{"a": 1, "b": 2}, {"b": 2, "a": 1}], {"a": [{"a": 1, "b": 2}]}])
+def test_json_writer_matches_stdlib_on_repeated_shapes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 

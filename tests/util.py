@@ -9,7 +9,9 @@ checked against a path that shares no code with the library kernel.
 The skew normal form by congruence is the reference for the library's
 row-and-column Smith form: it works on the 2g x 2g alternating form where
 the library reduces the g x g block, and the library's diagonal is also
-checked through the gcds of minors built on exact_det.  The leading
+checked through the gcds of minors built on exact_det, and on the block
+of a class through the gcds of its minors read off the class by
+recurrences (``type_by_minor_gcds``).  The leading
 minors by exact_det are the reference for the library's Bareiss
 elimination.
 The 2g x 2g alternating form E, which the library never writes, is
@@ -542,3 +544,74 @@ def subset_flag_bound(cls: DivisorClass) -> tuple[Fraction, tuple[int, ...], tup
         formula_chain.append(chi[s])
     order.append(s.bit_length() - 1)
     return bound, tuple(order), tuple(formula_chain)
+
+
+
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(d, s, t) with d = gcd(x, y) = s * x + t * y and d >= 0."""
+    s0, t0, s1, t1 = 1, 0, 0, 1
+    while y:
+        q = x // y
+        x, y = y, x - q * y
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (x, s0, t0) if x >= 0 else (-x, -s0, -t0)
+
+
+def _lattice_add(basis: tuple[int, int, int], w: tuple[int, int]) -> tuple[int, int, int]:
+    """The lattice of Z^2 with Hermite basis (e, f), (0, h), written
+    (e, f, h) with f = 0 when e = 0, enlarged by the vector w."""
+    e, f, h = basis
+    w1, w2 = w
+    d, s, t = _xgcd(e, w1)
+    if d == 0:  # both first coordinates are 0
+        return 0, 0, gcd(h, w2)
+    # [[s, t], [w1/d, -e/d]] has determinant -1, so the two new vectors span
+    # what (e, f) and w span; the second has first coordinate 0
+    return d, s * f + t * w2, gcd(h, (w1 * f - e * w2) // d)
+
+
+def type_by_minor_gcds(cls: DivisorClass) -> tuple[int, ...]:
+    """The Smith diagonal of a class's block M = diag(a) + c * x * y^T
+    (``AltForm.block``), from the gcds of its minors, in O(g^2) gcd steps
+    and no elimination.
+
+    A k x k minor on rows R and columns C with two or more rows outside C
+    is 0: diag(a)[R, C] has two zero rows, and a rank-one term restores at
+    most one.  The others are the principal minors, chi(S) for S = R = C
+    (``restriction_chi``), and those with R = T + r and C = T + s for r, s
+    outside T and r != s, which are +-c * x_r * y_s * prod_{j in T} a_j,
+    |x_r| = k_r (k_{g-1} = 1) and |y_s| = 1: subtract multiples of row r,
+    which is c * x_r * y_C^T, from the others.  So D_k, the gcd of the
+    k x k minors, is the gcd of chi(S) over |S| = k and, for k <= g - 1
+    (s needs room), of c * H_k, H_k the gcd of k_r * prod_T a over
+    |T| = k - 1 and r outside T.  The Smith diagonal is D_k / D_(k-1)
+    (M. Newman, *Integral Matrices*, 1972), 0 once D_k is.
+
+    The gcds follow recurrences as factor n, with (a_n, k_n), joins the
+    factors before it, j from high to low so that each reads the values
+    without n:
+
+    - the Z-span L_j of the vectors (P(S), Q(S)) over |S| = j, a lattice
+      in Z^2 held by a Hermite basis, gains B_n * L_(j-1) with
+      B_n = [[a_n, 0], [k_n, a_n]], since (P, Q) of S + n is
+      (a_n * P, a_n * Q + k_n * P); chi = P + c * Q is linear, so the gcd
+      of chi(S) over |S| = j is that of chi on the basis;
+    - G_j, the gcd of prod_T a over |T| = j, becomes gcd(G_j, a_n * G_(j-1));
+    - H_j becomes gcd(H_j, k_n * G_(j-1), a_n * H_(j-1)): r = n, or n in T.
+    """
+    g, c = cls.space.g, cls.c
+    lattices = [(1, 0, 0)] + [(0, 0, 0)] * g  # L_0 holds (P, Q) of nothing kept
+    big_g, big_h = [1] + [0] * g, [0] * (g + 1)
+    for a, k in zip(cls.a, cls.space.k_full):
+        for j in range(g, 0, -1):
+            e, f, h = lattices[j - 1]
+            for p, q in ((e, f), (0, h)):
+                lattices[j] = _lattice_add(lattices[j], (a * p, a * q + k * p))
+            big_h[j] = gcd(big_h[j], k * big_g[j - 1], a * big_h[j - 1])
+            big_g[j] = gcd(big_g[j], a * big_g[j - 1])
+    divisors = [1]
+    for j in range(1, g + 1):
+        e, f, h = lattices[j]
+        divisors.append(gcd(e + c * f, c * h, c * big_h[j] if j < g else 0))
+    return tuple(d // prev if prev else 0 for prev, d in zip(divisors, divisors[1:]))
