@@ -165,6 +165,8 @@ def _cmd_beta(args, argv) -> dict:
 
 
 def _cmd_search(args, argv) -> dict:
+    if args.max_c is not None and not args.generalized:
+        raise CLIError("--max-c needs --generalized: the standard search keeps c = 1")
     overrides = {name: getattr(args, name) for name in ("max_a", "max_b", "max_k", "max_c")}
     box = replace(default_box(args.g, args.d), **{k: v for k, v in overrides.items() if v is not None})
     certificates = brute_search(args.g, args.d, box=box, generalized=args.generalized)

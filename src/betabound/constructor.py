@@ -64,7 +64,6 @@ from .torusmodel import (
     OracleDisagreement,
     alt_form,
     chi_affine,
-    chi_multilinear,
     chi_pfaffian,
     k_group,
     polarization_type,
@@ -252,12 +251,12 @@ def recipe_strict(g: int, d: int) -> ConstructionParams:
 
 def checked_chi(form: AltForm) -> int:
     """chi of the form's class, computed by both oracles, which must agree:
-    the intersection formula of ``form.cls`` and the determinant of the
-    form's block.
+    the intersection formula (``form.full_scan``, which the flag search
+    reads too) and the determinant of the form's block.
 
     Package-internal, and called only on ``alt_form`` forms, which keep
     every factor of their class, so both oracles read the whole class."""
-    chi_formula = chi_multilinear(form.cls)
+    chi_formula = form.full_scan[0]
     chi_pf = chi_pfaffian(form)
     if chi_formula != chi_pf:
         raise OracleDisagreement(
@@ -325,7 +324,7 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
 def _box_too_large(size: str, limit: int) -> ValueError:
     return ValueError(
         f"search box has {size}, above the limit of {limit}; "
-        "shrink it with --max-a, --max-b, --max-k or --max-c"
+        "shrink it with --max-a, --max-b or --max-k, and --max-c with --generalized"
     )
 
 

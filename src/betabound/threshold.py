@@ -12,8 +12,9 @@ single-machine scheduling problem that an exchange argument solves in
 O(g^2) ratios, not g! orders.  Its witness chain is then read off the
 Bareiss minors of the g x g block of the form, and the two must agree.
 The flag functions take the form alone, a view of its class
-(``torusmodel.AltForm``), and read the class's formula through it, so
-the two sides of every cross-check describe the same form.
+(``torusmodel.AltForm``), and read the class's formula through its
+``scan``, so the two sides of every cross-check describe the same form;
+this module defines no formula.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -42,7 +43,6 @@ from .torusmodel import (
     OracleDisagreement,
     chi_pfaffian,
     curve_degrees,
-    restriction_chi,
 )
 
 class InconsistentBoundsError(ValueError):
@@ -265,28 +265,6 @@ def _flag_chain(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(minors))
 
 
-def _drop_chis(a: Sequence[int], k: Sequence[int], c: int, keep: Sequence[int]) -> list[int]:
-    """chi(S - i) for each i of the kept factors S, in order, in O(|S|), for
-    factor i with coefficient a[i] and multiplier k[i] and the class's c.
-
-    chi(T) = P(T) + c * Q(T) (``restriction_chi``), and the pair (P, Q) of
-    a union of disjoint sets composes as (P1 * P2, P1 * Q2 + Q1 * P2),
-    which commutes, with (a_i, k_i) for factor i alone and (1, 0) for
-    nothing.  So the products of the factors before i (a forward pass) and
-    after i (a backward one) give each S - i as one composition.
-    """
-    before, p, q = [], 1, 0
-    for i in keep:
-        before.append((p, q))
-        p, q = p * a[i], q * a[i] + k[i] * p
-    chis, p, q = [], 1, 0  # (p, q): the factors after i
-    for i, (p1, q1) in zip(reversed(keep), reversed(before)):
-        chis.append(p1 * p + c * (p1 * q + q1 * p))
-        p, q = p * a[i], q * a[i] + k[i] * p
-    chis.reverse()
-    return chis
-
-
 def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
     """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
 
@@ -296,12 +274,13 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     the same code as a class's.
 
     Dropping factor i from the kept factors S costs f_i(S) = chi(S - i)/chi(S),
-    with chi(S) the formula chi of that restriction (``restriction_chi``)
-    and chi = 1 on nothing kept, so the last drop, of j, costs 1/chi({j}).
-    A flag's bound is the largest cost along it.  Where the drop orders
-    number g!, two greedy passes find the minimum, each from one O(|S|)
-    pass per set (``_drop_chis``), O(g^2) in all; the full set's pass
-    serves both, and a one-factor set needs none:
+    with chi(S) the formula chi of that restriction and chi = 1 on nothing
+    kept, so the last drop, of j, costs 1/chi({j}).  A flag's bound is the
+    largest cost along it.  Where the drop orders number g!, two greedy
+    passes find the minimum, each from one ``form.scan`` per set (O(|S|),
+    ``torusmodel.restriction_scan``), O(g^2) in all; both start from
+    ``form.full_scan``, the scan ``checked_chi`` reads, and a one-factor
+    set, whose only drop leaves chi 1, needs no scan:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -335,16 +314,10 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     checked above and the witness is a permutation by construction.
     """
     _check_ample(form)
-    a, k, c = tuple(map(form.cls.a.__getitem__, form.keep)), form.factor_k, form.cls.c
-
     # Costs are num/den pairs compared by cross-multiplication (denominators
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
     # at one set share its chi as denominator, so the least leaves the least chi.
-    chi_full = restriction_chi(form.cls, form.keep)
-    # chi(S - i) of the full set, read by both passes; below, a one-factor
-    # set's only drop leaves nothing kept, chi 1
-    full_drops = _drop_chis(a, k, c, range(form.g))
-    keep, drops, chi_s, num, den = list(range(form.g)), full_drops, chi_full, 0, 1
+    keep, (chi_s, drops), num, den = list(range(form.g)), form.full_scan, 0, 1
     while keep:
         if chi_s <= 0:
             raise LatticeInvariantError("ample restriction with nonpositive chi")
@@ -352,9 +325,8 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s
         keep.remove(i)
-        chi_s = chi_t
-        drops = _drop_chis(a, k, c, keep) if len(keep) > 1 else [1]
-    order, keep, drops, formula_chain = [], list(range(form.g)), full_drops, [chi_full]
+        chi_s, drops = form.scan(keep) if keep[1:] else (chi_t, [1])
+    order, keep, formula_chain, drops = [], list(range(form.g)), [form.full_scan[0]], form.full_scan[1]
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
@@ -364,7 +336,7 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
         order.append(i)
         keep.remove(i)
         formula_chain.append(chi_t)
-        drops = _drop_chis(a, k, c, keep) if len(keep) > 1 else [1]
+        drops = form.scan(keep)[1] if keep[1:] else [1]
     formula_chain.pop()  # chi = 1 on nothing kept
     chis = _flag_chain(form, order)
     pf_num, pf_den = 1, chis[-1]

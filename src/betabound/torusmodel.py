@@ -28,6 +28,8 @@ The choice tau = i makes the complex structure J rational (blocks
 [[0, -1/k_i], [k_i, 0]]), so every invariant below (Euler characteristic,
 type, the finite group K(l), ampleness) is computed by exact integer
 linear algebra.  A class is ample exactly when chi > 0 (``is_ample``).
+chi also has an intersection formula in the coefficients, whose one
+implementation is ``restriction_scan``, checked against det M.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ class AltForm:
     the g x g block M[keep, keep] of the class's block M (``block``), the
     basis denominator k_i of each kept factor, which fixes the complex
     structure J (``factor_k``), and g = len(keep).  So every form is the
-    block of a class, by construction.  The block, the determinant and the
-    Smith diagonal are each computed once per form and cached on it.
+    block of a class, by construction.  The block, the determinant, the
+    Smith diagonal and ``full_scan`` are cached on the form.
     """
 
     cls: DivisorClass
@@ -185,6 +187,17 @@ class AltForm:
     @property
     def factor_k(self) -> tuple[int, ...]:
         return tuple(map(self.cls.space.k_full.__getitem__, self.keep))
+
+    @cached_property
+    def full_scan(self) -> tuple[int, tuple[int, ...]]:
+        """``scan`` of every position, with the drops as a tuple: every reader shares it."""
+        chi, drops = self.scan(range(self.g))
+        return chi, tuple(drops)
+
+    def scan(self, positions: Sequence[int]) -> tuple[int, list[int]]:
+        """``restriction_scan`` of the class on the factors at these positions (0..g-1)."""
+        cls, keep = self.cls, self.keep
+        return restriction_scan(cls.a, cls.space.k_full, cls.c, [keep[s] for s in positions])
 
     @cached_property
     def block(self) -> tuple[tuple[int, ...], ...]:
@@ -251,46 +264,49 @@ def alt_form(cls: DivisorClass) -> AltForm:
     return AltForm(cls, range(cls.space.g))
 
 
-def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
-    """Euler characteristic of the class (a, c) as an affine function of k.
+def restriction_scan(a: Sequence[int], k: Sequence[int], c: int, keep: Sequence[int]) -> tuple[int, list[int]]:
+    """(chi(S), [chi(S - i) for i in S]) by the intersection formula in
+    O(|S|), for S the kept factors, factor i with coefficient a[i] and
+    multiplier k[i], and the class's c: the formula's one implementation.
 
-    Both F_i and G are abelian subvarieties of codimension one, so their
-    self-intersections vanish and the top self-intersection of the class
-    is linear in c and multilinear in the a_i:
-
-        chi = prod_i a_i + c * sum_i k_i * prod_{j != i} a_j,
-
-    with k_{g-1} = 1.  Returns (constant, weights) with chi = constant +
-    sum_{i < g-1} k_i * weights[i], so a search can solve for a multiplier.
+    F_i and G are abelian subvarieties of codimension one, so their
+    self-intersections vanish and chi(S) = P(S) + c * Q(S), with P(S) the
+    product of the a_i over S and Q(S) = sum_{i in S} k_i * P(S - i)
+    (k_{g-1} = 1); nothing kept is the empty product, chi 1.  The pair
+    (P, Q) of a union of disjoint sets is (P1 * P2, P1 * Q2 + Q1 * P2),
+    that of factor i alone (a_i, k_i), so chi(S + i) = a_i * chi(S) +
+    c * k_i * P(S).  A backward pass gives the pair of the factors after
+    each i and a forward one composes it with those before i.
     """
-    a = tuple(a)
-    mixed = [c * prod(a[:i] + a[i + 1 :]) for i in range(len(a))]
-    return prod(a) + mixed[-1], tuple(mixed[:-1])
+    after, p, q = [], 1, 0
+    for i in reversed(keep):
+        after.append((p, q))
+        p, q = p * a[i], q * a[i] + k[i] * p
+    head, chis, p, q = p + c * q, [], 1, 0  # (p, q): the factors before i
+    for i, (p2, q2) in zip(keep, reversed(after)):
+        chis.append(p * p2 + c * (p * q2 + q * p2))
+        p, q = p * a[i], q * a[i] + k[i] * p
+    return head, chis
+
+
+def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
+    """chi of the class (a, c) as an affine function of k, (constant,
+    weights) with chi = constant + sum_{i < g-1} k_i * weights[i], so a
+    search can solve for a multiplier: chi = P + c * sum_i k_i * P(S - i),
+    and one ``restriction_scan`` with c = 0 gives P and every P(S - i)."""
+    p, drops = restriction_scan(a, a, 0, range(len(a)))  # any k: c = 0 ignores it
+    return p + c * drops[-1], tuple(c * x for x in drops[:-1])
 
 
 def restriction_chi(cls: DivisorClass, keep: Sequence[int]) -> int:
-    """Euler characteristic of the restriction to the kept factors.
-
-    This is ``chi_affine`` on those factors: chi(S) = P(S) + c * Q(S) with
-    P(S) = prod_{i in S} a_i and Q(S) = sum_{i in S} k_i * prod_{j in S - i} a_j
-    (k_{g-1} = 1 whatever S keeps).  Adding factor i gives P(S + i) =
-    a_i * P(S) and Q(S + i) = a_i * Q(S) + k_i * P(S), so
-
-        chi(S + i) = a_i * chi(S) + c * k_i * P(S),
-
-    and nothing kept is the empty product 1.
-    """
-    k, p, q = cls.space.k_full, 1, 0
-    for i in keep:
-        a = cls.a[i]
-        p, q = p * a, q * a + k[i] * p
-    return p + cls.c * q
+    """Euler characteristic of the restriction to the kept factors, the
+    head of their ``restriction_scan``."""
+    return restriction_scan(cls.a, cls.space.k_full, cls.c, keep)[0]
 
 
 def chi_multilinear(cls: DivisorClass) -> int:
-    """Euler characteristic from the intersection numbers of the basis (see
-    ``chi_affine``), by the O(g) recurrence of ``restriction_chi`` on every
-    factor."""
+    """Euler characteristic from the intersection numbers of the basis: the
+    ``restriction_chi`` of every factor."""
     return restriction_chi(cls, range(cls.space.g))
 
 
@@ -368,7 +384,7 @@ def is_ample(form: AltForm) -> bool:
     is 0, or c > 0 and exactly one is.  A restriction pairs by a principal
     block of this pairing, definite if this one is, so its chi is nonzero;
     and by the recurrence chi(S + i) = a_i * chi(S) + c * k_i * P(S) of
-    ``restriction_chi``, from chi = 1 on nothing kept, it is a sum of
+    ``restriction_scan``, from chi = 1 on nothing kept, it is a sum of
     terms >= 0: every restriction of an ample class has chi > 0.
     """
     return leading_minors_all_positive([[m * kj for m, kj in zip(row, form.factor_k)] for row in form.block])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import betabound.cli
 import betabound.constructor
 import betabound.surfacetable
-import betabound.threshold
 import betabound.torusmodel
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
@@ -29,7 +28,7 @@ from betabound.cli import (
 )
 from betabound.exactmath import smith_normal_form
 from betabound.threshold import InconsistentBoundsError
-from betabound.torusmodel import is_ample, restriction_chi
+from betabound.torusmodel import is_ample
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -157,6 +156,19 @@ class TestSearchCommand:
         env = run(["search", "--g", "2", "--d", "9"])
         assert env["results"]["certificates"][0]["flag_bound"]["value"] == "1/3"
 
+    def test_max_c_needs_generalized(self, capsys):
+        # the standard search keeps c = 1, so a --max-c would be echoed and ignored
+        for c in ("0", "1", "3"):
+            assert main(["search", "--g", "3", "--d", "7", "--max-c", c]) == EXIT_PARSE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --max-c needs --generalized: the standard search keeps c = 1\n"
+        certs = run(["search", "--g", "2", "--d", "6", "--generalized", "--max-c", "0"])["results"]["certificates"]
+        assert len(certs) == 12 and all(cert["params"]["c"] == 0 for cert in certs)
+        # nor does a refused box advise --max-c for the standard search
+        assert main(["search", "--g", "4", "--d", "1000"]) == EXIT_PARSE
+        assert capsys.readouterr().err.endswith("--max-k, and --max-c with --generalized\n")
+
     def test_empty_box_is_ok_with_diagnostic(self, capsys):
         code = main(["search", "--g", "2", "--d", "7", "--max-k", "1", "--max-a", "1", "--max-b", "1"])
         assert code == EXIT_OK
@@ -281,7 +293,7 @@ class TestCliContract:
             # 10^6 shapes of one pair each: 5 * 10^6 steps; 8.4 s of enumeration unchecked
             ["search", "--g", "3", "--d", str(10**40), "--max-a", "999", "--max-b", "999", "--max-k", "1"],
             # 944,784 pairs at g = 12: 944,848 steps; 3.0 s of enumeration unchecked
-            ["search", "--g", "12", "--d", str(10**40), "--max-a", "3", "--max-b", "3", "--max-k", "3", "--max-c", "3"],
+            ["search", "--g", "12", "--d", str(10**40), "--max-a", "3", "--max-b", "3", "--max-k", "3"],
             # 236,212 steps, under the limit, but 1,112 candidates: refused only
             # after about 186,000 steps unless shapes whose chi range misses d are skipped
             ["search", "--g", "12", "--d", "26", "--max-a", "1", "--max-b", "1", "--max-k", "3"],
@@ -372,12 +384,17 @@ class TestCliContract:
             assert capsys.readouterr().err.startswith("internal oracle failure: minor test says ample=")
 
     def test_flag_chain_disagreement_exits_three(self, monkeypatch, capsys):
-        def off_by_one(cls, keep):
-            chi = restriction_chi(cls, keep)
-            # the full set heads every chain, the witness's too
-            return chi + 1 if len(keep) == cls.space.g else chi
+        real = betabound.torusmodel.restriction_scan
 
-        monkeypatch.setattr(betabound.threshold, "restriction_chi", off_by_one)
+        def off_by_one(a, k, c, keep):
+            chi, drops = real(a, k, c, keep)
+            if len(keep) == 4:
+                # the full set's drop of factor 3, the witness's first, is off
+                # by one; the chi check reads only the head and cannot see it
+                drops = drops[:-1] + [drops[-1] + 1]
+            return chi, drops
+
+        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", off_by_one)
         assert main(["beta", "--g", "4", "--k", "3,2,1", "--a", "1,1,1,2", "--c", "1"]) == EXIT_ORACLE
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: flag chain oracles disagree")
@@ -459,7 +476,8 @@ def argvs(draw):
         argv += ["--general", g, d]
     elif command == "search":
         argv += ["--g", g, "--d", d]
-        for flag in ("--max-a", "--max-b", "--max-k", "--max-c"):
+        # --max-c without --generalized exits 2, so it is drawn half the time
+        for flag in ("--max-a", "--max-b", "--max-k") + (("--max-c",) if draw(st.booleans()) else ()):
             argv += [flag, draw(st.integers(-1, 3))]
         if draw(st.booleans()):
             argv.append("--generalized")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import betabound.constructor
+import betabound.torusmodel
 from betabound import (
     Bound,
     ConstructionParams,
@@ -128,9 +129,23 @@ class TestCertify:
             certify(ConstructionParams(g=2, k=(2,), a=0, b=0, middle=(), c=1))
 
     def test_oracle_disagreement_is_raised(self, monkeypatch):
-        monkeypatch.setattr(betabound.constructor, "chi_multilinear", lambda cls: 41)
+        real = betabound.torusmodel.restriction_scan
+        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", lambda *args: (41, real(*args)[1]))
         with pytest.raises(OracleDisagreement):
             certify(recipe_strict(3, 40))
+
+    def test_certify_evaluates_the_full_set_formula_once(self, monkeypatch):
+        # the chi check and both flag walks read one scan of the full set
+        real, full = betabound.torusmodel.restriction_scan, []
+
+        def spy(a, k, c, keep):
+            if len(keep) == 3:
+                full.append(tuple(keep))
+            return real(a, k, c, keep)
+
+        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", spy)
+        certify(recipe_strict(3, 40))
+        assert full == [(0, 1, 2)]
 
     def test_explicit_class_has_no_params(self):
         cert = certify_class(DivisorClass(ConstructionSpace(1, ()), (5,), 0))

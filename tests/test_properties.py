@@ -50,8 +50,7 @@ from betabound.cli import _json_text, run
 from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, _pivot, leading_minors_all_positive
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
-from betabound.threshold import _drop_chis
-from betabound.torusmodel import restriction_chi
+from betabound.torusmodel import chi_affine, restriction_chi, restriction_scan
 from util import (
     IntMatrix,
     bipartite,
@@ -439,10 +438,38 @@ def test_principal_block_minors_are_restriction_chis(cls):
 
 @SETTINGS
 @given(classes(max_g=12), st.integers(1, 2**12 - 1))
-def test_drop_chis_match_restriction_chi(cls, mask):
-    keep = [i for i in range(cls.space.g) if mask >> i & 1] or [0]
-    expected = [restriction_chi(cls, [j for j in keep if j != i]) for i in keep]
-    assert _drop_chis(cls.a, cls.space.k_full, cls.c, keep) == expected
+def test_restriction_scan_matches_restriction_pfaffians(cls, mask):
+    form, g = alt_form(cls), cls.space.g
+    keep = [i for i in range(g) if mask >> i & 1] or [0]
+
+    def det(kept):  # the Bareiss determinant of the principal block; 1 on nothing kept
+        return chi_pfaffian(restrict(form, kept)) if kept else 1
+
+    def scan_by_det(kept):
+        return det(kept), [det([j for j in kept if j != i]) for i in kept]
+
+    head, drops = restriction_scan(cls.a, cls.space.k_full, cls.c, keep)
+    assert (head, drops) == scan_by_det(keep)
+    # a form reads the same scan by position, in its own factor order
+    chi, full_drops = scan_by_det(range(g))
+    assert form.scan(keep) == (head, drops) and form.full_scan == (chi, tuple(full_drops))
+    view = AltForm(cls, keep[::-1])
+    assert view.scan(range(len(keep))) == (head, drops[::-1])
+    assert view.full_scan == (head, tuple(drops[::-1]))
+
+
+@SETTINGS
+@given(st.data())
+def test_chi_affine_matches_block_determinant(data):
+    g = data.draw(st.integers(1, 12))
+    a = data.draw(st.lists(st.one_of(st.just(0), st.integers(0, 35)), min_size=g, max_size=g))
+    c = data.draw(st.integers(0, 6))
+    k = data.draw(st.lists(st.integers(1, 30), min_size=g - 1, max_size=g - 1))
+    assume(any(a) or c)
+    constant, weights = chi_affine(a, c)
+    assert len(weights) == g - 1
+    cls = DivisorClass(ConstructionSpace(g, k), a, c)
+    assert constant + sum(ki * w for ki, w in zip(k, weights)) == chi_pfaffian(alt_form(cls))
 
 
 @SETTINGS
