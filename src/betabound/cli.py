@@ -170,9 +170,10 @@ def _cmd_search(args, argv) -> dict:
     overrides = {name: getattr(args, name) for name in ("max_a", "max_b", "max_k", "max_c")}
     box = replace(default_box(args.g, args.d), **{k: v for k, v in overrides.items() if v is not None})
     certificates = brute_search(args.g, args.d, box=box, generalized=args.generalized)
+    memo = {}  # one envelope's equal parts as one object (Certificate.to_json)
     results = {
         "count": len(certificates),
-        "certificates": [cert.to_json() for cert in certificates],
+        "certificates": [cert.to_json(memo) for cert in certificates],
     }
     if not certificates:
         results["diagnostic"] = "no construction of the requested type inside the box"
@@ -260,10 +261,10 @@ def _json_text(value) -> str:
     With ``indent`` the stdlib call cannot use its C encoder (Python <=
     3.13), and its pure-Python fallback takes over twice as long.
     """
-    return _write(value, "", {})
+    return _write(value, "", {}, {})
 
 
-def _write(value, pad: str, frames: dict) -> str:
+def _write(value, pad: str, frames: dict, texts: dict) -> str:
     """``_json_text`` of a value written at indent ``pad``.
 
     Exact str and int children, most of a search's leaves, are written
@@ -271,31 +272,44 @@ def _write(value, pad: str, frames: dict) -> str:
     order, to its keys in sorted order, each with its quoted text and
     ": ", so a shape that recurs, such as a search's certificates or a
     table's rows, has its keys sorted and quoted once per call.
+
+    ``texts`` maps each nonempty container met, by (id, indent), to ""
+    the first time and to its text the second, and that text is returned
+    from then on: a sub-tree one tree holds many times, such as the parts
+    a search's certificates share (``Certificate.to_json``), is written
+    at most twice per indent, however often it is held.  A node met once
+    keeps no text, so peak memory does not grow by the output.  Ids are
+    compared only within one call, while the tree being written keeps
+    every node alive; nothing is kept between calls.
     """
-    if isinstance(value, dict):
+    is_dict = isinstance(value, dict)
+    if is_dict or isinstance(value, (list, tuple)):
         if not value:
-            return "{}"
-        inner = pad + "  "
-        shape = tuple(value)
-        frame = frames.get(shape)
-        if frame is None:
-            frame = frames[shape] = [(key, _quote(key) + ": ") for key in sorted(value)]
-        parts = []
-        for key, prefix in frame:
-            item = value[key]
-            kind = type(item)
-            text = _quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames)
-            parts.append(prefix + text)
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+            return "{}" if is_dict else "[]"
+        node = (id(value), pad)
+        seen = texts.get(node)
+        if seen:
+            return seen
         inner = pad + "  "
         parts = []
-        for item in value:
-            kind = type(item)
-            parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames))
-        return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+        if is_dict:
+            shape = tuple(value)
+            frame = frames.get(shape)
+            if frame is None:
+                frame = frames[shape] = [(key, _quote(key) + ": ") for key in sorted(value)]
+            for key, prefix in frame:
+                item = value[key]
+                kind = type(item)
+                text = _quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames, texts)
+                parts.append(prefix + text)
+            text = "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+        else:
+            for item in value:
+                kind = type(item)
+                parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames, texts))
+            text = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+        texts[node] = "" if seen is None else text
+        return text
     if isinstance(value, str):
         return _quote(value)
     if value is True:

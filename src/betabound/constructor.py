@@ -197,17 +197,62 @@ class Certificate:
     def sort_key(self) -> tuple:
         return (self.bound, self.flag_chis) + self.params.sort_key()
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
+        """The certificate as a JSON dict.
+
+        ``memo``, a dict the caller keeps for one output (``cli`` makes one
+        per ``search`` envelope), makes equal parts of the certificates
+        written with it one object, so that they are built once and the
+        writer renders each once:
+
+        - the interval and N_p report JSON, one per shared object
+          (``brute_search`` shares those per key), keyed by its id and
+          kept with the object, so no id is reused while the memo lives;
+        - the chi, type, k_group and curve_lower dicts, one group per
+          (chi, type, K-group divisors, curve bound), the bound as a
+          numerator/denominator pair since hashing a Fraction costs a
+          modular inverse;
+        - the witness order list, one per order.
+
+        The three kinds of key cannot meet: an id is an int, an order a
+        tuple of ints, a group key a tuple holding tuples.  ``params``,
+        the flag bound dict with its chi chain and the returned dict are
+        always fresh.  Parts shared through a memo are for reading; without
+        one every dict and list is built fresh, so a caller may edit it.
+        """
+        if memo is None:
+            memo = {}
+        curve = self.curve_lower
+        key = (self.chi, self.ptype, self.kgroup.divisors, curve.numerator, curve.denominator)
+        group = memo.get(key)
+        if group is None:
+            group = memo[key] = (
+                {"value": self.chi, "by": "multilinear=pfaffian"},
+                {"value": list(self.ptype), "by": "smith-normal-form"},
+                {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
+                {"value": str(curve), "by": "curve-degree"},
+            )
+        order = memo.get(self.witness_order)
+        if order is None:
+            order = memo[self.witness_order] = list(self.witness_order)
         return {
             "params": self.params.to_json() if self.params is not None else None,
-            "chi": {"value": self.chi, "by": "multilinear=pfaffian"},
-            "type": {"value": list(self.ptype), "by": "smith-normal-form"},
-            "k_group": {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
-            "flag_bound": {"value": str(self.bound), "order": list(self.witness_order), "chis": list(self.flag_chis), "by": "flag-restriction"},
-            "curve_lower": {"value": str(self.curve_lower), "by": "curve-degree"},
-            "interval": self.interval.to_json(),
-            "np": self.np.to_json(),
+            "chi": group[0],
+            "type": group[1],
+            "k_group": group[2],
+            "flag_bound": {"value": str(self.bound), "order": order, "chis": list(self.flag_chis), "by": "flag-restriction"},
+            "curve_lower": group[3],
+            "interval": _shared_json(self.interval, memo),
+            "np": _shared_json(self.np, memo),
         }
+
+
+def _shared_json(part, memo: dict) -> dict:
+    """``part.to_json()``, built once per object for one memo."""
+    hit = memo.get(id(part))
+    if hit is None:
+        hit = memo[id(part)] = (part, part.to_json())
+    return hit[1]
 
 
 def _recipe(g: int, d: int, m: int, n: int, case: str) -> ConstructionParams:

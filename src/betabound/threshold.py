@@ -279,8 +279,10 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     largest cost along it.  Where the drop orders number g!, two greedy
     passes find the minimum, each from one ``form.scan`` per set (O(|S|),
     ``torusmodel.restriction_scan``), O(g^2) in all; both start from
-    ``form.full_scan``, the scan ``checked_chi`` reads, and a one-factor
-    set, whose only drop leaves chi 1, needs no scan:
+    ``form.full_scan``, the scan ``checked_chi`` reads, a one-factor set,
+    whose only drop leaves chi 1, needs no scan, and the witness pass
+    reuses the value pass's scans for as long as the two have dropped the
+    same factors, since they then stand on the same set:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -318,6 +320,7 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
     # at one set share its chi as denominator, so the least leaves the least chi.
     keep, (chi_s, drops), num, den = list(range(form.g)), form.full_scan, 0, 1
+    walk = []  # the value pass's steps: (factor dropped, drops of the set left)
     while keep:
         if chi_s <= 0:
             raise LatticeInvariantError("ample restriction with nonpositive chi")
@@ -326,17 +329,22 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
             num, den = chi_t, chi_s
         keep.remove(i)
         chi_s, drops = form.scan(keep) if keep[1:] else (chi_t, [1])
+        walk.append((i, drops))
     order, keep, formula_chain, drops = [], list(range(form.g)), [form.full_scan[0]], form.full_scan[1]
+    same = True  # whether both passes have dropped the same factors so far
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
         for i, chi_t in zip(keep, drops):
             if chi_t * den <= num * formula_chain[-1]:
                 break
+        step, drops = walk[len(order)]
+        same = same and i == step
         order.append(i)
         keep.remove(i)
         formula_chain.append(chi_t)
-        drops = form.scan(keep)[1] if keep[1:] else [1]
+        if not same:
+            drops = form.scan(keep)[1] if keep[1:] else [1]
     formula_chain.pop()  # chi = 1 on nothing kept
     chis = _flag_chain(form, order)
     pf_num, pf_den = 1, chis[-1]

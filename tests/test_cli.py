@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -29,6 +30,7 @@ from betabound.cli import (
 from betabound.exactmath import smith_normal_form
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import is_ample
+from util import containers
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -155,6 +157,42 @@ class TestSearchCommand:
     def test_surface_nine(self):
         env = run(["search", "--g", "2", "--d", "9"])
         assert env["results"]["certificates"][0]["flag_bound"]["value"] == "1/3"
+
+    def test_equal_parts_of_one_envelope_are_one_object(self):
+        # one memo per envelope (Certificate.to_json): the chi, type, k_group
+        # and curve_lower dicts are one group per value, the witness orders one
+        # list per order, the interval and N_p report one per (flag bound,
+        # curve bound), since g and chi = d are fixed; the rest is fresh
+        certs = run(["search", "--g", "3", "--d", "40"])["results"]["certificates"]
+        parts = ("chi", "type", "k_group", "curve_lower")
+        groups, orders, bounds = {}, {}, {}
+        for cert in certs:
+            owner = groups.setdefault(json.dumps([cert[part] for part in parts]), cert)
+            assert all(cert[part] is owner[part] for part in parts)
+            order = cert["flag_bound"]["order"]
+            assert orders.setdefault(tuple(order), order) is order
+            owner = bounds.setdefault((cert["flag_bound"]["value"], cert["curve_lower"]["value"]), cert)
+            assert cert["interval"] is owner["interval"] and cert["np"] is owner["np"]
+        assert 1 < len(groups) < len(certs) and 1 < len(orders) < len(certs) and 1 < len(bounds) < len(certs)
+        for fresh in (lambda c: c, lambda c: c["params"], lambda c: c["flag_bound"], lambda c: c["flag_bound"]["chis"]):
+            assert len({id(fresh(cert)) for cert in certs}) == len(certs)
+
+    def test_two_envelopes_share_nothing(self):
+        argv = ["search", "--g", "3", "--d", "40"]
+        first, second = run(argv), run(argv)
+        assert first == second
+        assert not {id(node) for node in containers(first)} & {id(node) for node in containers(second)}
+
+    def test_search_csv_reads_the_shared_parts(self):
+        # one CSV row per certificate, with the witness order and type each holds
+        argv = ["search", "--g", "3", "--d", "40"]
+        certs = run(argv)["results"]["certificates"]
+        rows = render(run(argv + ["--format", "csv"])).splitlines()[1:]
+        assert len(rows) == len(certs)
+        for row, cert in zip(rows, certs):
+            fields = row.split(",")
+            assert fields[6] == " ".join(map(str, cert["flag_bound"]["order"]))
+            assert fields[7] == " ".join(map(str, cert["type"]["value"]))
 
     def test_max_c_needs_generalized(self, capsys):
         # the standard search keeps c = 1, so a --max-c would be echoed and ignored
@@ -344,6 +382,58 @@ class TestCliContract:
     def test_writer_refuses_an_int_too_long_to_print(self):
         with pytest.raises(ValueError):
             _json_text({"chi": 10**5000})
+
+    def test_writer_builds_a_shared_sub_tree_twice_per_indent(self, monkeypatch):
+        # a node held 30 times at each of two indents: its sub-tree is written
+        # when the node is first met and again to store its text at the second
+        # meeting, at each indent, and every later meeting reuses that text
+        inner = [1, "x"]
+        node = {"a": inner, "b": True}
+        tree = {"flat": [node] * 30, "deep": [[node] for _ in range(30)]}
+        calls = collections.Counter()
+        real = betabound.cli._write
+
+        def spy(value, pad, *rest):
+            calls[id(value), pad] += 1
+            return real(value, pad, *rest)
+
+        monkeypatch.setattr(betabound.cli, "_write", spy)
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        assert calls[id(node), " " * 4] == calls[id(node), " " * 6] == 30
+        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 2
+        # nothing is kept between calls: a second render writes it afresh
+        _json_text(tree)
+        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 4
+
+    def test_writer_writes_what_a_search_shares_at_most_twice(self, monkeypatch):
+        envelope = run(["search", "--g", "3", "--d", "40"])
+        certs = envelope["results"]["certificates"]
+        calls = collections.Counter()
+        real = betabound.cli._write
+
+        def spy(value, *rest):
+            if isinstance(value, (dict, list)) and value:
+                calls[id(value)] += 1
+            return real(value, *rest)
+
+        monkeypatch.setattr(betabound.cli, "_write", spy)
+        assert render(envelope) == json.dumps(envelope, indent=2, sort_keys=True)
+        for cert in certs:
+            # the shared parts are met once per certificate holding them, and
+            # what they hold is written twice at most, however many hold them
+            held = sum(other["interval"] is cert["interval"] for other in certs)
+            assert calls[id(cert["interval"])] == held
+            for node in (cert["interval"]["lower"], cert["interval"]["upper"], cert["type"]["value"], cert["k_group"]["value"]):
+                assert calls[id(node)] <= 2
+        assert sum(calls.values()) < len(containers(envelope))
+
+    def test_writer_keeps_nothing_between_calls(self):
+        # a node edited between two renders is written as it now stands
+        node = {"a": [1]}
+        tree = [node, node, node]
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+        node["a"].append(2)
+        assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
 
     def test_render_errors_exit_two(self, monkeypatch, capsys):
         # class entries stop at 10^100, so no result reaches Python's limit

@@ -25,6 +25,7 @@ from betabound import (
     recipe_weak,
 )
 from betabound.constructor import CASE_RECIPE_STRICT, CASE_RECIPE_WEAK, _certify
+from util import containers
 
 
 class TestRecipeWeak:
@@ -283,6 +284,20 @@ class TestBruteSearch:
         assert [c.interval for c in second] == [c.interval for c in first]
         assert not {id(c.interval) for c in first} & {id(c.interval) for c in second}
         assert not {id(c.np) for c in first} & {id(c.np) for c in second}
+
+    def test_to_json_memo_shares_parts_and_changes_no_value(self):
+        certs = brute_search(3, 40)
+        memo = {}
+        shared = [cert.to_json(memo) for cert in certs]
+        fresh = [cert.to_json() for cert in certs]
+        assert shared == fresh
+        ids = [id(node) for tree in shared for node in containers(tree)]
+        assert len(set(ids)) < len(ids)
+        # without a memo every dict and list is its own, across certificates
+        # and across calls on one certificate
+        fresh.append(certs[0].to_json())
+        ids = [id(node) for tree in fresh for node in containers(tree)]
+        assert len(set(ids)) == len(ids)
 
     @pytest.mark.parametrize("g, d, box, generalized", [
         (3, 40, None, False),

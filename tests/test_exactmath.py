@@ -65,6 +65,44 @@ class TestSmithNormalForm:
         diag = snf_checks(IntMatrix.from_rows([[0, 0], [0, 0]]))
         assert diag == (0, 0)
 
+    @pytest.mark.parametrize("rows, diag", [
+        # n = 2: the whole matrix is the closing block
+        ([[0, 5], [7, 0]], (1, 35)),
+        ([[4, 6], [6, 4]], (2, 10)),  # gcd 2, det -20
+        # negative entries: the determinant's sign is dropped
+        ([[-4, -6], [-6, -4]], (2, 10)),
+        ([[-3, 5], [7, -2]], (1, 29)),
+        # a trailing block of determinant 0 after a unit pivot
+        ([[1, 0, 0], [0, 2, 4], [0, 3, 6]], (1, 1, 0)),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], (1, 3, 0)),
+        # a trailing block with gcd > 1 under a pivot that divides it
+        ([[6, 0, 0], [0, 12, 18], [0, 24, 6]], (6, 6, 60)),
+        ([[2, 4, 4, 8], [4, 2, 6, 2], [0, 6, 12, 6], [8, 0, 4, 2]], (2, 2, 2, 30)),
+        # a zero trailing block, and zero matrices of each small size
+        ([[5, 0, 0], [0, 0, 0], [0, 0, 0]], (5, 0, 0)),
+        ([[0]], (0,)),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 0, 0)),
+        ([], ()),
+    ])
+    def test_closing_block(self, rows, diag):
+        # snf_checks also compares the diagonal with the determinantal divisors
+        assert (snf_checks(IntMatrix.from_rows(rows)) if rows else smith_normal_form(rows)) == diag
+
+    def test_closing_block_takes_one_step(self, monkeypatch):
+        # n - 2 pivot scans before the last 2 x 2 block closes
+        scans = []
+        real = betabound.exactmath._pivot
+
+        def spy(a, t):
+            scans.append(t)
+            return real(a, t)
+
+        monkeypatch.setattr(betabound.exactmath, "_pivot", spy)
+        assert smith_normal_form([[4, 6], [6, 4]]) == (2, 10)
+        assert scans == []
+        assert smith_normal_form([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 6, 4], [0, 0, 4, 6]]) == (1, 1, 2, 10)
+        assert scans == [0, 1]
+
     def test_random_properties(self):
         rng = random.Random(2024)
         for _ in range(150):

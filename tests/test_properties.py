@@ -796,6 +796,10 @@ def test_shared_certificates_equal_their_own(search):
             assert getattr(cert, field.name) == getattr(own, field.name), field.name
         assert cert.interval.to_json() == own.interval.to_json()
         assert cert.np.to_json() == own.np.to_json()
+    # and through one memo, as in a search envelope, each certificate's JSON
+    # equals that of its own, written alone
+    memo = {}
+    assert [cert.to_json(memo) for cert in results] == [own.to_json() for own in expected]
 
 
 @st.composite
@@ -904,6 +908,8 @@ _items = [1, "x", _node]
 @given(trees_with_shared_nodes())
 @example({"a": _node, "b": [_node, {"c": _node}], "d": [_node, _node], "e": _items, "f": [_items, [_items]]})
 @example([_node, _node, _node, [_node, _node], {"x": [_node, _node]}])
+# one node met at two indents in turn
+@example([_node, {"x": _node}, _node, {"x": _node}, _node, {"x": _node}])
 def test_json_writer_matches_stdlib_on_shared_nodes(value):
     assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 

@@ -29,7 +29,8 @@ elimination Pfaffian (the determinant pins down only its square); it is
 exponential in the matrix size.  The closed-form flag bound of a
 standard class is the reference for the bound of the identity flag, and
 the dynamic program over all 2^g subsets of factors the reference for
-the greedy flag optimum.
+the greedy flag optimum.  ``containers`` lists a JSON tree's dicts and
+lists, for the tests of which parts an output shares.
 """
 
 from dataclasses import dataclass, replace
@@ -615,3 +616,15 @@ def type_by_minor_gcds(cls: DivisorClass) -> tuple[int, ...]:
         e, f, h = lattices[j]
         divisors.append(gcd(e + c * f, c * h, c * big_h[j] if j < g else 0))
     return tuple(d // prev if prev else 0 for prev, d in zip(divisors, divisors[1:]))
+
+
+def containers(tree) -> list:
+    """Every nonempty dict and list of a JSON tree, once per place the tree
+    holds it, so a shared node appears as often as it is held."""
+    stack, found = [tree], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (dict, list)) and node:
+            found.append(node)
+            stack.extend(node.values() if isinstance(node, dict) else node)
+    return found
