@@ -274,10 +274,11 @@ def _write(value, pad: str, frames: dict, texts: dict) -> str:
     table's rows, has its keys sorted and quoted once per call.
 
     ``texts`` maps each nonempty container met, by (id, indent), to ""
-    the first time and to its text the second, and that text is returned
-    from then on: a sub-tree one tree holds many times, such as the parts
-    a search's certificates share (``Certificate.to_json``), is written
-    at most twice per indent, however often it is held.  A node met once
+    the first time and to its text the second, and from then on its
+    parent reads that text instead of recursing: a sub-tree one tree holds
+    many times, such as the parts a search's certificates share
+    (``Certificate.to_json``), is written, and its node visited, at most
+    twice per indent, however often it is held.  A node met once
     keeps no text, so peak memory does not grow by the output.  Ids are
     compared only within one call, while the tree being written keeps
     every node alive; nothing is kept between calls.
@@ -287,9 +288,7 @@ def _write(value, pad: str, frames: dict, texts: dict) -> str:
         if not value:
             return "{}" if is_dict else "[]"
         node = (id(value), pad)
-        seen = texts.get(node)
-        if seen:
-            return seen
+        seen = texts.get(node)  # None or "": a stored text is read by the parent
         inner = pad + "  "
         parts = []
         if is_dict:
@@ -300,13 +299,13 @@ def _write(value, pad: str, frames: dict, texts: dict) -> str:
             for key, prefix in frame:
                 item = value[key]
                 kind = type(item)
-                text = _quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames, texts)
+                text = _quote(item) if kind is str else int.__repr__(item) if kind is int else texts.get((id(item), inner)) or _write(item, inner, frames, texts)
                 parts.append(prefix + text)
             text = "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
         else:
             for item in value:
                 kind = type(item)
-                parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else _write(item, inner, frames, texts))
+                parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else texts.get((id(item), inner)) or _write(item, inner, frames, texts))
             text = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
         texts[node] = "" if seen is None else text
         return text

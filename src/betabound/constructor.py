@@ -19,8 +19,10 @@ characteristic oracles must agree and chi must be nonzero (for these
 classes that is ampleness, see ``torusmodel.is_ample``), the type is
 recomputed from the elementary divisors of the lattice form and its
 product checked against the Pfaffian, and the flag bound is minimized
-over all drop orders.  A disagreement between oracles is a bug and is
-never swallowed.
+over all drop orders.  On an ample class the Pfaffian is the head of the
+flag chain's Bareiss elimination, so one elimination of the block serves
+the chi check, the type check and the flag chain.  A disagreement
+between oracles is a bug and is never swallowed.
 
 A certificate's beta interval and N_p report read nothing of its class
 but g, chi, the flag bound, the curve bound and the extra lower-bound
@@ -164,14 +166,17 @@ class ConstructionParams:
     def sort_key(self) -> tuple:
         return (self.a, self.b, self.middle or (), self.c, self.k)
 
-    def to_json(self) -> dict:
+    def to_json(self, memo: dict | None = None) -> dict:
+        """The params as a JSON dict, with the coefficient list shared
+        through ``memo`` as ``Certificate.to_json`` describes; the dict and
+        its ``k`` list are always fresh."""
         payload = {
             "g": self.g,
             "k": list(self.k),
             "a": self.a,
             "b": self.b,
             "c": self.c,
-            "coefficients": list(self.coefficients()),
+            "coefficients": _listed("coefficients", self.coefficients(), {} if memo is None else memo),
             "case": self.case,
         }
         if self.m is not None:
@@ -209,50 +214,62 @@ class Certificate:
           (``brute_search`` shares those per key), keyed by its id and
           kept with the object, so no id is reused while the memo lives;
         - the chi, type, k_group and curve_lower dicts, one group per
-          (chi, type, K-group divisors, curve bound), the bound as a
-          numerator/denominator pair since hashing a Fraction costs a
-          modular inverse;
-        - the witness order list, one per order.
+          (chi, type, K-group divisors, curve bound);
+        - the flag bound dict, one per (witness order, chi chain, bound),
+          and within it the order list, one per order, and the chain list,
+          one per chain;
+        - the params' coefficient list, one per coefficient tuple
+          (``ConstructionParams.to_json``).
 
-        The three kinds of key cannot meet: an id is an int, an order a
-        tuple of ints, a group key a tuple holding tuples.  ``params``,
-        the flag bound dict with its chi chain and the returned dict are
-        always fresh.  Parts shared through a memo are for reading; without
-        one every dict and list is built fresh, so a caller may edit it.
+        Fractions enter keys as numerator/denominator pairs, since hashing a
+        Fraction costs a modular inverse.  Every key is a tuple that starts
+        with the name of its kind and holds everything its part is built
+        from, so two parts share an object only if they are equal and of one
+        kind: an order and a coefficient tuple such as (0, 1, 2) get two
+        lists.  ``params``, its ``k`` list and the returned dict are always
+        fresh.  Parts shared through a memo are for reading; without one
+        every dict and list is built fresh, so a caller may edit it.
         """
         if memo is None:
             memo = {}
-        curve = self.curve_lower
-        key = (self.chi, self.ptype, self.kgroup.divisors, curve.numerator, curve.denominator)
-        group = memo.get(key)
-        if group is None:
-            group = memo[key] = (
-                {"value": self.chi, "by": "multilinear=pfaffian"},
-                {"value": list(self.ptype), "by": "smith-normal-form"},
-                {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
-                {"value": str(curve), "by": "curve-degree"},
-            )
-        order = memo.get(self.witness_order)
-        if order is None:
-            order = memo[self.witness_order] = list(self.witness_order)
+        curve, bound = self.curve_lower, self.bound
+        # every part is a nonempty dict, list or tuple, so a hit is truthy
+        key = ("group", self.chi, self.ptype, self.kgroup.divisors, curve.numerator, curve.denominator)
+        group = memo.get(key) or memo.setdefault(key, (
+            {"value": self.chi, "by": "multilinear=pfaffian"},
+            {"value": list(self.ptype), "by": "smith-normal-form"},
+            {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
+            {"value": str(curve), "by": "curve-degree"},
+        ))
+        key = ("flag", self.witness_order, self.flag_chis, bound.numerator, bound.denominator)
+        flag = memo.get(key) or memo.setdefault(key, {
+            "value": str(bound),
+            "order": _listed("order", self.witness_order, memo),
+            "chis": _listed("chis", self.flag_chis, memo),
+            "by": "flag-restriction",
+        })
         return {
-            "params": self.params.to_json() if self.params is not None else None,
+            "params": self.params.to_json(memo) if self.params is not None else None,
             "chi": group[0],
             "type": group[1],
             "k_group": group[2],
-            "flag_bound": {"value": str(self.bound), "order": order, "chis": list(self.flag_chis), "by": "flag-restriction"},
+            "flag_bound": flag,
             "curve_lower": group[3],
             "interval": _shared_json(self.interval, memo),
             "np": _shared_json(self.np, memo),
         }
 
 
+def _listed(kind: str, values: tuple, memo: dict) -> list:
+    """``list(values)``, built once per (kind, values) for one memo."""
+    key = (kind, values)
+    return memo.get(key) or memo.setdefault(key, list(values))
+
+
 def _shared_json(part, memo: dict) -> dict:
     """``part.to_json()``, built once per object for one memo."""
-    hit = memo.get(id(part))
-    if hit is None:
-        hit = memo[id(part)] = (part, part.to_json())
-    return hit[1]
+    key = ("json", id(part))
+    return (memo.get(key) or memo.setdefault(key, (part, part.to_json())))[1]
 
 
 def _recipe(g: int, d: int, m: int, n: int, case: str) -> ConstructionParams:
@@ -297,7 +314,15 @@ def recipe_strict(g: int, d: int) -> ConstructionParams:
 def checked_chi(form: AltForm) -> int:
     """chi of the form's class, computed by both oracles, which must agree:
     the intersection formula (``form.full_scan``, which the flag search
-    reads too) and the determinant of the form's block.
+    reads too) and the determinant of the form's block (``chi_pfaffian``).
+
+    The determinant is one Bareiss elimination of the block in its own
+    order unless the form holds one already: ``certify`` records the head
+    of the flag chain's elimination (``AltForm.record_det``), which
+    ``best_flag_bound`` has checked against the formula chi.  So the
+    natural-order elimination runs only where no flag search runs: the
+    ``chi``, ``type``, ``kgroup`` and ``ample`` commands, and a class whose
+    formula chi is 0.
 
     Package-internal, and called only on ``alt_form`` forms, which keep
     every factor of their class, so both oracles read the whole class."""
@@ -342,13 +367,18 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
 
 def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple, shared: dict) -> Certificate:
     form = alt_form(cls)
+    if form.full_scan[0] > 0:
+        # the Bareiss chain of the witness order, which best_flag_bound checks
+        # against the formula chain, heads with det M: no second elimination
+        bound, order, chis = best_flag_bound(form)
+        form.record_det(chis[0])
     chi = checked_chi(form)
-    if chi == 0:
+    if chi <= 0:
+        # the formula chi is a sum of terms >= 0 (torusmodel.is_ample): chi = 0
         raise DegenerateFormError(f"class {cls} is degenerate")
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
-    bound, order, chis = best_flag_bound(form)
     curve_lower = flag_lower_bound(form)
     # the Fractions as int pairs: hashing a Fraction costs a modular inverse
     key = (g, chi, bound.numerator, bound.denominator, curve_lower.numerator, curve_lower.denominator, lowers)
@@ -402,9 +432,12 @@ def brute_search(
     correspondence coefficient 1); ``generalized=True`` also varies the
     interior coefficients and c.  Both run one loop over coefficient
     shapes and k_2, ..., k_(g-1), solving k_1 from chi = d; a shape whose
-    chi cannot reach d with multipliers in the box is skipped.  Results
-    are ranked by flag bound, ties by the chi chain along the witness
-    flag, then by parameters, so the output order is deterministic.
+    chi cannot reach d with multipliers in the box is skipped, and so is a
+    step with no fitting k_1.  Results are ranked by flag bound, ties by
+    the chi chain along the witness flag, then by parameters, so the
+    output order is deterministic: ``Certificate.sort_key``'s order, with
+    each bound replaced by its rank among the call's distinct bounds, so
+    the sort compares ints, not Fractions.
 
     Every candidate is certified on its own, but with one ``shared`` dict
     for the call (``certify``): all candidates have this g and
@@ -447,13 +480,14 @@ def brute_search(
         middle = coeffs[1:-1] if generalized else None
         for rest in product(k_range, repeat=g - 2):
             free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))
-            if weights[0] == 0:
+            if weights[0]:
+                k1, rem = divmod(free, weights[0])
+                k1s, fits = ((k1,), 1) if rem == 0 and k1 in k_range else ((), 0)
+            else:
                 # chi does not depend on k_1: every k_1 fits or none does
                 k1s, fits = (k_range, box.max_k) if free == 0 else ((), 0)
-            else:
-                k1, rem = divmod(free, weights[0])
-                k1s = (k1,) if rem == 0 and k1 in k_range else ()
-                fits = len(k1s)
+            if not fits:
+                continue
             n = len(candidates) + fits
             if n > max_candidates:
                 raise _box_too_large(f"at least {n} candidates", max_candidates)
@@ -464,7 +498,12 @@ def brute_search(
     # every candidate has chi = d >= 1, so certify never finds it degenerate
     target, shared = (1,) * (g - 1) + (d,), {}
     results = [cert for cert in (certify(p, shared) for p in candidates) if cert.ptype == target]
-    results.sort(key=Certificate.sort_key)
+    # Certificate.sort_key with the bound replaced by its rank among the
+    # distinct bounds (int pairs: hashing a Fraction costs a modular inverse),
+    # so the sort compares ints, not Fractions
+    pairs = {(cert.bound.numerator, cert.bound.denominator) for cert in results}
+    rank = {pair: r for r, pair in enumerate(sorted(pairs, key=lambda pair: Fraction(*pair)))}
+    results.sort(key=lambda c: (rank[c.bound.numerator, c.bound.denominator], c.flag_chis) + c.params.sort_key())
     return results
 
 

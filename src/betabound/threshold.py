@@ -41,7 +41,6 @@ from .torusmodel import (
     AltForm,
     LatticeInvariantError,
     OracleDisagreement,
-    chi_pfaffian,
     curve_degrees,
 )
 
@@ -220,10 +219,13 @@ def beta_lower_chi(chi: int, g: int) -> Bound:
 
 
 def _check_ample(form: AltForm) -> None:
-    """Refuse a form whose chi (memoized on it) is not positive: for these
-    forms that is ampleness, and every restriction then has chi > 0 too
-    (``torusmodel.is_ample``), so no minor test runs here."""
-    if chi_pfaffian(form) <= 0:
+    """Refuse a form whose formula chi (``form.full_scan``, which the flag
+    search reads anyway) is not positive: for these forms that is
+    ampleness, and every restriction then has chi > 0 too
+    (``torusmodel.is_ample``), so no minor test runs here.  No elimination
+    runs either: the flag chain's Bareiss minors, whose head is det M,
+    check the formula chi after."""
+    if form.full_scan[0] <= 0:
         raise ValueError("flag bounds require an ample class")
 
 
@@ -313,7 +315,12 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     minors of the form's block, a second oracle independent of the formula:
     the chain must equal the formula chain and its bound the greedy's, else
     OracleDisagreement.  It runs through ``_flag_chain``, since the form was
-    checked above and the witness is a permutation by construction.
+    checked above and the witness is a permutation by construction.  The
+    chain's head is det M, since that elimination runs on M with its rows
+    and columns permuted alike, and the formula chain's head is the formula
+    chi, so this is also certify's chi cross-check: ``constructor`` records
+    the head on the form (``AltForm.record_det``) for the type check and
+    eliminates the block no second time.
     """
     _check_ample(form)
     # Costs are num/den pairs compared by cross-multiplication (denominators

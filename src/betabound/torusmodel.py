@@ -35,7 +35,6 @@ implementation is ``restriction_scan``, checked against det M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import prod
 from operator import index
 from typing import Sequence
@@ -155,6 +154,21 @@ class FiniteGroupShape:
         return prod(self.divisors)
 
 
+class _memo:
+    """``functools.cached_property`` without its lock (taken on every first
+    read up to Python 3.11): the first read stores the value in the
+    instance ``__dict__``, which shadows this non-data descriptor after."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class AltForm:
     """Alternating lattice form of a class on some of its factors, as a view
@@ -169,7 +183,10 @@ class AltForm:
     basis denominator k_i of each kept factor, which fixes the complex
     structure J (``factor_k``), and g = len(keep).  So every form is the
     block of a class, by construction.  The block, the determinant, the
-    Smith diagonal and ``full_scan`` are cached on the form.
+    Smith diagonal and ``full_scan`` are computed at most once per form
+    and kept in its ``__dict__`` (``_memo``), so two forms of one class
+    share none of them; ``record_det`` takes the determinant from an
+    elimination of the block in another order instead.
     """
 
     cls: DivisorClass
@@ -188,7 +205,7 @@ class AltForm:
     def factor_k(self) -> tuple[int, ...]:
         return tuple(map(self.cls.space.k_full.__getitem__, self.keep))
 
-    @cached_property
+    @_memo
     def full_scan(self) -> tuple[int, tuple[int, ...]]:
         """``scan`` of every position, with the drops as a tuple: every reader shares it."""
         chi, drops = self.scan(range(self.g))
@@ -199,7 +216,7 @@ class AltForm:
         cls, keep = self.cls, self.keep
         return restriction_scan(cls.a, cls.space.k_full, cls.c, [keep[s] for s in positions])
 
-    @cached_property
+    @_memo
     def block(self) -> tuple[tuple[int, ...], ...]:
         """M[keep, keep] as a tuple of integer rows, M the block of the class:
         row s, column t is M[keep[s]][keep[t]].
@@ -231,7 +248,7 @@ class AltForm:
         cy = [-cls.c] * len(cls.space.k) + [cls.c]  # c * y
         return tuple([tuple([x[i] * cy[j] + (a[i] if i == j else 0) for j in keep]) for i in keep])
 
-    @cached_property
+    @_memo
     def det(self) -> int:
         """det M[keep, keep] by one Bareiss elimination (``chi_pfaffian``).
 
@@ -246,7 +263,16 @@ class AltForm:
             raise LatticeInvariantError("negative leading minor of a semidefinite block")
         return minors[-1] if len(minors) == self.g else 0
 
-    @cached_property
+    def record_det(self, det: int) -> None:
+        """Keep ``det`` as found by another elimination of the block, such as
+        ``threshold._flag_chain``'s in drop order: a simultaneous permutation
+        of rows and columns keeps the determinant, so ``det`` need not
+        eliminate the block again.  A determinant the form already holds
+        must equal it, else OracleDisagreement."""
+        if self.__dict__.setdefault("det", det) != det:
+            raise OracleDisagreement(f"determinants disagree on {self}: {self.det} and {det}")
+
+    @_memo
     def snf_diagonal(self) -> tuple[int, ...]:
         """The Smith diagonal of E: each entry of the block's twice.
 
@@ -312,7 +338,8 @@ def chi_multilinear(cls: DivisorClass) -> int:
 
 def chi_pfaffian(form: AltForm) -> int:
     """Euler characteristic as the Pfaffian of the alternating form, which
-    is det M for M its block, memoized on the form (``AltForm.det``).
+    is det M for M its block, memoized on the form (``AltForm.det``) or
+    recorded from another elimination of the block (``AltForm.record_det``).
 
     In interleaved order Pf(E) = det M (the sign argument is in the
     ``threshold.flag_profile`` docstring), and det M is the last pivot of

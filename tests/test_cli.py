@@ -160,22 +160,38 @@ class TestSearchCommand:
 
     def test_equal_parts_of_one_envelope_are_one_object(self):
         # one memo per envelope (Certificate.to_json): the chi, type, k_group
-        # and curve_lower dicts are one group per value, the witness orders one
-        # list per order, the interval and N_p report one per (flag bound,
+        # and curve_lower dicts are one group per value, the flag bound dicts
+        # one per value, the witness orders, chi chains and coefficient lists
+        # one list per value, the interval and N_p report one per (flag bound,
         # curve bound), since g and chi = d are fixed; the rest is fresh
-        certs = run(["search", "--g", "3", "--d", "40"])["results"]["certificates"]
-        parts = ("chi", "type", "k_group", "curve_lower")
-        groups, orders, bounds = {}, {}, {}
-        for cert in certs:
-            owner = groups.setdefault(json.dumps([cert[part] for part in parts]), cert)
-            assert all(cert[part] is owner[part] for part in parts)
-            order = cert["flag_bound"]["order"]
-            assert orders.setdefault(tuple(order), order) is order
-            owner = bounds.setdefault((cert["flag_bound"]["value"], cert["curve_lower"]["value"]), cert)
-            assert cert["interval"] is owner["interval"] and cert["np"] is owner["np"]
-        assert 1 < len(groups) < len(certs) and 1 < len(orders) < len(certs) and 1 < len(bounds) < len(certs)
-        for fresh in (lambda c: c, lambda c: c["params"], lambda c: c["flag_bound"], lambda c: c["flag_bound"]["chis"]):
-            assert len({id(fresh(cert)) for cert in certs}) == len(certs)
+        for argv in (["search", "--g", "3", "--d", "40"], ["search", "--g", "2", "--d", "12", "--generalized"]):
+            certs = run(argv)["results"]["certificates"]
+            parts = ("chi", "type", "k_group", "curve_lower")
+            groups, flags, lists, bounds = {}, {}, {}, {}
+            for cert in certs:
+                owner = groups.setdefault(json.dumps([cert[part] for part in parts]), cert)
+                assert all(cert[part] is owner[part] for part in parts)
+                flag = cert["flag_bound"]
+                assert flags.setdefault(json.dumps(flag, sort_keys=True), flag) is flag
+                for kind, part in (("order", flag["order"]), ("chis", flag["chis"]), ("coefficients", cert["params"]["coefficients"])):
+                    assert lists.setdefault((kind, tuple(part)), part) is part
+                owner = bounds.setdefault((flag["value"], cert["curve_lower"]["value"]), cert)
+                assert cert["interval"] is owner["interval"] and cert["np"] is owner["np"]
+            for table in (groups, flags, bounds):
+                assert 1 < len(table) < len(certs)
+            for kind in ("order", "chis", "coefficients"):
+                assert 1 < sum(key[0] == kind for key in lists) < len(certs)
+            for fresh in (lambda c: c, lambda c: c["params"], lambda c: c["params"]["k"]):
+                assert len({id(fresh(cert)) for cert in certs}) == len(certs)
+
+    def test_lists_of_different_kinds_are_different_objects(self):
+        # an order and a coefficient tuple can be equal, (0, 1) here, and
+        # still get a list each, so editing one cannot change the other
+        certs = run(["search", "--g", "2", "--d", "12", "--generalized"])["results"]["certificates"]
+        both = [cert for cert in certs if cert["params"]["coefficients"] == cert["flag_bound"]["order"]]
+        assert both
+        for cert in both:
+            assert cert["params"]["coefficients"] is not cert["flag_bound"]["order"]
 
     def test_two_envelopes_share_nothing(self):
         argv = ["search", "--g", "3", "--d", "40"]
@@ -399,7 +415,9 @@ class TestCliContract:
 
         monkeypatch.setattr(betabound.cli, "_write", spy)
         assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
-        assert calls[id(node), " " * 4] == calls[id(node), " " * 6] == 30
+        # (the writer looks a child's text up before it recurses, so later
+        # meetings make no call)
+        assert calls[id(node), " " * 4] == calls[id(node), " " * 6] == 2
         assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 2
         # nothing is kept between calls: a second render writes it afresh
         _json_text(tree)
@@ -419,11 +437,15 @@ class TestCliContract:
         monkeypatch.setattr(betabound.cli, "_write", spy)
         assert render(envelope) == json.dumps(envelope, indent=2, sort_keys=True)
         for cert in certs:
-            # the shared parts are met once per certificate holding them, and
-            # what they hold is written twice at most, however many hold them
+            # a shared part is written once per certificate holding it, at
+            # most twice, and so is what it holds, however many hold them:
+            # after that its parent reads its text without a call
             held = sum(other["interval"] is cert["interval"] for other in certs)
-            assert calls[id(cert["interval"])] == held
-            for node in (cert["interval"]["lower"], cert["interval"]["upper"], cert["type"]["value"], cert["k_group"]["value"]):
+            assert calls[id(cert["interval"])] == min(held, 2)
+            for node in (
+                cert["interval"]["lower"], cert["interval"]["upper"], cert["type"]["value"], cert["k_group"]["value"],
+                cert["flag_bound"], cert["flag_bound"]["order"], cert["flag_bound"]["chis"], cert["params"]["coefficients"],
+            ):
                 assert calls[id(node)] <= 2
         assert sum(calls.values()) < len(containers(envelope))
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 import betabound.constructor
+import betabound.exactmath
+import betabound.threshold
 import betabound.torusmodel
 from betabound import (
     Bound,
@@ -148,6 +150,51 @@ class TestCertify:
         certify(recipe_strict(3, 40))
         assert full == [(0, 1, 2)]
 
+    @staticmethod
+    def spy_on_eliminations(monkeypatch) -> list:
+        # every module that runs a Bareiss elimination, each by its own name
+        calls = []
+        for module in (betabound.exactmath, betabound.threshold, betabound.torusmodel):
+            def spy(rows, _name=module.__name__, _real=module._leading_minors):
+                calls.append(_name)
+                return _real(rows)
+            monkeypatch.setattr(module, "_leading_minors", spy)
+        return calls
+
+    def test_ample_certify_eliminates_its_block_once(self, monkeypatch):
+        # the witness order's elimination in the flag search gives det M: the
+        # chi check, the type's product and the degenerate test read it
+        calls = self.spy_on_eliminations(monkeypatch)
+        for params in (recipe_strict(3, 40), recipe_weak(4, 81), ConstructionParams(g=3, k=(1, 1), a=1, b=0),
+                       ConstructionParams(g=3, k=(2, 3), a=0, b=2, middle=(5,), c=1)):
+            calls.clear()
+            cert = certify(params)
+            assert calls == ["betabound.threshold"]
+            assert cert.chi == cert.flag_chis[0] == betabound.torusmodel.restriction_chi(params.divisor_class(), range(params.g))
+        calls.clear()
+        certify_class(DivisorClass(ConstructionSpace(1, ()), (5,), 0))
+        assert calls == ["betabound.threshold"]
+
+    def test_degenerate_class_runs_the_natural_order_elimination(self, monkeypatch):
+        # with formula chi 0 no flag search runs, so the block is eliminated
+        # in its own order and the two chis are compared before the refusal
+        calls = self.spy_on_eliminations(monkeypatch)
+        for cls in (DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 5), 1), DivisorClass(ConstructionSpace(2, (2,)), (0, 0), 1)):
+            calls.clear()
+            with pytest.raises(DegenerateFormError):
+                certify_class(cls)
+            assert calls == ["betabound.torusmodel"]
+
+    def test_each_chi_oracle_still_checks_the_other(self, monkeypatch):
+        # a wrong determinant is caught on either path: by the flag chain on
+        # an ample class, by the natural-order check on a degenerate one
+        monkeypatch.setattr(betabound.threshold, "_leading_minors", lambda rows: [41, 13, 4][: len(rows)])
+        with pytest.raises(OracleDisagreement):
+            certify(recipe_strict(3, 40))
+        monkeypatch.setattr(betabound.torusmodel, "_leading_minors", lambda rows: [1, 1, 7][: len(rows)])
+        with pytest.raises(OracleDisagreement):
+            certify_class(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 5), 1))
+
     def test_explicit_class_has_no_params(self):
         cert = certify_class(DivisorClass(ConstructionSpace(1, ()), (5,), 0))
         assert cert.params is None
@@ -264,6 +311,18 @@ class TestBruteSearch:
         assert [c.params for c in first] == [c.params for c in second]
         keys = [c.sort_key() for c in first]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("g, d, box, generalized", [
+        (3, 12, SearchBox(3, 3, 5), False),
+        (2, 12, SearchBox(4, 4, 8, 2), True),
+        (4, 9, SearchBox(2, 2, 3, 2), True),
+    ])
+    def test_ranking_breaks_bound_ties_by_chain_then_params(self, g, d, box, generalized):
+        results = brute_search(g, d, box, generalized)
+        keys = [c.sort_key() for c in results]
+        assert keys == sorted(keys)
+        # ties in bound, and in bound and chain, which the params break
+        assert len({c.bound for c in results}) < len({(c.bound, c.flag_chis) for c in results}) < len(results)
 
     def test_certificates_of_one_search_share_intervals(self):
         # keyed by (flag bound, curve bound): g and chi = d are fixed

@@ -592,6 +592,25 @@ def test_runtime_never_runs_the_skew_pfaffian(cls):
     assert calls == []
 
 
+@SETTINGS
+@given(classes(max_g=6))
+@example(DEGENERATE_ZERO_PIVOT)
+@example(THREEFOLD_40)
+@example(DivisorClass(ConstructionSpace(3, (2, 3)), (0, 5, 2), 1))
+def test_certificate_chi_is_the_natural_order_determinant(cls):
+    # certify reads chi off the flag chain's elimination, in drop order; the
+    # block's elimination in its own order (the determinant of a fresh form)
+    # and the skew Pfaffian of E agree with it, and a zero refuses the class
+    form = alt_form(cls)
+    pf = PfaffianCache(form_e(form)).pfaffian_of(range(2 * form.g))
+    assert form.det == pf
+    if pf == 0:
+        with pytest.raises(DegenerateFormError):
+            certify_class(cls)
+    else:
+        assert certify_class(cls).chi == form.det == pf
+
+
 def permutation_flag_oracle(form):
     """Best flag bound by walking every drop order over explicit restrictions.
 
@@ -800,6 +819,20 @@ def test_shared_certificates_equal_their_own(search):
     # equals that of its own, written alone
     memo = {}
     assert [cert.to_json(memo) for cert in results] == [own.to_json() for own in expected]
+
+
+@SETTINGS
+@given(small_searches())
+# ties in bound, broken by the chi chain and then by the params
+@example((3, 12, SearchBox(3, 3, 5), False))
+@example((2, 12, SearchBox(4, 4, 8, 2), True))
+@example((4, 9, SearchBox(2, 2, 3, 2), True))
+def test_search_order_is_the_certificate_sort_key(search):
+    # brute_search sorts on each bound's rank among the distinct bounds,
+    # Certificate.sort_key on the bound itself: the orders must be one
+    results = brute_search(*search)
+    expected = sorted(results[::-1], key=Certificate.sort_key)
+    assert [id(cert) for cert in results] == [id(cert) for cert in expected]
 
 
 @st.composite

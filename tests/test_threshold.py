@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import betabound.threshold
+import betabound.torusmodel
 from betabound import (
     BetaInterval,
     Bound,
@@ -129,9 +130,9 @@ class TestFlagBounds:
     def test_zero_leading_pfaffian_in_chain_raises(self, monkeypatch):
         # c*G alone: chi is k_i on factor i but 0 on every pair, so the
         # second leading minor of the block in reversed order is 0 (minors
-        # [1, 0], where the elimination stops); only a skipped chi > 0 guard
-        # lets such a class reach the chain
-        monkeypatch.setattr(betabound.threshold, "chi_pfaffian", lambda form: 1)
+        # [1, 0], where the elimination stops); only a formula chi > 0 guard
+        # that is fooled lets such a class reach the chain
+        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", lambda a, k, c, keep: (1, [1] * len(keep)))
         cls = DivisorClass(ConstructionSpace(3, (2, 3)), (0, 0, 0), 1)
         with pytest.raises(LatticeInvariantError, match="nonpositive chi"):
             flag_profile(alt_form(cls), (0, 1, 2))
