@@ -19,10 +19,10 @@ characteristic oracles must agree and chi must be nonzero (for these
 classes that is ampleness, see ``torusmodel.is_ample``), the type is
 recomputed from the elementary divisors of the lattice form and its
 product checked against the Pfaffian, and the flag bound is minimized
-over all drop orders.  On an ample class the Pfaffian is the head of the
-flag chain's Bareiss elimination, so one elimination of the block serves
-the chi check, the type check and the flag chain.  A disagreement
-between oracles is a bug and is never swallowed.
+over all drop orders.  On an ample class one Bareiss elimination of the
+block, the flag chain's, serves the chi check, the type check and the
+flag chain (``threshold.best_flag_bound``).  A disagreement between
+oracles is a bug and is never swallowed.
 
 A certificate's beta interval and N_p report read nothing of its class
 but g, chi, the flag bound, the curve bound and the extra lower-bound
@@ -315,14 +315,8 @@ def checked_chi(form: AltForm) -> int:
     """chi of the form's class, computed by both oracles, which must agree:
     the intersection formula (``form.full_scan``, which the flag search
     reads too) and the determinant of the form's block (``chi_pfaffian``).
-
-    The determinant is one Bareiss elimination of the block in its own
-    order unless the form holds one already: ``certify`` records the head
-    of the flag chain's elimination (``AltForm.record_det``), which
-    ``best_flag_bound`` has checked against the formula chi.  So the
-    natural-order elimination runs only where no flag search runs: the
-    ``chi``, ``type``, ``kgroup`` and ``ample`` commands, and a class whose
-    formula chi is 0.
+    It runs where no flag search compares the two: the ``chi``, ``type``,
+    ``kgroup`` and ``ample`` commands, and a class whose formula chi is 0.
 
     Package-internal, and called only on ``alt_form`` forms, which keep
     every factor of their class, so both oracles read the whole class."""
@@ -367,15 +361,15 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
 
 def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple, shared: dict) -> Certificate:
     form = alt_form(cls)
-    if form.full_scan[0] > 0:
-        # the Bareiss chain of the witness order, which best_flag_bound checks
-        # against the formula chain, heads with det M: no second elimination
-        bound, order, chis = best_flag_bound(form)
-        form.record_det(chis[0])
-    chi = checked_chi(form)
-    if chi <= 0:
-        # the formula chi is a sum of terms >= 0 (torusmodel.is_ample): chi = 0
+    if form.full_scan[0] <= 0:
+        # the formula chi is a sum of terms >= 0 (torusmodel.is_ample): chi = 0,
+        # and det M must read 0 too
+        checked_chi(form)
         raise DegenerateFormError(f"class {cls} is degenerate")
+    # the chain heads with det M, checked against the formula chi there
+    bound, order, chis = best_flag_bound(form)
+    chi = chis[0]
+    form.record_det(chi)
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
@@ -445,19 +439,17 @@ def brute_search(
     the same interval and N_p report objects.  That is exact, since the
     key holds everything the two are built from, chi included although
     the search solved chi = d; and the dict lives only as long as the
-    call, so no two searches share anything.  g above
-    torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS and boxes with
-    more than MAX_SEARCH_CANDIDATES // certificate_cost(g) candidates are
-    refused before anything is certified.
+    call, so no two searches share anything.  An empty box (a negative
+    coefficient limit, or max_k below 1) returns [] before anything is
+    sized.  g above torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS
+    and boxes with more than MAX_SEARCH_CANDIDATES // certificate_cost(g)
+    candidates are refused before anything is certified.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
     if g > MAX_DIMENSION:
         raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
     box = box if box is not None else default_box(g, d)
-    if box.max_k < 1:
-        # No multiplier fits, so no candidate can: nothing to enumerate.
-        return []
     a_range, b_range, k_range = range(box.max_a + 1), range(box.max_b + 1), range(1, box.max_k + 1)
     if generalized:
         coeff_ranges, c_range = [a_range] * (g - 1) + [b_range], range(box.max_c + 1)
@@ -465,13 +457,16 @@ def brute_search(
         coeff_ranges, c_range = [a_range] + [range(1, 2)] * (g - 2) + [b_range], range(1, 2)
     # Sizes from the range ends: len() overflows past sys.maxsize elements.
     shapes = prod(max(r.stop - r.start, 0) for r in coeff_ranges + [c_range])
+    if not shapes or box.max_k < 1:
+        # No candidate fits an empty box: return before enumeration builds a range.
+        return []
     steps = shapes * (SHAPE_STEPS + box.max_k ** (g - 2))
     if steps > MAX_SEARCH_STEPS:
         raise _box_too_large(f"{steps} enumeration steps", MAX_SEARCH_STEPS)
     max_candidates = MAX_SEARCH_CANDIDATES // certificate_cost(g)
     candidates: list[ConstructionParams] = []
     # The zero class (all coefficients 0) has chi = 0 < d, so it never fits.
-    for coeffs, c in product(product(*coeff_ranges), c_range):
+    for *coeffs, c in product(*coeff_ranges, c_range):
         constant, weights = chi_affine(coeffs, c)
         # weights are >= 0 and every k_i lies in [1, max_k], so chi stays in this range
         total = sum(weights)

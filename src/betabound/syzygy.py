@@ -137,12 +137,11 @@ class NpCertificate:
 
     @property
     def source(self) -> str | None:
+        # the p that attains the guarantee; ties go to the arithmetic threshold
         best = self.guaranteed_p
         if best is None:
             return None
-        if self.p_beta is not None and (self.p_arithmetic is None or self.p_beta > self.p_arithmetic):
-            return SOURCE_BETA
-        return SOURCE_ARITHMETIC
+        return SOURCE_ARITHMETIC if best == self.p_arithmetic else SOURCE_BETA
 
     def to_json(self) -> dict:
         return {

@@ -92,23 +92,16 @@ class Bound:
         return self.ratio is not None
 
     def _cmp(self, other: "Bound") -> int:
-        if self.is_rational and other.is_rational:
-            # p1/q1 vs p2/q2 with positive denominators: p1 * q2 vs p2 * q1
-            a, b = self.ratio, other.ratio
-            lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
-            return (lhs > rhs) - (lhs < rhs)
-        if self.is_rational:
-            # p/q vs d^(-1/g):  p/q > d^(-1/g)  iff  p^g * d > q^g
-            p, q = self.ratio.numerator, self.ratio.denominator
-            lhs = p**other.degree * other.radicand
-            rhs = q**other.degree
-            return (lhs > rhs) - (lhs < rhs)
-        if other.is_rational:
-            return -other._cmp(self)
-        # d1^(-1/g1) vs d2^(-1/g2)  iff  d2^g1 vs d1^g2
-        lhs = other.radicand ** self.degree
-        rhs = self.radicand ** other.degree
+        # each bound as (p/q)^(1/n): p/q is (p, q, 1) and d^(-1/g) is (1, d, g);
+        # raised to the power n1 * n2 the two compare as p1^n2 * q2^n1 vs p2^n1 * q1^n2
+        (p1, q1, n1), (p2, q2, n2) = self._root(), other._root()
+        lhs, rhs = p1**n2 * q2**n1, p2**n1 * q1**n2
         return (lhs > rhs) - (lhs < rhs)
+
+    def _root(self) -> tuple[int, int, int]:
+        if self.is_rational:
+            return self.ratio.numerator, self.ratio.denominator, 1
+        return 1, self.radicand, self.degree
 
     def __eq__(self, other):
         if not isinstance(other, Bound):
@@ -223,17 +216,10 @@ def _check_ample(form: AltForm) -> None:
     search reads anyway) is not positive: for these forms that is
     ampleness, and every restriction then has chi > 0 too
     (``torusmodel.is_ample``), so no minor test runs here.  No elimination
-    runs either: the flag chain's Bareiss minors, whose head is det M,
-    check the formula chi after."""
+    runs either: the flag chain's Bareiss minors check the formula chi
+    after (``best_flag_bound``)."""
     if form.full_scan[0] <= 0:
         raise ValueError("flag bounds require an ample class")
-
-
-def _check_order(order: Sequence[int], g: int) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != list(range(g)):
-        raise ValueError("order must be a permutation of the factor indices")
-    return order
 
 
 def flag_profile(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
@@ -254,7 +240,10 @@ def flag_profile(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
     LatticeInvariantError.
     """
     _check_ample(form)
-    return _flag_chain(form, _check_order(order, form.g))
+    order = tuple(order)
+    if sorted(order) != list(range(form.g)):
+        raise ValueError("order must be a permutation of the factor indices")
+    return _flag_chain(form, order)
 
 
 def _flag_chain(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
@@ -281,10 +270,10 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     largest cost along it.  Where the drop orders number g!, two greedy
     passes find the minimum, each from one ``form.scan`` per set (O(|S|),
     ``torusmodel.restriction_scan``), O(g^2) in all; both start from
-    ``form.full_scan``, the scan ``checked_chi`` reads, a one-factor set,
-    whose only drop leaves chi 1, needs no scan, and the witness pass
-    reuses the value pass's scans for as long as the two have dropped the
-    same factors, since they then stand on the same set:
+    ``form.full_scan``, a one-factor set, whose only drop leaves chi 1,
+    needs no scan, and the witness pass reuses the value pass's scans for
+    as long as the two have dropped the same factors, since they then
+    stand on the same set:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -318,9 +307,10 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     checked above and the witness is a permutation by construction.  The
     chain's head is det M, since that elimination runs on M with its rows
     and columns permuted alike, and the formula chain's head is the formula
-    chi, so this is also certify's chi cross-check: ``constructor`` records
-    the head on the form (``AltForm.record_det``) for the type check and
-    eliminates the block no second time.
+    chi, so this is also certify's one chi cross-check: ``constructor``
+    takes chi from the head and records it on the form
+    (``AltForm.record_det``) for the type check, and eliminates the block
+    no second time.
     """
     _check_ample(form)
     # Costs are num/den pairs compared by cross-multiplication (denominators

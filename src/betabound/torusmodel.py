@@ -264,11 +264,12 @@ class AltForm:
         return minors[-1] if len(minors) == self.g else 0
 
     def record_det(self, det: int) -> None:
-        """Keep ``det`` as found by another elimination of the block, such as
-        ``threshold._flag_chain``'s in drop order: a simultaneous permutation
-        of rows and columns keeps the determinant, so ``det`` need not
-        eliminate the block again.  A determinant the form already holds
-        must equal it, else OracleDisagreement."""
+        """Keep ``det``, found by another elimination of the block, as the
+        form's determinant, so reading ``self.det`` eliminates nothing:
+        ``certify`` records the head of the flag chain
+        (``threshold.best_flag_bound`` says why that is det M).  A
+        determinant the form already holds must equal it, else
+        OracleDisagreement."""
         if self.__dict__.setdefault("det", det) != det:
             raise OracleDisagreement(f"determinants disagree on {self}: {self.det} and {det}")
 
@@ -324,16 +325,10 @@ def chi_affine(a: Sequence[int], c: int) -> tuple[int, tuple[int, ...]]:
     return p + c * drops[-1], tuple(c * x for x in drops[:-1])
 
 
-def restriction_chi(cls: DivisorClass, keep: Sequence[int]) -> int:
-    """Euler characteristic of the restriction to the kept factors, the
-    head of their ``restriction_scan``."""
-    return restriction_scan(cls.a, cls.space.k_full, cls.c, keep)[0]
-
-
 def chi_multilinear(cls: DivisorClass) -> int:
     """Euler characteristic from the intersection numbers of the basis: the
-    ``restriction_chi`` of every factor."""
-    return restriction_chi(cls, range(cls.space.g))
+    head of the ``restriction_scan`` of every factor."""
+    return restriction_scan(cls.a, cls.space.k_full, cls.c, range(cls.space.g))[0]
 
 
 def chi_pfaffian(form: AltForm) -> int:

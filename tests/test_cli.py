@@ -395,6 +395,29 @@ class TestCliContract:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["--g", "3", "--d", str(10**10), "--generalized", "--max-c", "-1"],
+        ["--g", "12", "--d", "37", "--max-a", "6", "--generalized", "--max-c", "-1"],
+        ["--g", "2", "--d", str(10**16), "--max-a", "-1"],
+        ["--g", "2", "--d", str(10**100), "--max-a", "-1"],
+        ["--g", "3", "--d", "7", "--max-a", str(10**12), "--generalized", "--max-c", "-1"],
+    ])
+    def test_empty_box_returns_nothing_at_once(self, argv):
+        # A box with an empty range holds no candidate, whatever the other
+        # ranges hold: it must not build them (memory) or size them (overflow).
+        # Run the CLI in a child capped at 1 GiB and 10 s, as above.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "betabound.cli", "search", *argv],
+            capture_output=True, text=True, timeout=10, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)["results"]["count"] == 0
+
     def test_writer_refuses_an_int_too_long_to_print(self):
         with pytest.raises(ValueError):
             _json_text({"chi": 10**5000})

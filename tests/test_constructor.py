@@ -170,7 +170,7 @@ class TestCertify:
             calls.clear()
             cert = certify(params)
             assert calls == ["betabound.threshold"]
-            assert cert.chi == cert.flag_chis[0] == betabound.torusmodel.restriction_chi(params.divisor_class(), range(params.g))
+            assert cert.chi == cert.flag_chis[0] == betabound.torusmodel.chi_multilinear(params.divisor_class())
         calls.clear()
         certify_class(DivisorClass(ConstructionSpace(1, ()), (5,), 0))
         assert calls == ["betabound.threshold"]

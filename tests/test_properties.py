@@ -50,7 +50,7 @@ from betabound.cli import _json_text, run
 from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, _pivot, leading_minors_all_positive
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
-from betabound.torusmodel import chi_affine, restriction_chi, restriction_scan
+from betabound.torusmodel import chi_affine, restriction_scan
 from util import (
     IntMatrix,
     bipartite,
@@ -61,6 +61,7 @@ from util import (
     leading_minors,
     reference_pfaffian,
     reference_search,
+    restriction_chi,
     scan_max_np_arithmetic,
     scan_np_from_beta,
     scan_recipe_strict,

@@ -5,6 +5,7 @@ import pytest
 from betabound import (
     BetaInterval,
     Bound,
+    NpCertificate,
     Scope,
     max_np_arithmetic,
     necessary_lower_bounds,
@@ -125,6 +126,8 @@ class TestNpReport:
         assert cert.p_beta is None
         assert cert.guaranteed_p == 0
         assert cert.source == "arithmetic"
+        # a tie goes to the degree threshold
+        assert NpCertificate(3, 40, p_beta=1, p_arithmetic=1).source == "arithmetic"
 
     def test_beta_source_wins_when_stronger(self):
         cert = np_report(2, 6, interval_with_upper(Fraction(2, 5)))

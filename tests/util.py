@@ -58,7 +58,7 @@ from betabound import (
 )
 from betabound.constructor import CASE_RECIPE_STRICT
 from betabound.exactmath import PfaffianCache
-from betabound.torusmodel import LatticeInvariantError
+from betabound.torusmodel import LatticeInvariantError, restriction_scan
 
 
 @dataclass(frozen=True)
@@ -479,6 +479,12 @@ def scan_recipe_strict(g: int, d: int) -> ConstructionParams:
         raise NoRecipeError(f"degenerate multiplier k1 = {k1} for g={g}, d={d}")
     k = (k1,) + tuple(m ** (g - i) for i in range(2, g))
     return ConstructionParams(g=g, k=k, a=r, b=m, case=CASE_RECIPE_STRICT, m=m, r=r, s=s)
+
+
+def restriction_chi(cls: DivisorClass, keep: Sequence[int]) -> int:
+    """Euler characteristic of the restriction to the kept factors, the
+    head of the library's ``restriction_scan`` of them."""
+    return restriction_scan(cls.a, cls.space.k_full, cls.c, keep)[0]
 
 
 def subset_chis(cls: DivisorClass) -> list[int]:
