@@ -18,11 +18,10 @@ Every construction is certified before it is reported: both Euler
 characteristic oracles must agree and chi must be nonzero (for these
 classes that is ampleness, see ``torusmodel.is_ample``), the type is
 recomputed from the elementary divisors of the lattice form and its
-product checked against the Pfaffian, and the flag bound is minimized
-over all drop orders.  On an ample class one Bareiss elimination of the
-block, the flag chain's, serves the chi check, the type check and the
-flag chain (``threshold.best_flag_bound``).  A disagreement between
-oracles is a bug and is never swallowed.
+product checked against chi, and the flag bound is minimized over all
+drop orders, its chain of Bareiss minors checked against the formula's
+(``threshold.best_flag_bound``).  A disagreement between oracles is a
+bug and is never swallowed.
 
 A certificate's beta interval and N_p report read nothing of its class
 but g, chi, the flag bound, the curve bound and the extra lower-bound
@@ -126,9 +125,10 @@ class NoRecipeError(ValueError):
 class ConstructionParams:
     """Parameters of one construction: multipliers and coefficients.
 
-    ``middle`` overrides the interior coefficients (default all ones) and
-    ``c`` the coefficient of the correspondence divisor (default 1); both
-    only differ from the defaults in generalized searches.
+    ``middle`` holds the interior coefficients (None, the default, stores
+    all ones, so it is never None once built) and ``c`` the coefficient of
+    the correspondence divisor (default 1); both only differ from the
+    defaults in generalized searches.
     """
 
     g: int
@@ -148,23 +148,22 @@ class ConstructionParams:
         object.__setattr__(self, "k", tuple(map(index, self.k)))
         if len(self.k) != self.g - 1:
             raise ValueError("need exactly g-1 multipliers")
-        if self.middle is not None:
-            object.__setattr__(self, "middle", tuple(map(index, self.middle)))
-            if len(self.middle) != self.g - 2:
-                raise ValueError("need exactly g-2 interior coefficients")
+        middle = (1,) * (self.g - 2) if self.middle is None else tuple(map(index, self.middle))
+        if len(middle) != self.g - 2:
+            raise ValueError("need exactly g-2 interior coefficients")
+        object.__setattr__(self, "middle", middle)
 
     def space(self) -> ConstructionSpace:
         return ConstructionSpace(self.g, self.k)
 
     def coefficients(self) -> tuple[int, ...]:
-        middle = self.middle if self.middle is not None else (1,) * (self.g - 2)
-        return (self.a,) + middle + (self.b,)
+        return (self.a,) + self.middle + (self.b,)
 
     def divisor_class(self) -> DivisorClass:
         return DivisorClass(self.space(), self.coefficients(), self.c)
 
     def sort_key(self) -> tuple:
-        return (self.a, self.b, self.middle or (), self.c, self.k)
+        return (self.a, self.b, self.middle, self.c, self.k)
 
     def to_json(self, memo: dict | None = None) -> dict:
         """The params as a JSON dict, with the coefficient list shared
@@ -361,15 +360,14 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
 
 def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple, shared: dict) -> Certificate:
     form = alt_form(cls)
-    if form.full_scan[0] <= 0:
+    chi = form.full_scan[0]
+    if chi <= 0:
         # the formula chi is a sum of terms >= 0 (torusmodel.is_ample): chi = 0,
         # and det M must read 0 too
         checked_chi(form)
         raise DegenerateFormError(f"class {cls} is degenerate")
-    # the chain heads with det M, checked against the formula chi there
+    # the flag chain check compares det M, the Bareiss chain's head, with chi
     bound, order, chis = best_flag_bound(form)
-    chi = chis[0]
-    form.record_det(chi)
     g = cls.space.g
     ptype = polarization_type(form)
     kgroup = k_group(form)
@@ -472,7 +470,7 @@ def brute_search(
         total = sum(weights)
         if not constant + total <= d <= constant + box.max_k * total:
             continue
-        middle = coeffs[1:-1] if generalized else None
+        middle = tuple(coeffs[1:-1])
         for rest in product(k_range, repeat=g - 2):
             free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))
             if weights[0]:
@@ -574,9 +572,9 @@ def general_beta(g: int, d: int) -> GeneralBetaReport:
         strictly_below = None
         for cert in certs:
             if cert.params.case == CASE_RECIPE_STRICT:
-                threshold = Fraction(1, cert.params.m)
-                if cert.bound < threshold:
-                    strictly_below = threshold
+                strictly_below = Fraction(1, cert.params.m)
+                if not cert.bound < strictly_below:
+                    raise OracleDisagreement(f"strict recipe bound {cert.bound} is not below {strictly_below}")
     matching = [c for c in certs if Bound.rational(c.bound) == interval.upper]
     witness = min(matching, key=Certificate.sort_key) if matching else None
     return GeneralBetaReport(

@@ -74,17 +74,15 @@ def max_np_arithmetic(g: int, d: int) -> int | None:
 def np_from_beta(interval: BetaInterval) -> int | None:
     """Largest p whose requirement beta < 1/(p+2) the interval certifies.
 
-    The upper bound is non-strict, so it certifies p when it lies below
-    1/(p+2), that is when p + 2 < 1/upper.  For upper = n/q the largest
-    such p + 2 is (q - 1) // n; for upper = R^(-1/g) it is the integer g-th
-    root of R, which ``Bound.inverse_root`` never leaves a perfect power.
-    An upper bound of exactly 1/2 certifies only p = -1, and 1 nothing.
+    The upper bound (p'/q)^(1/n) is non-strict, so it certifies p when it
+    lies below 1/(p+2), that is when (p+2)^n * p' < q, or
+    (p+2)^n <= (q - 1) // p': the largest such p + 2 is the integer n-th
+    root of (q - 1) // p', and none exists when that quotient is 0.  An
+    upper bound of exactly 1/2 certifies only p = -1, and 1 nothing.
     """
     upper = interval.upper
-    if upper.is_rational:
-        m = (upper.ratio.denominator - 1) // upper.ratio.numerator
-    else:
-        m = integer_root(upper.radicand, upper.degree)
+    top = (upper.q - 1) // upper.p
+    m = integer_root(top, upper.n) if top else 0
     return m - 2 if m >= 1 else None
 
 

@@ -56,7 +56,8 @@ class Scope(enum.Enum):
 
 @total_ordering
 class Bound:
-    """A bound value: either an exact rational or an inverse g-th root.
+    """A bound value (p/q)^(1/n): an exact rational p/q in lowest terms is
+    (p, q, 1), an inverse root q^(-1/n) is (1, q, n).
 
     Inverse roots with perfect-power radicand are normalized to
     rationals, so 9^(-1/2) compares equal to 1/3 structurally.  All
@@ -64,19 +65,17 @@ class Bound:
     comparison, never by radicals.
     """
 
-    __slots__ = ("ratio", "radicand", "degree")
+    __slots__ = ("p", "q", "n")
 
-    def __init__(self, ratio: Fraction | None, radicand: int | None, degree: int | None):
-        self.ratio = ratio
-        self.radicand = radicand
-        self.degree = degree
+    def __init__(self, p: int, q: int, n: int):
+        self.p, self.q, self.n = p, q, n
 
     @classmethod
     def rational(cls, value: Fraction | int) -> "Bound":
         value = Fraction(value)
         if value <= 0:
             raise ValueError("bounds must be positive")
-        return cls(value, None, None)
+        return cls(value.numerator, value.denominator, 1)
 
     @classmethod
     def inverse_root(cls, radicand: int, degree: int) -> "Bound":
@@ -84,24 +83,17 @@ class Bound:
             raise ValueError("need radicand >= 1 and degree >= 1")
         root = integer_root(radicand, degree)
         if root**degree == radicand:
-            return cls.rational(Fraction(1, root))
-        return cls(None, radicand, degree)
+            return cls(1, root, 1)
+        return cls(1, radicand, degree)
 
     @property
     def is_rational(self) -> bool:
-        return self.ratio is not None
+        return self.n == 1
 
     def _cmp(self, other: "Bound") -> int:
-        # each bound as (p/q)^(1/n): p/q is (p, q, 1) and d^(-1/g) is (1, d, g);
         # raised to the power n1 * n2 the two compare as p1^n2 * q2^n1 vs p2^n1 * q1^n2
-        (p1, q1, n1), (p2, q2, n2) = self._root(), other._root()
-        lhs, rhs = p1**n2 * q2**n1, p2**n1 * q1**n2
+        lhs, rhs = self.p**other.n * other.q**self.n, other.p**self.n * self.q**other.n
         return (lhs > rhs) - (lhs < rhs)
-
-    def _root(self) -> tuple[int, int, int]:
-        if self.is_rational:
-            return self.ratio.numerator, self.ratio.denominator, 1
-        return 1, self.radicand, self.degree
 
     def __eq__(self, other):
         if not isinstance(other, Bound):
@@ -120,32 +112,30 @@ class Bound:
         return self._cmp(other) > 0
 
     def __hash__(self):
-        if self.is_rational:
-            return hash(("bound", self.ratio))
-        # Hash x = radicand^(1/degree) in lowest terms, so equal roots hash
-        # alike: the least m with x^m an integer s divides degree and depends
-        # on x alone; m = degree always qualifies.
-        for m in range(1, self.degree + 1):
-            if self.degree % m == 0:
-                s = integer_root(self.radicand, self.degree // m)
-                if s ** (self.degree // m) == self.radicand:
-                    return hash(("bound", s, m))
+        # Hash p and x = q^(1/n) in lowest terms, so equal bounds hash alike:
+        # the least m with x^m an integer s divides n and depends on x alone;
+        # m = n always qualifies.
+        for m in range(1, self.n + 1):
+            if self.n % m == 0:
+                s = integer_root(self.q, self.n // m)
+                if s ** (self.n // m) == self.q:
+                    return hash(("bound", self.p, s, m))
 
     def __repr__(self):
         return f"Bound({self})"
 
     def __str__(self):
-        if self.is_rational:
-            return str(self.ratio)
-        return f"{self.radicand}^(-1/{self.degree})"
+        if self.n > 1:
+            return f"{self.q}^(-1/{self.n})"
+        return f"{self.p}/{self.q}" if self.q > 1 else str(self.p)
 
     def to_json(self) -> dict:
-        if self.is_rational:
-            return {"kind": "rational", "value": str(self.ratio)}
+        if self.n == 1:
+            return {"kind": "rational", "value": str(self)}
         return {
             "kind": "inverse-root",
-            "radicand": self.radicand,
-            "degree": self.degree,
+            "radicand": self.q,
+            "degree": self.n,
             "display": str(self),
         }
 
@@ -304,13 +294,7 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     minors of the form's block, a second oracle independent of the formula:
     the chain must equal the formula chain and its bound the greedy's, else
     OracleDisagreement.  It runs through ``_flag_chain``, since the form was
-    checked above and the witness is a permutation by construction.  The
-    chain's head is det M, since that elimination runs on M with its rows
-    and columns permuted alike, and the formula chain's head is the formula
-    chi, so this is also certify's one chi cross-check: ``constructor``
-    takes chi from the head and records it on the form
-    (``AltForm.record_det``) for the type check, and eliminates the block
-    no second time.
+    checked above and the witness is a permutation by construction.
     """
     _check_ample(form)
     # Costs are num/den pairs compared by cross-multiplication (denominators
@@ -319,8 +303,6 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     keep, (chi_s, drops), num, den = list(range(form.g)), form.full_scan, 0, 1
     walk = []  # the value pass's steps: (factor dropped, drops of the set left)
     while keep:
-        if chi_s <= 0:
-            raise LatticeInvariantError("ample restriction with nonpositive chi")
         chi_t, i = min(zip(drops, keep))
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s

@@ -182,11 +182,9 @@ class AltForm:
     the g x g block M[keep, keep] of the class's block M (``block``), the
     basis denominator k_i of each kept factor, which fixes the complex
     structure J (``factor_k``), and g = len(keep).  So every form is the
-    block of a class, by construction.  The block, the determinant, the
-    Smith diagonal and ``full_scan`` are computed at most once per form
-    and kept in its ``__dict__`` (``_memo``), so two forms of one class
-    share none of them; ``record_det`` takes the determinant from an
-    elimination of the block in another order instead.
+    block of a class, by construction.  The block, the Smith diagonal and
+    ``full_scan`` are computed at most once per form and kept in its
+    ``__dict__`` (``_memo``), so two forms of one class share none of them.
     """
 
     cls: DivisorClass
@@ -249,40 +247,16 @@ class AltForm:
         return tuple([tuple([x[i] * cy[j] + (a[i] if i == j else 0) for j in keep]) for i in keep])
 
     @_memo
-    def det(self) -> int:
-        """det M[keep, keep] by one Bareiss elimination (``chi_pfaffian``).
-
-        The zero-pivot rule of ``chi_pfaffian`` holds for every form that
-        can be built: its block is M[keep, keep] for the block M of a
-        class, repeats and any order included, and
-        M[keep, keep] * diag(k_keep) = (M * diag(k))[keep, keep] =
-        P^T (M * diag(k)) P, for P the 0/1 matrix that picks the columns
-        keep, is positive semidefinite because M * diag(k) is."""
-        minors = _leading_minors([list(row) for row in self.block])
-        if minors[-1] < 0:
-            raise LatticeInvariantError("negative leading minor of a semidefinite block")
-        return minors[-1] if len(minors) == self.g else 0
-
-    def record_det(self, det: int) -> None:
-        """Keep ``det``, found by another elimination of the block, as the
-        form's determinant, so reading ``self.det`` eliminates nothing:
-        ``certify`` records the head of the flag chain
-        (``threshold.best_flag_bound`` says why that is det M).  A
-        determinant the form already holds must equal it, else
-        OracleDisagreement."""
-        if self.__dict__.setdefault("det", det) != det:
-            raise OracleDisagreement(f"determinants disagree on {self}: {self.det} and {det}")
-
-    @_memo
     def snf_diagonal(self) -> tuple[int, ...]:
-        """The Smith diagonal of E: each entry of the block's twice.
+        """The Smith diagonal of the block M, g entries: E's elementary
+        divisors are these, each twice.
 
-        Listing the even coordinates first turns E into [[0, M], [-M^T, 0]]
-        with M the block; right-multiplying by the unimodular
-        [[0, -I], [I, 0]] gives diag(M, M^T), and M^T has the Smith
-        diagonal of M.  So the elementary divisors of E pair up, and the
-        Smith form runs on g x g entries instead of 2g x 2g."""
-        return tuple(d for d in smith_normal_form(self.block) for _ in (0, 1))
+        Listing the even coordinates first turns E into [[0, M], [-M^T, 0]];
+        right-multiplying by the unimodular [[0, -I], [I, 0]] gives
+        diag(M, M^T), and M^T has the Smith diagonal of M.  So the
+        elementary divisors of E pair up, and the Smith form runs on g x g
+        entries instead of 2g x 2g."""
+        return smith_normal_form(self.block)
 
 
 def alt_form(cls: DivisorClass) -> AltForm:
@@ -333,8 +307,7 @@ def chi_multilinear(cls: DivisorClass) -> int:
 
 def chi_pfaffian(form: AltForm) -> int:
     """Euler characteristic as the Pfaffian of the alternating form, which
-    is det M for M its block, memoized on the form (``AltForm.det``) or
-    recorded from another elimination of the block (``AltForm.record_det``).
+    is det M for M its block.
 
     In interleaved order Pf(E) = det M (the sign argument is in the
     ``threshold.flag_profile`` docstring), and det M is the last pivot of
@@ -346,15 +319,21 @@ def chi_pfaffian(form: AltForm) -> int:
     product of the k_i.  A positive semidefinite matrix with a singular
     leading block is singular (v^T A v = 0 forces A v = 0), so a zero
     pivot means det M = 0, and a negative one cannot occur; it raises
-    LatticeInvariantError.  This holds for every form that can be built,
-    since its block is M[keep, keep] for a class's M (``AltForm.det``).
+    LatticeInvariantError.  This holds for every form that can be built:
+    its block is M[keep, keep] for the block M of a class, repeats and
+    any order included, and M[keep, keep] * diag(k_keep) =
+    P^T (M * diag(k)) P, for P the 0/1 matrix that picks the columns
+    keep, is positive semidefinite because M * diag(k) is.
     """
-    return form.det
+    minors = _leading_minors([list(row) for row in form.block])
+    if minors[-1] < 0:
+        raise LatticeInvariantError("negative leading minor of a semidefinite block")
+    return minors[-1] if len(minors) == form.g else 0
 
 
-def _paired_divisors(form: AltForm) -> tuple[int, ...]:
-    """The elementary divisors d_1, d_1, d_2, d_2, ... of a nondegenerate
-    form; they pair up by construction (``AltForm.snf_diagonal``)."""
+def _smith_diagonal(form: AltForm) -> tuple[int, ...]:
+    """The Smith diagonal d_1 | ... | d_g of a nondegenerate form's block
+    (``AltForm.snf_diagonal``); E's elementary divisors are each of them twice."""
     diag = form.snf_diagonal
     if 0 in diag:
         raise DegenerateFormError("form is degenerate")
@@ -362,24 +341,22 @@ def _paired_divisors(form: AltForm) -> tuple[int, ...]:
 
 
 def polarization_type(form: AltForm) -> PolarizationType:
-    """Type of the class: every second elementary divisor of its form."""
-    diag = _paired_divisors(form)
-    ptype = PolarizationType(diag[::2])
-    if ptype.product != abs(chi_pfaffian(form)):
-        raise LatticeInvariantError("type product does not match the Pfaffian")
+    """Type of the class: the Smith diagonal of its block, its product
+    checked against the formula chi."""
+    ptype = PolarizationType(_smith_diagonal(form))
+    if ptype.product != form.full_scan[0]:
+        raise LatticeInvariantError("type product does not match chi")
     return ptype
 
 
 def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
-    """Shape of the finite group K(l), the cokernel of E on the lattice.
+    """Shape of the finite group K(l), the cokernel of E on the lattice:
+    each entry of the block's Smith diagonal twice.
 
     By default the trivial elementary divisors are dropped; ``full=True``
     returns the complete doubled list (whose product is chi squared).
     """
-    diag = _paired_divisors(form)
-    if full:
-        return FiniteGroupShape(diag)
-    return FiniteGroupShape(tuple(x for x in diag if x > 1))
+    return FiniteGroupShape(tuple(x for x in _smith_diagonal(form) for _ in (0, 1) if full or x > 1))
 
 
 def is_ample(form: AltForm) -> bool:

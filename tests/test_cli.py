@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -543,7 +544,16 @@ class TestCliContract:
         monkeypatch.setattr(betabound.torusmodel, "smith_normal_form", last_pair_doubled)
         assert main(["type", "--g", "3", "--k", "9,3", "--a", "1,1,3", "--c", "1"]) == EXIT_ORACLE
         err = capsys.readouterr().err
-        assert err.startswith("internal oracle failure: type product does not match the Pfaffian")
+        assert err.startswith("internal oracle failure: type product does not match chi")
+
+    def test_strict_recipe_bound_not_below_its_threshold_exits_three(self, monkeypatch, capsys):
+        real = betabound.constructor.recipe_strict
+        monkeypatch.setattr(
+            betabound.constructor, "recipe_strict", lambda g, d: dataclasses.replace(real(g, d), m=10 * real(g, d).m)
+        )
+        assert main(["beta", "--general", "3", "40"]) == EXIT_ORACLE
+        err = capsys.readouterr().err
+        assert err.startswith("internal oracle failure: strict recipe bound")
 
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

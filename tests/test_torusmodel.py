@@ -27,7 +27,7 @@ from betabound import (
     standard_class,
 )
 from betabound.exactmath import _leading_minors
-from betabound.torusmodel import LatticeInvariantError, OracleDisagreement
+from betabound.torusmodel import LatticeInvariantError
 from util import IntMatrix, form_e, hermitian_pairing, is_positive_definite, pfaffian, tail_sum
 
 THREEFOLD_40 = standard_class(ConstructionSpace(3, (9, 3)), 1, 3)
@@ -122,43 +122,26 @@ class TestAltForm:
             AltForm(THREEFOLD_40, (0.0, 1, 2))
 
     def test_readings_are_computed_once_per_form(self, monkeypatch):
-        # block, det, Smith diagonal and full scan: one computation each per
-        # form, kept on that form alone, so an equal form of the same class
-        # computes its own
+        # block, Smith diagonal and full scan: one computation each per form,
+        # kept on that form alone, so an equal form of the same class
+        # computes its own; none of them eliminates
         calls = collections.Counter()
         for name in ("_leading_minors", "smith_normal_form", "restriction_scan"):
             def spy(*args, _name=name, _real=getattr(betabound.torusmodel, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(betabound.torusmodel, name, spy)
-        readings = ("block", "det", "snf_diagonal", "full_scan")
+        readings = ("block", "snf_diagonal", "full_scan")
         first, second = alt_form(THREEFOLD_40), alt_form(THREEFOLD_40)
         assert first == second and first is not second
         values = [getattr(first, name) for name in readings * 3]
         assert values == [getattr(second, name) for name in readings * 3]
-        assert calls == {"_leading_minors": 2, "smith_normal_form": 2, "restriction_scan": 2}
+        assert calls == {"smith_normal_form": 2, "restriction_scan": 2}
         for name in readings:
             assert first.__dict__[name] == second.__dict__[name]
             assert isinstance(getattr(AltForm, name).__doc__, str)
-        for name in ("block", "snf_diagonal", "full_scan"):
             assert first.__dict__[name] is not second.__dict__[name]
-        assert values[1] == 40 and values[3] == (40, (13, 31, 13))
-
-    def test_a_recorded_determinant_replaces_the_elimination(self, monkeypatch):
-        form = alt_form(THREEFOLD_40)
-        form.record_det(40)
-        monkeypatch.setattr(betabound.torusmodel, "_leading_minors", lambda rows: pytest.fail("eliminated"))
-        assert chi_pfaffian(form) == 40
-        form.record_det(40)
-        # a determinant the form holds, recorded or computed, is checked
-        with pytest.raises(OracleDisagreement):
-            form.record_det(41)
-        monkeypatch.undo()
-        other = alt_form(THREEFOLD_40)
-        assert chi_pfaffian(other) == 40
-        with pytest.raises(OracleDisagreement):
-            other.record_det(39)
-        assert chi_pfaffian(other) == chi_pfaffian(form) == 40
+        assert values[1] == (1, 1, 40) and values[2] == (40, (13, 31, 13))
 
     def test_no_public_function_takes_a_class_and_a_form(self):
         for name in betabound.__all__:
