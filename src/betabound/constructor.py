@@ -14,23 +14,28 @@ and c equal to 1) and the generalized one through one loop over
 coefficient shapes and k_2, ..., k_(g-1); chi is affine in k_1, which is
 solved from chi = d instead of enumerated.
 
-Every construction is certified before it is reported: both Euler
-characteristic oracles must agree and chi must be nonzero (for these
-classes that is ampleness, see ``torusmodel.is_ample``), the type is
-recomputed from the elementary divisors of the lattice form and its
-product checked against chi, and the flag bound is minimized over all
-drop orders, its chain of Bareiss minors checked against the formula's
-(``threshold.best_flag_bound``).  A disagreement between oracles is a
-bug and is never swallowed.
+Every construction is certified before it is reported, and every pair
+of independent oracles runs on every candidate: the formula chi must be
+nonzero (for these classes that is ampleness, see
+``torusmodel.is_ample``); the flag bound is minimized over all drop
+orders and its chain of Bareiss minors, whose head is det M, checked
+against the formula's (``threshold.best_flag_bound``); and the Smith
+diagonal of the block M must hold no 0 and have the formula chi as its
+product (``torusmodel.type_diagonal``).  The curve bound is one over
+the least curve degree, the least diagonal entry of M.  A disagreement
+between oracles is a bug and is never swallowed.
 
-A certificate's beta interval and N_p report read nothing of its class
-but g, chi, the flag bound, the curve bound and the extra lower-bound
-rules.  Every candidate of one search has the same g and chi = d, and
-many share a (flag bound, curve bound) pair: the 25 searches of one
-seed-1 perfbench pass certify 4,729 candidates with 877 distinct pairs.
-So ``brute_search`` builds each interval and report once per distinct
-key and hands the same (frozen) objects to every certificate with that
-key.  Every per-class oracle still runs on every candidate.
+What a certificate builds from values alone is built once per value
+through the ``shared`` dict of ``certify``.  The type's divisibility
+chain check and the K(l) shape read nothing but the Smith diagonal, so
+they run once per distinct diagonal.  The curve bound, beta interval and
+N_p report read nothing of the class but g, chi, the flag bound, the
+least curve degree and the extra lower-bound rules.  Every candidate of
+one search has the same g and chi = d, and many share a (flag bound,
+curve degree) pair: the 25 searches of one seed-1 perfbench pass certify
+4,729 candidates with 877 distinct pairs.  So ``brute_search`` builds
+each of these once per distinct key and hands the same (frozen) objects
+to every certificate with that key.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from operator import index
+from operator import index, mul
 from typing import Callable, Iterable
 
 from .exactmath import integer_root
@@ -53,7 +58,6 @@ from .threshold import (
     best_flag_bound,
     combine_interval,
     exact_interval,
-    flag_lower_bound,
 )
 from .torusmodel import (
     MAX_DIMENSION,
@@ -68,6 +72,7 @@ from .torusmodel import (
     chi_pfaffian,
     k_group,
     polarization_type,
+    type_diagonal,
 )
 
 CASE_RECIPE_WEAK = "recipe-weak"
@@ -350,10 +355,13 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
     """``certify_class`` on the class of the construction, with its params
     attached.
 
-    ``shared``, when given, maps each (g, chi, flag bound, curve bound,
-    lowers) key to the interval and N_p report built for it, which read
-    nothing else, so certificates certified with one dict share those
-    objects wherever their keys are equal.  By default nothing is shared.
+    ``shared``, when given, maps ("type", Smith diagonal) to the type and
+    K(l) shape built from that diagonal, and ("interval", g, chi, flag
+    bound, least curve degree, lowers) to the curve bound, interval and
+    N_p report built from those values.  Each reads nothing else, so
+    certificates certified with one dict share those objects wherever
+    their keys are equal; the checks of the diagonal against chi and of
+    the flag chain run on every class.  By default nothing is shared.
     """
     return _certify(params.divisor_class(), params, (), {} if shared is None else shared)
 
@@ -369,13 +377,20 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
     # the flag chain check compares det M, the Bareiss chain's head, with chi
     bound, order, chis = best_flag_bound(form)
     g = cls.space.g
-    ptype = polarization_type(form)
-    kgroup = k_group(form)
-    curve_lower = flag_lower_bound(form)
-    # the Fractions as int pairs: hashing a Fraction costs a modular inverse
-    key = (g, chi, bound.numerator, bound.denominator, curve_lower.numerator, curve_lower.denominator, lowers)
+    # the Smith diagonal against chi on every form; the type's chain check
+    # and the K(l) shape once per diagonal, which is all they read
+    diag = type_diagonal(form)
+    types = shared.get(("type", diag))
+    if types is None:
+        types = shared["type", diag] = polarization_type(form).d, k_group(form)
+    # the least curve degree, the least diagonal entry of M: flag_lower_bound
+    # without its ampleness check, which chi > 0 passed above
+    degree = min([row[i] for i, row in enumerate(form.block)])
+    # the flag bound as an int pair: hashing a Fraction costs a modular inverse
+    key = ("interval", g, chi, bound.numerator, bound.denominator, degree, lowers)
     bounds = shared.get(key)
     if bounds is None:
+        curve_lower = Fraction(1, degree)
         interval = combine_interval(
             g,
             chi,
@@ -384,8 +399,8 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
             + [rule for rules in lowers for rule in rules(g, chi)],
             scope=Scope.SPECIFIC,
         )
-        bounds = shared[key] = interval, np_report(g, chi, interval)
-    return Certificate(params, chi, ptype.d, kgroup, bound, order, chis, curve_lower, *bounds)
+        bounds = shared[key] = curve_lower, interval, np_report(g, chi, interval)
+    return Certificate(params, chi, *types, bound, order, chis, *bounds)
 
 
 def _box_too_large(size: str, limit: int) -> ValueError:
@@ -431,17 +446,24 @@ def brute_search(
     each bound replaced by its rank among the call's distinct bounds, so
     the sort compares ints, not Fractions.
 
-    Every candidate is certified on its own, but with one ``shared`` dict
-    for the call (``certify``): all candidates have this g and
-    chi = d, so certificates with equal (flag bound, curve bound) hold
-    the same interval and N_p report objects.  That is exact, since the
-    key holds everything the two are built from, chi included although
-    the search solved chi = d; and the dict lives only as long as the
-    call, so no two searches share anything.  An empty box (a negative
-    coefficient limit, or max_k below 1) returns [] before anything is
-    sized.  g above torusmodel.MAX_DIMENSION, boxes above MAX_SEARCH_STEPS
-    and boxes with more than MAX_SEARCH_CANDIDATES // certificate_cost(g)
-    candidates are refused before anything is certified.
+    Every candidate is certified on its own, with one ``certify`` call,
+    but with one ``shared`` dict for the search.  Per candidate run the
+    formula chi, the flag search with its Bareiss chain check (det M
+    against the formula chi), the Smith form of the block with its zero
+    and product checks against chi, and the read of the least curve
+    degree.  Once per distinct Smith diagonal run the type's chain check
+    and the K(l) shape; once per distinct (flag bound, curve degree), as
+    all candidates have this g and chi = d, the curve bound, interval and
+    N_p report.  That is exact, since each key holds everything its part
+    is built from, chi included although the search solved chi = d; and
+    the dict lives only as long as the call, so no two searches share
+    anything.
+
+    An empty box (a negative coefficient limit, or max_k below 1) returns
+    [] before anything is sized.  g above torusmodel.MAX_DIMENSION, boxes
+    above MAX_SEARCH_STEPS and boxes with more than
+    MAX_SEARCH_CANDIDATES // certificate_cost(g) candidates are refused
+    before anything is certified.
     """
     if g < 2 or d < 1:
         raise ValueError("need g >= 2 and d >= 1")
@@ -470,11 +492,12 @@ def brute_search(
         total = sum(weights)
         if not constant + total <= d <= constant + box.max_k * total:
             continue
-        middle = tuple(coeffs[1:-1])
+        middle, free_all = tuple(coeffs[1:-1]), d - constant
+        w1, *rest_weights = weights
         for rest in product(k_range, repeat=g - 2):
-            free = d - constant - sum(k * w for k, w in zip(rest, weights[1:]))
-            if weights[0]:
-                k1, rem = divmod(free, weights[0])
+            free = free_all - sum(map(mul, rest, rest_weights))
+            if w1:
+                k1, rem = divmod(free, w1)
                 k1s, fits = ((k1,), 1) if rem == 0 and k1 in k_range else ((), 0)
             else:
                 # chi does not depend on k_1: every k_1 fits or none does

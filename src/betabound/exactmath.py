@@ -47,12 +47,22 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     That determinant is taken on the block left by the row and column
     operations above, not by the Bareiss elimination of ``_leading_minors``,
     so the two still share no arithmetic and the check of the type's
-    product against chi stays an independent oracle.
+    product against chi stays an independent oracle.  The elimination
+    itself is ``_smith_diagonal``, which runs on a copy of the input.
     """
     a = [list(row) for row in m]
     n = len(a)
     if any(len(row) != n for row in a) or not all(isinstance(x, int) for row in a for x in row):
         raise ValueError("expected a square integer matrix")
+    return _smith_diagonal(a)
+
+
+def _smith_diagonal(a: list[list[int]]) -> tuple[int, ...]:
+    """``smith_normal_form`` of a square integer matrix given as a list of
+    int lists, unchecked; the input is consumed.  The package calls it on
+    the block of a form (``torusmodel.AltForm.snf_diagonal``), which is
+    square and integer by construction."""
+    n = len(a)
     diag, t = [], 0
     while t < n:
         if t == n - 2:

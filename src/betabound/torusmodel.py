@@ -39,7 +39,7 @@ from math import prod
 from operator import index
 from typing import Sequence
 
-from .exactmath import _leading_minors, leading_minors_all_positive, smith_normal_form
+from .exactmath import _leading_minors, _smith_diagonal, leading_minors_all_positive
 
 
 # Largest accepted g, for classes, `beta --general`, `np` and `search` alike.
@@ -69,7 +69,8 @@ class ConstructionSpace:
     """The product X = E_0 x ... x E_{g-1} with isogeny multipliers k.
 
     ``k`` lists the multipliers of the first g-1 factors; the last factor
-    implicitly has multiplier 1.
+    implicitly has multiplier 1.  ``k_full``, set once here, lists those
+    of all g factors, the last one being 1.
     """
 
     g: int
@@ -83,13 +84,9 @@ class ConstructionSpace:
         object.__setattr__(self, "k", tuple(map(index, self.k)))
         if len(self.k) != self.g - 1:
             raise ValueError("need exactly g-1 isogeny multipliers")
-        if any(x < 1 for x in self.k):
+        if min(self.k, default=1) < 1:
             raise ValueError("isogeny multipliers must be >= 1")
-
-    @property
-    def k_full(self) -> tuple[int, ...]:
-        """Multipliers of all g factors, the last one being 1."""
-        return self.k + (1,)
+        object.__setattr__(self, "k_full", self.k + (1,))
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class DivisorClass:
         object.__setattr__(self, "c", index(self.c))
         if len(self.a) != self.space.g:
             raise ValueError("need one coefficient per factor")
-        if any(x < 0 for x in self.a) or self.c < 0:
+        if min(self.a) < 0 or self.c < 0:
             raise ValueError("coefficients must be nonnegative")
         if not any(self.a) and not self.c:
             raise ValueError("the zero class is not allowed")
@@ -175,9 +172,9 @@ class AltForm:
     of the class.
 
     ``cls`` is the class and ``keep`` the indices of the kept factors, in
-    any order, repeats included, stored as a tuple of ints (TypeError for
-    a non-integer index, ValueError if it is empty or an index is not one
-    of the class's): ``alt_form`` keeps every factor and
+    any order, stored as a tuple of ints (TypeError for a non-integer
+    index, ValueError if it is empty, repeats an index or holds one that
+    is not the class's): ``alt_form`` keeps every factor and
     ``restrict`` a subset of a form's.  The rest is derived from the two:
     the g x g block M[keep, keep] of the class's block M (``block``), the
     basis denominator k_i of each kept factor, which fixes the complex
@@ -191,9 +188,10 @@ class AltForm:
     keep: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "keep", tuple(map(index, self.keep)))
-        if not self.keep or min(self.keep) < 0 or max(self.keep) >= self.cls.space.g:
-            raise ValueError("keep must list one or more factor indices of the class")
+        keep = tuple(map(index, self.keep))
+        object.__setattr__(self, "keep", keep)
+        if not keep or min(keep) < 0 or max(keep) >= self.cls.space.g or len(set(keep)) < len(keep):
+            raise ValueError("keep must list one or more distinct factor indices of the class")
 
     @property
     def g(self) -> int:
@@ -206,7 +204,8 @@ class AltForm:
     @_memo
     def full_scan(self) -> tuple[int, tuple[int, ...]]:
         """``scan`` of every position, with the drops as a tuple: every reader shares it."""
-        chi, drops = self.scan(range(self.g))
+        cls = self.cls
+        chi, drops = restriction_scan(cls.a, cls.space.k_full, cls.c, self.keep)
         return chi, tuple(drops)
 
     def scan(self, positions: Sequence[int]) -> tuple[int, list[int]]:
@@ -230,8 +229,7 @@ class AltForm:
             M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
 
         and every other entry of E is 0; only M[keep, keep] is built, one
-        entry at a time, as M[i][j] = a_i * [i = j] + c * x_i * y_j (a
-        factor kept twice repeats its row and column).  The
+        entry at a time, as M[i][j] = a_i * [i = j] + c * x_i * y_j.  The
         pairing E(x, Jy) is symmetric with no check needed: every summand
         of E is f^* E_std for a C-linear map f onto one curve (the
         projection for F_i; for G the defining homomorphism, z |-> -k_i z
@@ -255,8 +253,9 @@ class AltForm:
         right-multiplying by the unimodular [[0, -I], [I, 0]] gives
         diag(M, M^T), and M^T has the Smith diagonal of M.  So the
         elementary divisors of E pair up, and the Smith form runs on g x g
-        entries instead of 2g x 2g."""
-        return smith_normal_form(self.block)
+        entries instead of 2g x 2g.  The block is square and integer by
+        construction, so the kernel runs unchecked on a copy of it."""
+        return _smith_diagonal([list(row) for row in self.block])
 
 
 def alt_form(cls: DivisorClass) -> AltForm:
@@ -320,8 +319,8 @@ def chi_pfaffian(form: AltForm) -> int:
     leading block is singular (v^T A v = 0 forces A v = 0), so a zero
     pivot means det M = 0, and a negative one cannot occur; it raises
     LatticeInvariantError.  This holds for every form that can be built:
-    its block is M[keep, keep] for the block M of a class, repeats and
-    any order included, and M[keep, keep] * diag(k_keep) =
+    its block is M[keep, keep] for the block M of a class, in any order,
+    and M[keep, keep] * diag(k_keep) =
     P^T (M * diag(k)) P, for P the 0/1 matrix that picks the columns
     keep, is positive semidefinite because M * diag(k) is.
     """
@@ -331,7 +330,7 @@ def chi_pfaffian(form: AltForm) -> int:
     return minors[-1] if len(minors) == form.g else 0
 
 
-def _smith_diagonal(form: AltForm) -> tuple[int, ...]:
+def _nonzero_diagonal(form: AltForm) -> tuple[int, ...]:
     """The Smith diagonal d_1 | ... | d_g of a nondegenerate form's block
     (``AltForm.snf_diagonal``); E's elementary divisors are each of them twice."""
     diag = form.snf_diagonal
@@ -340,13 +339,19 @@ def _smith_diagonal(form: AltForm) -> tuple[int, ...]:
     return diag
 
 
-def polarization_type(form: AltForm) -> PolarizationType:
-    """Type of the class: the Smith diagonal of its block, its product
-    checked against the formula chi."""
-    ptype = PolarizationType(_smith_diagonal(form))
-    if ptype.product != form.full_scan[0]:
+def type_diagonal(form: AltForm) -> tuple[int, ...]:
+    """The type's entries: the Smith diagonal of the block, none of them 0
+    and their product checked against the formula chi.  The chain d_1 | d_2
+    | ... holds by the Smith form; ``PolarizationType`` checks it again."""
+    diag = _nonzero_diagonal(form)
+    if prod(diag) != form.full_scan[0]:
         raise LatticeInvariantError("type product does not match chi")
-    return ptype
+    return diag
+
+
+def polarization_type(form: AltForm) -> PolarizationType:
+    """Type of the class: ``type_diagonal``, with its divisibility chain checked."""
+    return PolarizationType(type_diagonal(form))
 
 
 def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
@@ -356,7 +361,7 @@ def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
     By default the trivial elementary divisors are dropped; ``full=True``
     returns the complete doubled list (whose product is chi squared).
     """
-    return FiniteGroupShape(tuple(x for x in _smith_diagonal(form) for _ in (0, 1) if full or x > 1))
+    return FiniteGroupShape(tuple(x for x in _nonzero_diagonal(form) for _ in (0, 1) if full or x > 1))
 
 
 def is_ample(form: AltForm) -> bool:

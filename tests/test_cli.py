@@ -28,7 +28,6 @@ from betabound.cli import (
     render,
     run,
 )
-from betabound.exactmath import smith_normal_form
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import is_ample
 from util import containers
@@ -537,11 +536,13 @@ class TestCliContract:
         assert "formula [" in err and "pfaffian [" in err
 
     def test_type_product_disagreement_exits_three(self, monkeypatch, capsys):
-        def last_pair_doubled(m):
-            diag = smith_normal_form(m)
+        real = betabound.torusmodel._smith_diagonal
+
+        def last_pair_doubled(rows):
+            diag = real(rows)
             return diag[:-2] + (2 * diag[-2], 2 * diag[-1])
 
-        monkeypatch.setattr(betabound.torusmodel, "smith_normal_form", last_pair_doubled)
+        monkeypatch.setattr(betabound.torusmodel, "_smith_diagonal", last_pair_doubled)
         assert main(["type", "--g", "3", "--k", "9,3", "--a", "1,1,3", "--c", "1"]) == EXIT_ORACLE
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: type product does not match chi")

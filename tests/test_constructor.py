@@ -226,8 +226,11 @@ class TestCertify:
             _certify(c.params.divisor_class(), None, (necessary_lower_bounds,), shared)
             for c in (first, second)
         ]
-        assert len(shared) == 2
+        assert sum(key[0] == "interval" for key in shared) == 2
         assert plain[0].interval is plain[1].interval and ruled[0].interval is ruled[1].interval
+        # the type and K(l) are keyed by the Smith diagonal alone
+        assert plain[0].ptype == plain[1].ptype == (1, 1, 14)
+        assert plain[0].kgroup is plain[1].kgroup is ruled[0].kgroup
         assert ruled[0].interval == certify_class(first.params.divisor_class(), lowers=(necessary_lower_bounds,)).interval
         assert plain[0].interval == certify_class(first.params.divisor_class()).interval != ruled[0].interval
         # certify_class shares nothing
@@ -364,7 +367,7 @@ class TestBruteSearch:
         (3, 12, SearchBox(3, 3, 12, 2), True),
     ])
     def test_one_interval_per_distinct_key(self, monkeypatch, g, d, box, generalized):
-        certified, calls = [], {"combine_interval": 0, "np_report": 0}
+        certified, calls = [], {"combine_interval": 0, "np_report": 0, "polarization_type": 0, "k_group": 0}
         for name in calls:
             def spy(*args, _name=name, _original=getattr(betabound.constructor, name), **kwargs):
                 calls[_name] += 1
@@ -381,7 +384,11 @@ class TestBruteSearch:
         # every candidate is certified, wrong types included
         keys = {(c.chi, c.bound, c.curve_lower) for c in certified}
         assert len(certified) > len(keys) and len(results) <= len(certified)
-        assert calls == {"combine_interval": len(keys), "np_report": len(keys)}
+        # and one type and K(l) per distinct Smith diagonal
+        types = {c.ptype for c in certified}
+        assert len(certified) > len(types)
+        assert calls == {"combine_interval": len(keys), "np_report": len(keys),
+                         "polarization_type": len(types), "k_group": len(types)}
 
     def test_never_worse_than_recipe_inside_box(self):
         for g, d in ((2, 9), (3, 8), (3, 15)):

@@ -47,7 +47,14 @@ from betabound import (
     surface_beta,
 )
 from betabound.cli import _json_text, run
-from betabound.exactmath import PfaffianCache, _leading_minors, _pfaffian, _pivot, leading_minors_all_positive
+from betabound.exactmath import (
+    PfaffianCache,
+    _leading_minors,
+    _pfaffian,
+    _pivot,
+    _smith_diagonal,
+    leading_minors_all_positive,
+)
 from betabound.surfacetable import MAX_TABLE_DEGREE
 from betabound.syzygy import SOURCE_BETA
 from betabound.torusmodel import chi_affine, restriction_scan
@@ -207,6 +214,16 @@ def test_smith_diagonal_doubled_is_skew_form_of_bipartite(m):
     # divisors are those of M, each twice
     diag = smith_normal_form(m)
     assert tuple(d for d in diag for _ in (0, 1)) == skew_normal_form(bipartite(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices())
+@example([[0]])
+@example([[2, 4], [3, 6]])
+def test_smith_kernel_is_the_public_form_unchecked(m):
+    # smith_normal_form checks and copies its input, then runs the kernel
+    # that AltForm.snf_diagonal runs on a copy of its block
+    assert _smith_diagonal([list(row) for row in m]) == smith_normal_form(m)
 
 
 @st.composite
@@ -524,14 +541,17 @@ THREEFOLD_40 = DivisorClass(ConstructionSpace(3, (9, 3)), (1, 1, 3), 1)
 @example((THREEFOLD_40, (2, 1)))
 def test_view_determinant_is_the_block_determinant(view):
     # the zero-pivot rule of chi_pfaffian holds for every form that can be
-    # built: its block is M[keep, keep] for the class's M, repeats and any
-    # order included
+    # built: its block is M[keep, keep] for the class's M, in any order; a
+    # keep with a repeated index builds no form
     cls, keep = view
+    if len(set(keep)) < len(keep):
+        with pytest.raises(ValueError):
+            AltForm(cls, keep)
+        return
     form, m = AltForm(cls, keep), alt_form(cls).block
     assert form.block == tuple(tuple(m[i][j] for j in keep) for i in keep)
     assert chi_pfaffian(form) == exact_det(IntMatrix.from_rows(form.block))
-    if len(set(keep)) == len(keep):
-        assert chi_pfaffian(form) == restriction_chi(cls, keep)
+    assert chi_pfaffian(form) == restriction_chi(cls, keep)
 
 
 @SETTINGS
@@ -819,6 +839,23 @@ def test_shared_certificates_equal_their_own(search):
     # equals that of its own, written alone
     memo = {}
     assert [cert.to_json(memo) for cert in results] == [own.to_json() for own in expected]
+
+
+@SETTINGS
+# small boxes, and standard searches in their default boxes (None)
+@given(st.one_of(small_searches(), st.tuples(st.integers(2, 3), st.integers(1, 48), st.none(), st.just(False))))
+# many candidates per Smith diagonal, with more than one diagonal of chi = d
+@example((3, 12, SearchBox(3, 3, 5), False))
+@example((2, 12, SearchBox(4, 4, 8, 2), True))
+@example((3, 36, None, False))
+@example((4, 16, None, False))
+def test_search_certificates_equal_fresh_certify(search):
+    # a search shares the type and K(l) per Smith diagonal and the interval
+    # per key; each certificate must equal that of its params certified alone
+    for cert in brute_search(*search):
+        own = certify(cert.params)
+        for field in dataclasses.fields(Certificate):
+            assert getattr(cert, field.name) == getattr(own, field.name), field.name
 
 
 @SETTINGS

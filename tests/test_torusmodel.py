@@ -120,13 +120,16 @@ class TestAltForm:
         assert AltForm(THREEFOLD_40, range(1, 3)) == restrict(alt_form(THREEFOLD_40), (1, 2))
         with pytest.raises(TypeError):
             AltForm(THREEFOLD_40, (0.0, 1, 2))
+        # a repeated index would give a singular block of a class with formula chi 22
+        with pytest.raises(ValueError):
+            AltForm(THREEFOLD_40, (0, 0, 1))
 
     def test_readings_are_computed_once_per_form(self, monkeypatch):
         # block, Smith diagonal and full scan: one computation each per form,
         # kept on that form alone, so an equal form of the same class
         # computes its own; none of them eliminates
         calls = collections.Counter()
-        for name in ("_leading_minors", "smith_normal_form", "restriction_scan"):
+        for name in ("_leading_minors", "_smith_diagonal", "restriction_scan"):
             def spy(*args, _name=name, _real=getattr(betabound.torusmodel, name)):
                 calls[_name] += 1
                 return _real(*args)
@@ -136,7 +139,7 @@ class TestAltForm:
         assert first == second and first is not second
         values = [getattr(first, name) for name in readings * 3]
         assert values == [getattr(second, name) for name in readings * 3]
-        assert calls == {"smith_normal_form": 2, "restriction_scan": 2}
+        assert calls == {"_smith_diagonal": 2, "restriction_scan": 2}
         for name in readings:
             assert first.__dict__[name] == second.__dict__[name]
             assert isinstance(getattr(AltForm, name).__doc__, str)
