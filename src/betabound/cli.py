@@ -11,6 +11,10 @@ it refuses floats.  Exit codes: 0 ok, 2 parse error, 3 internal oracle
 disagreement (a bug trap), 4 no certificate.  A library ValueError
 (an input outside a function's domain) exits 2 like a parse error, and
 so does one raised while rendering (an integer too long to print).
+
+Each subparser carries its ``_cmd_*`` handler, which returns the
+command's inputs and results; ``run`` parses argv and wraps those two in
+the one envelope every command shares.
 """
 
 from __future__ import annotations
@@ -73,8 +77,8 @@ def _class_from_args(args) -> DivisorClass:
     """The class the flags describe, once its entries are in range."""
     if args.g is None or args.a is None:
         raise CLIError("describing a class requires --g and --a (and --k for g >= 2)")
-    space = ConstructionSpace(args.g, _parse_int_list(args.k))
-    cls = DivisorClass(space, _parse_int_list(args.a), args.c)
+    space = ConstructionSpace(args.g, _parse_int_list(args.k or ""))
+    cls = DivisorClass(space, _parse_int_list(args.a), args.c or 0)
     if max(space.k + cls.a + (cls.c,)) > MAX_DEGREE:
         raise CLIError("entries of --k, --a and --c must be <= 10^100")
     return cls
@@ -89,66 +93,47 @@ def _class_inputs(cls: DivisorClass) -> dict:
     }
 
 
-def _envelope(command: str, argv: Sequence[str], inputs: dict, results: dict, fmt: str) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "argv": list(argv),
-        "inputs": inputs,
-        "results": results,
-        "format": fmt,
-    }
-
-
-def _cmd_chi(args, argv) -> dict:
+def _cmd_chi(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     chi = checked_chi(form)
-    results = {
+    return _class_inputs(form.cls), {
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
         "chi_multilinear": {"value": chi, "by": "intersection-multilinear"},
         "chi_pfaffian": {"value": chi, "by": "pfaffian"},
     }
-    return _envelope("chi", argv, _class_inputs(form.cls), results, args.format)
 
 
-def _cmd_type(args, argv) -> dict:
+def _cmd_type(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     chi = checked_chi(form)
     ptype = polarization_type(form)
-    results = {
+    return _class_inputs(form.cls), {
         "type": {"value": list(ptype.d), "by": "smith-normal-form"},
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
     }
-    return _envelope("type", argv, _class_inputs(form.cls), results, args.format)
 
 
-def _cmd_kgroup(args, argv) -> dict:
+def _cmd_kgroup(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     checked_chi(form)
     shape = k_group(form, full=args.full)
-    results = {
-        "k_group": {
-            "value": list(shape.divisors),
-            "order": shape.order,
-            "by": "smith-normal-form",
-        }
+    return _class_inputs(form.cls), {
+        "k_group": {"value": list(shape.divisors), "order": shape.order, "by": "smith-normal-form"}
     }
-    return _envelope("kgroup", argv, _class_inputs(form.cls), results, args.format)
 
 
-def _cmd_ample(args, argv) -> dict:
+def _cmd_ample(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     chi, ample = checked_chi(form), is_ample(form)
     if ample != (chi > 0):
         # the classes accepted here are ample exactly when chi > 0 (torusmodel.is_ample)
         raise OracleDisagreement(f"minor test says ample={ample} on {form.cls}, but chi = {chi}")
-    results = {"ample": {"value": ample, "by": "minor-test"}}
-    return _envelope("ample", argv, _class_inputs(form.cls), results, args.format)
+    return _class_inputs(form.cls), {"ample": {"value": ample, "by": "minor-test"}}
 
 
-def _cmd_beta(args, argv) -> dict:
+def _cmd_beta(args) -> tuple[dict, dict]:
     if args.general is not None:
-        if args.g is not None or args.k or args.a is not None or args.c:
+        if any(flag is not None for flag in (args.g, args.k, args.a, args.c)):
             raise CLIError("--general takes no --g, --k, --a or --c")
         g, d = args.general
         if g < 1 or d < 1:
@@ -156,15 +141,14 @@ def _cmd_beta(args, argv) -> dict:
         report = general_beta(g, d)
         results = report.to_json()
         results["np"] = np_report(g, d, report.interval).to_json()
-        return _envelope("beta", argv, {"general": {"g": g, "d": d}}, results, args.format)
+        return {"general": {"g": g, "d": d}}, results
 
     cls = _class_from_args(args)
     cert = certify_class(cls, lowers=(necessary_lower_bounds,)).to_json()
-    results = {key: cert[key] for key in ("chi", "type", "flag_bound", "interval", "np")}
-    return _envelope("beta", argv, _class_inputs(cls), results, args.format)
+    return _class_inputs(cls), {key: cert[key] for key in ("chi", "type", "flag_bound", "interval", "np")}
 
 
-def _cmd_search(args, argv) -> dict:
+def _cmd_search(args) -> tuple[dict, dict]:
     if args.max_c is not None and not args.generalized:
         raise CLIError("--max-c needs --generalized: the standard search keeps c = 1")
     overrides = {name: getattr(args, name) for name in ("max_a", "max_b", "max_k", "max_c")}
@@ -177,32 +161,27 @@ def _cmd_search(args, argv) -> dict:
     }
     if not certificates:
         results["diagnostic"] = "no construction of the requested type inside the box"
-    inputs = {"g": args.g, "d": args.d, "box": asdict(box), "generalized": args.generalized}
-    return _envelope("search", argv, inputs, results, args.format)
+    return {"g": args.g, "d": args.d, "box": asdict(box), "generalized": args.generalized}, results
 
 
-def _cmd_np(args, argv) -> dict:
+def _cmd_np(args) -> tuple[dict, dict]:
     if args.g < 1 or args.d < 1:
         raise CLIError("np needs g >= 1 and d >= 1")
     report = general_beta(args.g, args.d)
-    np_cert = np_report(args.g, args.d, report.interval)
-    results = {
-        "np": np_cert.to_json(),
+    return {"g": args.g, "d": args.d}, {
+        "np": np_report(args.g, args.d, report.interval).to_json(),
         "interval": report.interval.to_json(),
         "necessary_lower_bounds": [
             {"bound": str(rule.value), "strict": False, "by": rule.reason}
             for rule in necessary_lower_bounds(args.g, args.d)
         ],
     }
-    return _envelope("np", argv, {"g": args.g, "d": args.d}, results, args.format)
 
 
-def _cmd_table(args, argv) -> dict:
+def _cmd_table(args) -> tuple[dict, dict]:
     if args.max < 1:
         raise CLIError("--max must be >= 1")
-    rows = generate_table(args.max)
-    results = {"rows": [row.to_json() for row in rows]}
-    return _envelope("table", argv, {"max": args.max}, results, args.format)
+    return {"max": args.max}, {"rows": [row.to_json() for row in generate_table(args.max)]}
 
 
 def _render_markdown(envelope: dict) -> str:
@@ -334,16 +313,11 @@ def render(envelope: dict) -> str:
 
 
 def _add_class_flags(parser: argparse.ArgumentParser):
+    # no defaults, so beta --general can refuse a given --c 0 or --k ''
     parser.add_argument("--g", type=int, help="number of elliptic-curve factors")
-    parser.add_argument("--k", type=str, default="", help="comma-separated multipliers k1,...,k(g-1)")
+    parser.add_argument("--k", type=str, help="comma-separated multipliers k1,...,k(g-1)")
     parser.add_argument("--a", type=str, help="comma-separated coefficients a1,...,ag")
-    parser.add_argument("--c", type=int, default=0, help="coefficient of the correspondence divisor")
-
-
-def _add_format_flag(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--format", choices=("json", "csv", "markdown"), default="json", help="output format"
-    )
+    parser.add_argument("--c", type=int, help="coefficient of the correspondence divisor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,19 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("chi", "Euler characteristic of a class (both oracles)"),
-        ("type", "polarization type of a class"),
-        ("kgroup", "shape of the finite group K(l)"),
-        ("ample", "ampleness of a class"),
+    for name, handler, help_text in (
+        ("chi", _cmd_chi, "Euler characteristic of a class (both oracles)"),
+        ("type", _cmd_type, "polarization type of a class"),
+        ("kgroup", _cmd_kgroup, "shape of the finite group K(l)"),
+        ("ample", _cmd_ample, "ampleness of a class"),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         _add_class_flags(p)
-        _add_format_flag(p)
-        if name == "kgroup":
-            p.add_argument("--full", action="store_true", help="report the full doubled divisor list")
 
     p = sub.add_parser("beta", help="certified threshold interval for a class or a (g, d) target")
+    p.set_defaults(handler=_cmd_beta)
     _add_class_flags(p)
     p.add_argument(
         "--general",
@@ -375,46 +348,43 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("G", "D"),
         help="bound the general member of type (1, ..., 1, D) in dimension G",
     )
-    _add_format_flag(p)
 
     p = sub.add_parser("search", help="brute-force search for constructions of type (1, ..., 1, d)")
+    p.set_defaults(handler=_cmd_search)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-a", type=int, default=None, dest="max_a")
-    p.add_argument("--max-b", type=int, default=None, dest="max_b")
-    p.add_argument("--max-k", type=int, default=None, dest="max_k")
-    p.add_argument("--max-c", type=int, default=None, dest="max_c")
+    for bound in ("a", "b", "k", "c"):
+        p.add_argument(f"--max-{bound}", type=int)
     p.add_argument("--generalized", action="store_true", help="vary interior coefficients and c")
-    _add_format_flag(p)
 
     p = sub.add_parser("np", help="syzygy property guarantees for a (g, d) target")
+    p.set_defaults(handler=_cmd_np)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    _add_format_flag(p)
 
     p = sub.add_parser("table", help="beta table for general type-(1, d) abelian surfaces")
+    p.set_defaults(handler=_cmd_table)
     p.add_argument("--max", type=int, default=16)
-    _add_format_flag(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("json", "csv", "markdown"), default="json", help="output format")
+    # after --format: usage errors print kgroup's usage line with its options in this order
+    sub.choices["kgroup"].add_argument("--full", action="store_true", help="report the full doubled divisor list")
     return parser
-
-
-_DISPATCH = {
-    "chi": _cmd_chi,
-    "type": _cmd_type,
-    "kgroup": _cmd_kgroup,
-    "ample": _cmd_ample,
-    "beta": _cmd_beta,
-    "search": _cmd_search,
-    "np": _cmd_np,
-    "table": _cmd_table,
-}
 
 
 def run(argv: Sequence[str]) -> dict:
     """Parse and execute, returning the output envelope (for tests)."""
     args = build_parser().parse_args(argv)
-    return _DISPATCH[args.command](args, argv)
+    inputs, results = args.handler(args)
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": args.command,
+        "argv": list(argv),
+        "inputs": inputs,
+        "results": results,
+        "format": args.format,
+    }
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,16 +7,12 @@ every name, so such a change fails here first.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from util import perfbench_module
 
 
 def test_every_traced_name_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = perfbench_module("tracing")
     assert tracing.TRACED
     for layer, qualname in tracing.TRACED:
         target = importlib.import_module(f"betabound.{layer}")

@@ -30,7 +30,9 @@ from betabound.cli import (
 )
 from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import is_ample
-from util import containers
+from util import containers, perfbench_module
+
+check = perfbench_module("checks").check
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -123,13 +125,15 @@ class TestBetaCommand:
 
     def test_general_refuses_class_flags(self, capsys):
         # --general bounds a (g, d) target, so class flags would be dropped
-        # silently; a zero --c is the flag's default and is taken
-        for flags in (["--g", "3", "--a", "1,1,1"], ["--g", "3"], ["--k", "9,3"], ["--a", "1,1,3"], ["--c", "1"]):
+        # silently; a zero --c and an empty --k are flags given all the same
+        for flags in (
+            ["--g", "3", "--a", "1,1,1"], ["--g", "3"], ["--k", "9,3"], ["--a", "1,1,3"], ["--c", "1"],
+            ["--c", "0"], ["--k", ""],
+        ):
             assert main(["beta", "--general", "3", "40"] + flags) == EXIT_PARSE
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: --general takes no --g, --k, --a or --c\n"
-        assert main(["beta", "--general", "3", "40", "--c", "0"]) == EXIT_OK
 
     def test_general_above_g_eight(self):
         for g, d in ((9, 600), (12, 4396)):
@@ -606,7 +610,8 @@ def argvs(draw):
     g = draw(st.integers(-1, 13))
     d = draw(st.integers(-1, 10**40))
     argv = [command]
-    if command in CLASS_COMMANDS or (command == "beta" and draw(st.booleans())):
+    general = command == "beta" and draw(st.booleans())
+    if command in CLASS_COMMANDS or (command == "beta" and (not general or draw(st.booleans()))):
         def entries(n):
             return ",".join(map(str, draw(st.lists(st.integers(-2, 5), min_size=n, max_size=n))))
 
@@ -618,7 +623,8 @@ def argvs(draw):
         argv += ["--g", g, "--k", k, "--a", a, "--c", draw(st.integers(-2, 5))]
         if command == "kgroup" and draw(st.booleans()):
             argv.append("--full")
-    elif command == "beta":
+    if general:
+        # beside class flags this exits 2: --general takes none
         argv += ["--general", g, d]
     elif command == "search":
         argv += ["--g", g, "--d", d]
@@ -639,11 +645,13 @@ def argvs(draw):
 @settings(max_examples=100, deadline=None)
 @given(argvs())
 def test_random_argv_ends_in_a_documented_exit_code(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects malformed argv this way
             code = exc.code
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_ORACLE, EXIT_NO_CERTIFICATE)
     assert "Traceback" not in err.getvalue()
+    if code == EXIT_OK and ("--format" not in argv or argv[argv.index("--format") + 1] == "json"):
+        assert check(argv, {EXIT_OK}, code, out.getvalue()) == []

@@ -17,7 +17,9 @@ from pathlib import Path
 import pytest
 
 from betabound.cli import main
+from util import perfbench_module
 
+check = perfbench_module("checks").check
 GOLDEN = Path(__file__).parent / "data" / "golden_envelopes.json"
 CASES = json.loads(GOLDEN.read_text())
 
@@ -32,6 +34,14 @@ def _run(argv):
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
 def test_envelope_is_unchanged(case):
     assert _run(case["argv"]) == case
+
+
+JSON_OK = [c for c in CASES if c["exit"] == 0 and "--format" not in c["argv"]]
+
+
+@pytest.mark.parametrize("case", JSON_OK, ids=[" ".join(c["argv"]) for c in JSON_OK])
+def test_outside_checker_passes_json_envelope(case):
+    assert check(case["argv"], {0}, case["exit"], case["stdout"]) == []
 
 
 # sha256 of the full stdout of the largest requests (0.1-0.8 MB each),

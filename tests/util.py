@@ -35,8 +35,10 @@ lists, for the tests of which parts an output shares.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+import importlib.util
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 import random
 from typing import Sequence
 
@@ -634,3 +636,17 @@ def containers(tree) -> list:
             found.append(node)
             stack.extend(node.values() if isinstance(node, dict) else node)
     return found
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path (perfbench is not a package).
+
+    Its ``checks`` module is the benchmark's outside checker: it imports
+    nothing from betabound and re-derives what it can of an envelope from
+    the argv alone.
+    """
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
