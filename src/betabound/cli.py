@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, replace
+from math import prod
 from typing import Sequence
 
 from .constructor import (
@@ -106,9 +107,8 @@ def _cmd_chi(args) -> tuple[dict, dict]:
 def _cmd_type(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     chi = checked_chi(form)
-    ptype = polarization_type(form)
     return _class_inputs(form.cls), {
-        "type": {"value": list(ptype.d), "by": "smith-normal-form"},
+        "type": {"value": list(polarization_type(form)), "by": "smith-normal-form"},
         "chi": {"value": chi, "by": "multilinear=pfaffian"},
     }
 
@@ -116,9 +116,9 @@ def _cmd_type(args) -> tuple[dict, dict]:
 def _cmd_kgroup(args) -> tuple[dict, dict]:
     form = alt_form(_class_from_args(args))
     checked_chi(form)
-    shape = k_group(form, full=args.full)
+    divisors = k_group(polarization_type(form), full=args.full)
     return _class_inputs(form.cls), {
-        "k_group": {"value": list(shape.divisors), "order": shape.order, "by": "smith-normal-form"}
+        "k_group": {"value": list(divisors), "order": prod(divisors), "by": "smith-normal-form"}
     }
 
 

@@ -20,22 +20,22 @@ nonzero (for these classes that is ampleness, see
 ``torusmodel.is_ample``); the flag bound is minimized over all drop
 orders and its chain of Bareiss minors, whose head is det M, checked
 against the formula's (``threshold.best_flag_bound``); and the Smith
-diagonal of the block M must hold no 0 and have the formula chi as its
-product (``torusmodel.type_diagonal``).  The curve bound is one over
-the least curve degree, the least diagonal entry of M.  A disagreement
-between oracles is a bug and is never swallowed.
+diagonal of the block M, the type, must hold no 0 and have the formula
+chi as its product (``torusmodel.polarization_type``).  The curve bound
+is one over the least curve degree, the least diagonal entry of M.  A
+disagreement between oracles is a bug and is never swallowed.  K(l) is
+the type with each entry twice (``torusmodel.k_group``), built when a
+certificate is written (``Certificate.to_json``).
 
 What a certificate builds from values alone is built once per value
-through the ``shared`` dict of ``certify``.  The type's divisibility
-chain check and the K(l) shape read nothing but the Smith diagonal, so
-they run once per distinct diagonal.  The curve bound, beta interval and
-N_p report read nothing of the class but g, chi, the flag bound, the
-least curve degree and the extra lower-bound rules.  Every candidate of
-one search has the same g and chi = d, and many share a (flag bound,
-curve degree) pair: the 25 searches of one seed-1 perfbench pass certify
-4,729 candidates with 877 distinct pairs.  So ``brute_search`` builds
-each of these once per distinct key and hands the same (frozen) objects
-to every certificate with that key.
+through the ``shared`` dict of ``certify``.  The curve bound, beta
+interval and N_p report read nothing of the class but g, chi, the flag
+bound, the least curve degree and the extra lower-bound rules.  Every
+candidate of one search has the same g and chi = d, and many share a
+(flag bound, curve degree) pair: the 25 searches of one seed-1
+perfbench pass certify 4,729 candidates with 877 distinct pairs.  So
+``brute_search`` builds each of these once per distinct key and hands
+the same (frozen) objects to every certificate with that key.
 """
 
 from __future__ import annotations
@@ -65,14 +65,12 @@ from .torusmodel import (
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
-    FiniteGroupShape,
     OracleDisagreement,
     alt_form,
     chi_affine,
     chi_pfaffian,
     k_group,
     polarization_type,
-    type_diagonal,
 )
 
 CASE_RECIPE_WEAK = "recipe-weak"
@@ -195,7 +193,6 @@ class Certificate:
     params: ConstructionParams | None
     chi: int
     ptype: tuple[int, ...]
-    kgroup: FiniteGroupShape
     bound: Fraction
     witness_order: tuple[int, ...]
     flag_chis: tuple[int, ...]
@@ -218,7 +215,8 @@ class Certificate:
           (``brute_search`` shares those per key), keyed by its id and
           kept with the object, so no id is reused while the memo lives;
         - the chi, type, k_group and curve_lower dicts, one group per
-          (chi, type, K-group divisors, curve bound);
+          (chi, type, curve bound), with K(l) built from the type
+          (``torusmodel.k_group``) once per group;
         - the flag bound dict, one per (witness order, chi chain, bound),
           and within it the order list, one per order, and the chain list,
           one per chain;
@@ -237,14 +235,17 @@ class Certificate:
         if memo is None:
             memo = {}
         curve, bound = self.curve_lower, self.bound
+        key = ("group", self.chi, self.ptype, curve.numerator, curve.denominator)
+        group = memo.get(key)
+        if group is None:
+            divisors = k_group(self.ptype)
+            group = memo[key] = (
+                {"value": self.chi, "by": "multilinear=pfaffian"},
+                {"value": list(self.ptype), "by": "smith-normal-form"},
+                {"value": list(divisors), "order": prod(divisors), "by": "smith-normal-form"},
+                {"value": str(curve), "by": "curve-degree"},
+            )
         # every part is a nonempty dict, list or tuple, so a hit is truthy
-        key = ("group", self.chi, self.ptype, self.kgroup.divisors, curve.numerator, curve.denominator)
-        group = memo.get(key) or memo.setdefault(key, (
-            {"value": self.chi, "by": "multilinear=pfaffian"},
-            {"value": list(self.ptype), "by": "smith-normal-form"},
-            {"value": list(self.kgroup.divisors), "order": self.kgroup.order, "by": "smith-normal-form"},
-            {"value": str(curve), "by": "curve-degree"},
-        ))
         key = ("flag", self.witness_order, self.flag_chis, bound.numerator, bound.denominator)
         flag = memo.get(key) or memo.setdefault(key, {
             "value": str(bound),
@@ -355,13 +356,12 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
     """``certify_class`` on the class of the construction, with its params
     attached.
 
-    ``shared``, when given, maps ("type", Smith diagonal) to the type and
-    K(l) shape built from that diagonal, and ("interval", g, chi, flag
-    bound, least curve degree, lowers) to the curve bound, interval and
-    N_p report built from those values.  Each reads nothing else, so
-    certificates certified with one dict share those objects wherever
-    their keys are equal; the checks of the diagonal against chi and of
-    the flag chain run on every class.  By default nothing is shared.
+    ``shared``, when given, maps ("interval", g, chi, flag bound, least
+    curve degree, lowers) to the curve bound, interval and N_p report
+    built from those values.  They read nothing else, so certificates
+    certified with one dict share those objects wherever their keys are
+    equal; the checks of the type against chi and of the flag chain run
+    on every class.  By default nothing is shared.
     """
     return _certify(params.divisor_class(), params, (), {} if shared is None else shared)
 
@@ -377,12 +377,8 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
     # the flag chain check compares det M, the Bareiss chain's head, with chi
     bound, order, chis = best_flag_bound(form)
     g = cls.space.g
-    # the Smith diagonal against chi on every form; the type's chain check
-    # and the K(l) shape once per diagonal, which is all they read
-    diag = type_diagonal(form)
-    types = shared.get(("type", diag))
-    if types is None:
-        types = shared["type", diag] = polarization_type(form).d, k_group(form)
+    # the Smith diagonal against chi on every form
+    ptype = polarization_type(form)
     # the least curve degree, the least diagonal entry of M: flag_lower_bound
     # without its ampleness check, which chi > 0 passed above
     degree = min([row[i] for i, row in enumerate(form.block)])
@@ -400,7 +396,7 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
             scope=Scope.SPECIFIC,
         )
         bounds = shared[key] = curve_lower, interval, np_report(g, chi, interval)
-    return Certificate(params, chi, *types, bound, order, chis, *bounds)
+    return Certificate(params, chi, ptype, bound, order, chis, *bounds)
 
 
 def _box_too_large(size: str, limit: int) -> ValueError:
@@ -450,10 +446,9 @@ def brute_search(
     but with one ``shared`` dict for the search.  Per candidate run the
     formula chi, the flag search with its Bareiss chain check (det M
     against the formula chi), the Smith form of the block with its zero
-    and product checks against chi, and the read of the least curve
-    degree.  Once per distinct Smith diagonal run the type's chain check
-    and the K(l) shape; once per distinct (flag bound, curve degree), as
-    all candidates have this g and chi = d, the curve bound, interval and
+    and product checks against chi (the type), and the read of the least
+    curve degree.  Once per distinct (flag bound, curve degree), as all
+    candidates have this g and chi = d, run the curve bound, interval and
     N_p report.  That is exact, since each key holds everything its part
     is built from, chi included although the search solved chi = d; and
     the dict lives only as long as the call, so no two searches share

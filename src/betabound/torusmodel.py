@@ -117,40 +117,6 @@ def standard_class(space: ConstructionSpace, a: int, b: int) -> DivisorClass:
     return DivisorClass(space, (a,) + (1,) * (space.g - 2) + (b,), 1)
 
 
-@dataclass(frozen=True)
-class PolarizationType:
-    """Type (d_0, ..., d_{g-1}) with the divisibility chain d_0 | d_1 | ..."""
-
-    d: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.d or any(x < 1 for x in self.d):
-            raise ValueError("type entries must be positive")
-        for prev, nxt in zip(self.d, self.d[1:]):
-            if nxt % prev:
-                raise ValueError("type entries must form a divisibility chain")
-
-    @property
-    def product(self) -> int:
-        return prod(self.d)
-
-
-@dataclass(frozen=True)
-class FiniteGroupShape:
-    """Elementary-divisor shape of a finite abelian group."""
-
-    divisors: tuple[int, ...]
-
-    def __post_init__(self):
-        for prev, nxt in zip(self.divisors, self.divisors[1:]):
-            if nxt % prev:
-                raise ValueError("divisors must form a divisibility chain")
-
-    @property
-    def order(self) -> int:
-        return prod(self.divisors)
-
-
 class _memo:
     """``functools.cached_property`` without its lock (taken on every first
     read up to Python 3.11): the first read stores the value in the
@@ -330,38 +296,28 @@ def chi_pfaffian(form: AltForm) -> int:
     return minors[-1] if len(minors) == form.g else 0
 
 
-def _nonzero_diagonal(form: AltForm) -> tuple[int, ...]:
-    """The Smith diagonal d_1 | ... | d_g of a nondegenerate form's block
-    (``AltForm.snf_diagonal``); E's elementary divisors are each of them twice."""
+def polarization_type(form: AltForm) -> tuple[int, ...]:
+    """Type (d_1, ..., d_g) of the class: the Smith diagonal of the block
+    (``AltForm.snf_diagonal``), with no entry 0 (DegenerateFormError) and
+    the formula chi as its product (LatticeInvariantError), so the Smith
+    form is checked against an independent oracle.  The chain d_1 | d_2 |
+    ... holds by the Smith form itself."""
     diag = form.snf_diagonal
     if 0 in diag:
         raise DegenerateFormError("form is degenerate")
-    return diag
-
-
-def type_diagonal(form: AltForm) -> tuple[int, ...]:
-    """The type's entries: the Smith diagonal of the block, none of them 0
-    and their product checked against the formula chi.  The chain d_1 | d_2
-    | ... holds by the Smith form; ``PolarizationType`` checks it again."""
-    diag = _nonzero_diagonal(form)
     if prod(diag) != form.full_scan[0]:
         raise LatticeInvariantError("type product does not match chi")
     return diag
 
 
-def polarization_type(form: AltForm) -> PolarizationType:
-    """Type of the class: ``type_diagonal``, with its divisibility chain checked."""
-    return PolarizationType(type_diagonal(form))
+def k_group(ptype: tuple[int, ...], full: bool = False) -> tuple[int, ...]:
+    """Elementary divisors of the finite group K(l), the cokernel of E on
+    the lattice, from the type: each entry of the type twice.
 
-
-def k_group(form: AltForm, full: bool = False) -> FiniteGroupShape:
-    """Shape of the finite group K(l), the cokernel of E on the lattice:
-    each entry of the block's Smith diagonal twice.
-
-    By default the trivial elementary divisors are dropped; ``full=True``
-    returns the complete doubled list (whose product is chi squared).
+    By default the trivial divisors are dropped; ``full=True`` returns the
+    complete doubled list (whose product is chi squared).
     """
-    return FiniteGroupShape(tuple(x for x in _nonzero_diagonal(form) for _ in (0, 1) if full or x > 1))
+    return tuple(x for x in ptype for _ in (0, 1) if full or x > 1)
 
 
 def is_ample(form: AltForm) -> bool:

@@ -5,14 +5,18 @@ it runs against the source tree, through a ``betabound`` shim on PATH
 that runs ``python -m betabound.cli``.  CI's matrix starts at Python
 3.10, the package's ``requires-python``, so every source and test file
 must parse with the 3.10 grammar whatever Python runs the tests (this
-catches newer syntax, not newer stdlib names).
+catches newer syntax, not newer stdlib names).  The version an install
+records, ``pyproject.toml``'s, is the one the package reports.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import betabound
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +42,9 @@ def test_sources_parse_with_the_oldest_supported_grammar():
     assert paths
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def test_package_version_matches_pyproject():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    found = re.findall(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert found == [betabound.__version__]

@@ -32,7 +32,8 @@ from betabound.threshold import InconsistentBoundsError
 from betabound.torusmodel import is_ample
 from util import containers, perfbench_module
 
-check = perfbench_module("checks").check
+checks = perfbench_module("checks")
+check = checks.check
 
 TABLE_16_CELLS = [
     "1", "1", "2/3", "1/2", "1/2", "1/2", "<= 3/7", "<= 3/8",
@@ -551,6 +552,21 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: type product does not match chi")
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_kgroup_checks_the_type_against_chi(self, monkeypatch, capsys, full):
+        # doubling the last Smith entry keeps the divisibility chain, so only
+        # the product check against chi sees it: (1, 3) becomes (1, 6)
+        real = betabound.torusmodel._smith_diagonal
+
+        def last_doubled(rows):
+            diag = real(rows)
+            return diag[:-1] + (2 * diag[-1],)
+
+        monkeypatch.setattr(betabound.torusmodel, "_smith_diagonal", last_doubled)
+        argv = ["kgroup", "--g", "2", "--k", "3", "--a", "0,1", "--c", "1"] + (["--full"] if full else [])
+        assert main(argv) == EXIT_ORACLE
+        assert capsys.readouterr().err.startswith("internal oracle failure: type product does not match chi")
+
     def test_strict_recipe_bound_not_below_its_threshold_exits_three(self, monkeypatch, capsys):
         real = betabound.constructor.recipe_strict
         monkeypatch.setattr(
@@ -654,4 +670,37 @@ def test_random_argv_ends_in_a_documented_exit_code(argv):
     assert code in (EXIT_OK, EXIT_PARSE, EXIT_ORACLE, EXIT_NO_CERTIFICATE)
     assert "Traceback" not in err.getvalue()
     if code == EXIT_OK and ("--format" not in argv or argv[argv.index("--format") + 1] == "json"):
+        assert check(argv, {EXIT_OK}, code, out.getvalue()) == []
+
+
+@st.composite
+def class_argvs(draw):
+    """Well-formed explicit-class requests, every entry in range, so that
+    nearly all exit 0 and reach the outside checker; ``argvs`` draws
+    entries below 1 for --k, and most of its class draws exit 2."""
+    command = draw(st.sampled_from(CLASS_COMMANDS + ("beta",)))
+    g = draw(st.integers(1, 6))
+    k = draw(st.lists(st.integers(1, 9), min_size=g - 1, max_size=g - 1))
+    a = draw(st.lists(st.integers(0, 5), min_size=g, max_size=g))
+    c = draw(st.integers(0, 3))
+    argv = [command, "--g", g, "--k", ",".join(map(str, k)), "--a", ",".join(map(str, a)), "--c", c]
+    if command == "kgroup" and draw(st.booleans()):
+        argv.append("--full")
+    return [str(x) for x in argv]
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_argvs())
+def test_class_envelopes_pass_the_outside_checker(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    k, a, c = checks._class_of(argv)
+    chi = checks.chi_formula(k, a, c)
+    if not any(a) and not c:
+        assert code == EXIT_PARSE  # the zero class
+    elif chi == 0 and argv[0] in ("type", "kgroup", "beta"):
+        assert code == EXIT_NO_CERTIFICATE
+    else:
+        assert code == EXIT_OK
         assert check(argv, {EXIT_OK}, code, out.getvalue()) == []

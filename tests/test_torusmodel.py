@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -13,8 +14,6 @@ from betabound import (
     ConstructionSpace,
     DegenerateFormError,
     DivisorClass,
-    FiniteGroupShape,
-    PolarizationType,
     alt_form,
     chi_multilinear,
     chi_pfaffian,
@@ -82,13 +81,6 @@ class TestSpacesAndClasses:
         cls = standard_class(ConstructionSpace(4, (4, 2, 2)), 3, 5)
         assert cls.a == (3, 1, 1, 5)
         assert cls.c == 1
-
-    def test_type_and_group_validation(self):
-        with pytest.raises(ValueError):
-            PolarizationType((2, 3))
-        with pytest.raises(ValueError):
-            FiniteGroupShape((4, 6))
-        assert FiniteGroupShape(()).order == 1
 
 
 class TestAltForm:
@@ -231,18 +223,18 @@ class TestChiOracles:
 
 class TestTypeAndKGroup:
     def test_principal_type(self):
-        assert polarization_type(alt_form(principal_class(3))).d == (1, 1, 1)
+        assert polarization_type(alt_form(principal_class(3))) == (1, 1, 1)
 
     def test_threefold_type_40(self):
         form = alt_form(THREEFOLD_40)
         assert smith_normal_form(form_e(form)) == (1, 1, 1, 1, 40, 40)
-        assert polarization_type(form).d == (1, 1, 40)
+        assert polarization_type(form) == (1, 1, 40)
 
     def test_surface_type_examples(self):
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 1), 1)
-        assert polarization_type(alt_form(cls)).d == (1, 3)
+        assert polarization_type(alt_form(cls)) == (1, 3)
         cls = standard_class(ConstructionSpace(2, (2,)), 2, 1)
-        assert polarization_type(alt_form(cls)).d == (1, 6)
+        assert polarization_type(alt_form(cls)) == (1, 6)
 
     def test_degenerate_raises(self):
         graph_only = DivisorClass(ConstructionSpace(2, (3,)), (0, 0), 1)
@@ -250,15 +242,15 @@ class TestTypeAndKGroup:
             polarization_type(alt_form(graph_only))
 
     def test_k_group_shapes(self):
-        assert k_group(alt_form(principal_class(2, (4,)))).divisors == ()
-        assert k_group(alt_form(THREEFOLD_40)).divisors == (40, 40)
+        assert k_group(polarization_type(alt_form(principal_class(2, (4,))))) == ()
+        assert k_group(polarization_type(alt_form(THREEFOLD_40))) == (40, 40)
         cls = DivisorClass(ConstructionSpace(2, (3,)), (0, 1), 1)
-        assert k_group(alt_form(cls)).divisors == (3, 3)
-        assert k_group(alt_form(cls), full=True).divisors == (1, 1, 3, 3)
+        assert k_group(polarization_type(alt_form(cls))) == (3, 3)
+        assert k_group(polarization_type(alt_form(cls)), full=True) == (1, 1, 3, 3)
 
     def test_k_group_order_is_chi_squared(self):
         form = alt_form(THREEFOLD_40)
-        assert k_group(form, full=True).order == 40**2
+        assert prod(k_group(polarization_type(form), full=True)) == 40**2
 
     def test_surface_type_law(self):
         # type (1, a + ab + bk) for the standard surface family
@@ -269,7 +261,7 @@ class TestTypeAndKGroup:
                 for k in range(1, 8):
                     cls = standard_class(ConstructionSpace(2, (k,)), a, b)
                     d = a + a * b + b * k
-                    assert polarization_type(alt_form(cls)).d == (1, d)
+                    assert polarization_type(alt_form(cls)) == (1, d)
 
     def test_general_type_law_samples(self):
         # type (1, ..., 1, a + a*b*N_1 + b*k_1) for standard classes
@@ -284,7 +276,7 @@ class TestTypeAndKGroup:
             space = ConstructionSpace(g, k)
             cls = standard_class(space, a, b)
             d = a + a * b * tail_sum(space, 0) + b * space.k_full[0]
-            assert polarization_type(alt_form(cls)).d == (1,) * (g - 1) + (d,)
+            assert polarization_type(alt_form(cls)) == (1,) * (g - 1) + (d,)
 
 
 class TestAmpleness:
