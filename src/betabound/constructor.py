@@ -12,30 +12,36 @@ d >= g + 1, and the bound it certifies is strictly below 1/m.
 The brute-force search runs the standard sweep (interior coefficients
 and c equal to 1) and the generalized one through one loop over
 coefficient shapes and k_2, ..., k_(g-1); chi is affine in k_1, which is
-solved from chi = d instead of enumerated.
+solved from chi = d instead of enumerated, and at g >= 3 k_(g-1) steps
+only along the progression on which that k_1 is an integer in the box.
 
 Every construction is certified before it is reported, and every pair
 of independent oracles runs on every candidate: the formula chi must be
 nonzero (for these classes that is ampleness, see
 ``torusmodel.is_ample``); the flag bound is minimized over all drop
 orders and its chain of Bareiss minors, whose head is det M, checked
-against the formula's (``threshold.best_flag_bound``); and the Smith
+against the formula's (``threshold.flag_search``); and the Smith
 diagonal of the block M, the type, must hold no 0 and have the formula
-chi as its product (``torusmodel.polarization_type``).  The curve bound
-is one over the least curve degree, the least diagonal entry of M.  A
-disagreement between oracles is a bug and is never swallowed.  K(l) is
-the type with each entry twice (``torusmodel.k_group``), built when a
-certificate is written (``Certificate.to_json``).
+chi as its product (``torusmodel.block_type``).  The curve bound is one
+over the least curve degree, the least diagonal entry of M.  These run
+on the class's numbers and one block held as int lists, the kernels
+that the form functions (``threshold.best_flag_bound``,
+``torusmodel.polarization_type``) run too.  A disagreement between
+oracles is a bug and is never swallowed.  K(l) is the type with each
+entry twice (``torusmodel.k_group``), built when a certificate is
+written (``Certificate.to_json``).
 
 What a certificate builds from values alone is built once per value
-through the ``shared`` dict of ``certify``.  The curve bound, beta
-interval and N_p report read nothing of the class but g, chi, the flag
-bound, the least curve degree and the extra lower-bound rules.  Every
-candidate of one search has the same g and chi = d, and many share a
-(flag bound, curve degree) pair: the 25 searches of one seed-1
-perfbench pass certify 4,729 candidates with 877 distinct pairs.  So
-``brute_search`` builds each of these once per distinct key and hands
-the same (frozen) objects to every certificate with that key.
+through the ``shared`` dict of ``certify``.  The curve bound and beta
+interval read nothing of the class but g, chi, the flag bound, the least
+curve degree and the extra lower-bound rules, and the N_p report only g,
+chi and the p_beta of the interval's upper bound.  Every candidate of
+one search has the same g and chi = d, and many share a (flag bound,
+curve degree) pair and more a p_beta: the 25 searches of one seed-1
+perfbench pass certify 4,729 candidates with 877 distinct pairs and 75
+distinct p_beta.  So ``brute_search`` builds each of these once per
+distinct key and hands the same (frozen) objects to every certificate
+with that key.
 """
 
 from __future__ import annotations
@@ -43,21 +49,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import gcd, prod
 from operator import index, mul
 from typing import Callable, Iterable
 
 from .exactmath import integer_root
 from .surfacetable import SurfaceRuleResult, surface_beta
-from .syzygy import NpCertificate, max_np_arithmetic, necessary_lower_bounds, np_report
+from .syzygy import NpCertificate, max_np_arithmetic, necessary_lower_bounds, np_from_beta, np_report
 from .threshold import (
     BetaInterval,
     Bound,
     Scope,
     TaggedBound,
-    best_flag_bound,
     combine_interval,
     exact_interval,
+    flag_search,
 )
 from .torusmodel import (
     MAX_DIMENSION,
@@ -67,35 +73,39 @@ from .torusmodel import (
     DivisorClass,
     OracleDisagreement,
     alt_form,
+    block_type,
+    checked_coefficients,
+    checked_multipliers,
     chi_affine,
     chi_pfaffian,
+    class_block,
     k_group,
-    polarization_type,
+    restriction_scan,
 )
 
 CASE_RECIPE_WEAK = "recipe-weak"
 CASE_RECIPE_STRICT = "recipe-strict"
 CASE_EXPLICIT = "explicit"
 
-# Search limits, checked before the work they bound.  Enumeration visits every
-# coefficient shape and every (shape, k_2..k_(g-1)) pair once.  A pair costs
-# 2.4-3.3 us, the most at g = 12, and a shape about four pairs more (chi_affine
-# and the loop set-up: 7-9 us a shape with its one pair at g = 3 and max_k = 1,
-# 16 us at g = 12).  So a box counts pairs + SHAPE_STEPS * shapes steps; boxes
-# at the 5 * 10^5 limit enumerate in 0.8-1.6 s, where 10^6 pairs alone took
-# 3.0 s at g = 12 and 10^6 shapes 8.4 s at g = 3.  The candidate limit is 10^4
-# certificates at g <= 4, where one costs about 0.1 ms, so 1 s of
+# Search limits, checked before the work they bound.  The step limit counts
+# the coefficient shapes and (shape, k_2..k_(g-1)) pairs of the plain loop over
+# a box, pairs + SHAPE_STEPS * shapes steps, an upper bound on what enumeration
+# walks: a shape whose chi cannot reach d walks no pair, and at g >= 3 one with
+# a nonzero k_1 weight walks k_(g-1) along its progression only.  A shape costs
+# 2.5 us at g = 3 and 5.6 us at g = 12 (chi_affine and the range check), a
+# pair of the plain loop up to 0.6 us (g = 12), so boxes at the 5 * 10^5 limit
+# enumerate in under 0.6 s: 10^5 shapes at g = 12 take 0.56 s, the most over
+# 207 boxes at g = 3..12 just under the limit.  The candidate limit is 10^4
+# certificates at g <= 4, where one costs about 0.07 ms, so under 1 s of
 # certifying.  Above g = 4 it is divided by certificate_cost(g), an upper
 # bound on the cost of one certificate in g = 4 certificates.  The median
 # certify time over random standard classes (k_i in [1, 9], a and b in [1, 4],
-# best of 3 each; median of 24 runs of 21 classes; median of four such
-# measurements) is 0.20 / 0.23 / 0.28 / 0.32 / 0.36 / 0.41 / 0.46 / 0.58 /
-# 0.65 ms at g = 4..12, that is 1.2 / 1.4 / 1.6 / 1.8 / 2.1 / 2.3 / 2.9 / 3.3
-# certificates of g = 4 at g = 5..12 (2 cores, Python 3.11.7, the shared host
-# running about twice as slow as for earlier figures of 0.10 ms at g = 4; the
-# largest of the four were 1.2 / 1.4 / 1.6 / 1.9 / 2.1 / 2.5 / 3.0 / 3.3, and
-# up to 1.7 / 2.0 / 2.3 / 2.6 / 3.1 / 3.6 / 4.0 / 4.6 in a second, noisier
-# set), against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.
+# best of 3 each; median of 12 runs of 21 classes) is 0.064 / 0.076 / 0.089 /
+# 0.103 / 0.120 / 0.137 / 0.157 / 0.179 / 0.204 ms at g = 4..12, that is 1.2 /
+# 1.4 / 1.6 / 1.9 / 2.1 / 2.4 / 2.8 / 3.2 certificates of g = 4 at g = 5..12
+# (at most 1.2 / 1.4 / 1.7 / 1.9 / 2.2 / 2.5 / 2.9 / 3.2 in any one run),
+# against costs of 2 / 3 / 4 / 4 / 6 / 7 / 8 / 9.  All timings best of 5 or
+# as stated, on 2 shared cores of an Intel Xeon VM, Python 3.11.7.
 # Both limits stay above the largest known requests (search --g 4 --d 40:
 # 40,100 steps, 5,764 candidates).
 MAX_SEARCH_STEPS = 5 * 10**5
@@ -131,7 +141,9 @@ class ConstructionParams:
     ``middle`` holds the interior coefficients (None, the default, stores
     all ones, so it is never None once built) and ``c`` the coefficient of
     the correspondence divisor (default 1); both only differ from the
-    defaults in generalized searches.
+    defaults in generalized searches.  The entries are checked here, once,
+    by the checks of ``ConstructionSpace`` and ``DivisorClass``, so
+    ``certify`` runs on the numbers and builds neither.
     """
 
     g: int
@@ -146,15 +158,16 @@ class ConstructionParams:
     c: int = 1
 
     def __post_init__(self):
-        if self.g < 2:
+        g = index(self.g)
+        if g < 2:
             raise ValueError("constructions need g >= 2")
-        object.__setattr__(self, "k", tuple(map(index, self.k)))
-        if len(self.k) != self.g - 1:
-            raise ValueError("need exactly g-1 multipliers")
-        middle = (1,) * (self.g - 2) if self.middle is None else tuple(map(index, self.middle))
-        if len(middle) != self.g - 2:
+        k = checked_multipliers(g, self.k)
+        middle = (1,) * (g - 2) if self.middle is None else tuple(map(index, self.middle))
+        if len(middle) != g - 2:
             raise ValueError("need exactly g-2 interior coefficients")
-        object.__setattr__(self, "middle", middle)
+        (a, *middle, b), c = checked_coefficients(g, (self.a,) + middle + (self.b,), self.c)
+        # frozen: the fields are set through the instance dict
+        self.__dict__.update(g=g, k=k, middle=tuple(middle), a=a, b=b, c=c)
 
     def space(self) -> ConstructionSpace:
         return ConstructionSpace(self.g, self.k)
@@ -349,7 +362,7 @@ def certify_class(
     DegenerateFormError if chi = 0.  Every other accepted class is ample
     (``torusmodel.is_ample``), so no ampleness test runs here.
     """
-    return _certify(cls, None, tuple(lowers), {})
+    return _certify(cls.a, cls.space.k_full, cls.c, None, tuple(lowers), {})
 
 
 def certify(params: ConstructionParams, shared: dict | None = None) -> Certificate:
@@ -357,31 +370,38 @@ def certify(params: ConstructionParams, shared: dict | None = None) -> Certifica
     attached.
 
     ``shared``, when given, maps ("interval", g, chi, flag bound, least
-    curve degree, lowers) to the curve bound, interval and N_p report
-    built from those values.  They read nothing else, so certificates
+    curve degree, lowers) to the curve bound and interval built from those
+    values, and ("np", g, chi, p_beta) to the N_p report, which reads of
+    the interval only the p_beta its upper bound certifies
+    (``syzygy.np_from_beta``).  They read nothing else, so certificates
     certified with one dict share those objects wherever their keys are
-    equal; the checks of the type against chi and of the flag chain run
-    on every class.  By default nothing is shared.
+    equal; the checks of the type against chi and of the flag chain run on
+    every class.  By default nothing is shared.
     """
-    return _certify(params.divisor_class(), params, (), {} if shared is None else shared)
+    return _certify(params.coefficients(), params.k + (1,), params.c, params, (), {} if shared is None else shared)
 
 
-def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple, shared: dict) -> Certificate:
-    form = alt_form(cls)
-    chi = form.full_scan[0]
+def _certify(a: tuple, k: tuple, c: int, params: ConstructionParams | None, lowers: tuple, shared: dict) -> Certificate:
+    """``certify_class`` on the numbers of a checked class: coefficients
+    ``a``, multipliers ``k`` of every factor (the last one 1) and ``c``.
+    The kernels run on them and on one block held as int lists, with no
+    class, space or form built unless the class is degenerate."""
+    g = len(a)
+    chi, drops = restriction_scan(a, k, c, range(g))
     if chi <= 0:
         # the formula chi is a sum of terms >= 0 (torusmodel.is_ample): chi = 0,
         # and det M must read 0 too
-        checked_chi(form)
+        cls = DivisorClass(ConstructionSpace(g, k[:-1]), a, c)
+        checked_chi(alt_form(cls))
         raise DegenerateFormError(f"class {cls} is degenerate")
+    block = class_block(a, k, c, range(g))
     # the flag chain check compares det M, the Bareiss chain's head, with chi
-    bound, order, chis = best_flag_bound(form)
-    g = cls.space.g
-    # the Smith diagonal against chi on every form
-    ptype = polarization_type(form)
+    bound, order, chis = flag_search(a, k, c, chi, drops, block)
     # the least curve degree, the least diagonal entry of M: flag_lower_bound
     # without its ampleness check, which chi > 0 passed above
-    degree = min([row[i] for i, row in enumerate(form.block)])
+    degree = min([row[i] for i, row in enumerate(block)])
+    # the Smith diagonal against chi on every class; it consumes the block
+    ptype = block_type(block, chi)
     # the flag bound as an int pair: hashing a Fraction costs a modular inverse
     key = ("interval", g, chi, bound.numerator, bound.denominator, degree, lowers)
     bounds = shared.get(key)
@@ -395,7 +415,10 @@ def _certify(cls: DivisorClass, params: ConstructionParams | None, lowers: tuple
             + [rule for rules in lowers for rule in rules(g, chi)],
             scope=Scope.SPECIFIC,
         )
-        bounds = shared[key] = curve_lower, interval, np_report(g, chi, interval)
+        # the N_p report reads g, chi and, off the interval, p_beta alone
+        key_np = ("np", g, chi, np_from_beta(interval))
+        report = shared.get(key_np) or shared.setdefault(key_np, np_report(g, chi, interval))
+        bounds = shared[key] = curve_lower, interval, report
     return Certificate(params, chi, ptype, bound, order, chis, *bounds)
 
 
@@ -436,11 +459,17 @@ def brute_search(
     interior coefficients and c.  Both run one loop over coefficient
     shapes and k_2, ..., k_(g-1), solving k_1 from chi = d; a shape whose
     chi cannot reach d with multipliers in the box is skipped, and so is a
-    step with no fitting k_1.  Results are ranked by flag bound, ties by
-    the chi chain along the witness flag, then by parameters, so the
-    output order is deterministic: ``Certificate.sort_key``'s order, with
-    each bound replaced by its rank among the call's distinct bounds, so
-    the sort compares ints, not Fractions.
+    step with no fitting k_1.  Where k_1 has a nonzero weight w_1 in chi
+    at g >= 3, k_(g-1) steps along the arithmetic progression on which
+    k_1 is an integer in [1, max_k] (found with gcd and a modular
+    inverse) instead of over all of [1, max_k].  Candidates come in the
+    order of the plain loop over k_2, ..., k_(g-1), k_1, so the candidate
+    limit counts them as that loop would.  Results are ranked by flag
+    bound, ties by the chi chain along the witness flag, then by
+    parameters, so the output order is deterministic:
+    ``Certificate.sort_key``'s order, with each bound replaced by its rank
+    among the call's distinct bounds, so the sort compares ints, not
+    Fractions.
 
     Every candidate is certified on its own, with one ``certify`` call,
     but with one ``shared`` dict for the search.  Per candidate run the
@@ -448,11 +477,11 @@ def brute_search(
     against the formula chi), the Smith form of the block with its zero
     and product checks against chi (the type), and the read of the least
     curve degree.  Once per distinct (flag bound, curve degree), as all
-    candidates have this g and chi = d, run the curve bound, interval and
-    N_p report.  That is exact, since each key holds everything its part
-    is built from, chi included although the search solved chi = d; and
-    the dict lives only as long as the call, so no two searches share
-    anything.
+    candidates have this g and chi = d, run the curve bound and interval,
+    and once per distinct p_beta the N_p report.  That is exact, since
+    each key holds everything its part is built from, chi included
+    although the search solved chi = d; and the dict lives only as long
+    as the call, so no two searches share anything.
 
     An empty box (a negative coefficient limit, or max_k below 1) returns
     [] before anything is sized.  g above torusmodel.MAX_DIMENSION, boxes
@@ -487,8 +516,35 @@ def brute_search(
         total = sum(weights)
         if not constant + total <= d <= constant + box.max_k * total:
             continue
-        middle, free_all = tuple(coeffs[1:-1]), d - constant
+        a, b, middle, free_all = coeffs[0], coeffs[-1], tuple(coeffs[1:-1]), d - constant
         w1, *rest_weights = weights
+        if w1 and g > 2:
+            # k_1 = (free - k_(g-1) * w_last) / w_1 is an integer exactly when
+            # k_(g-1) * w_last = free mod w_1, a residue class mod w_1 / h for
+            # h = gcd(w_1, w_last) if h divides free (none otherwise), and lies
+            # in [1, max_k] on an interval of k_(g-1): walk that progression
+            *head_weights, w_last = rest_weights
+            h = gcd(w1, w_last)
+            step = w1 // h
+            inverse = pow(w_last // h, -1, step)
+            for head in product(k_range, repeat=g - 3):
+                free = free_all - sum(map(mul, head, head_weights))
+                if free % h:
+                    continue
+                if w_last:
+                    # free - max_k * w_1 <= k_(g-1) * w_last <= free - w_1
+                    lo, hi = -((box.max_k * w1 - free) // w_last), (free - w1) // w_last
+                else:
+                    lo, hi = (1, box.max_k) if w1 <= free <= box.max_k * w1 else (1, 0)
+                start = max(lo, 1)
+                start += (free // h * inverse - start) % step
+                for last in range(start, min(hi, box.max_k) + 1, step):
+                    # counted one candidate at a time, as the loop below counts them
+                    if len(candidates) == max_candidates:
+                        raise _box_too_large(f"at least {max_candidates + 1} candidates", max_candidates)
+                    k = ((free - last * w_last) // w1,) + head + (last,)
+                    candidates.append(ConstructionParams(g, k, a, b, middle=middle, c=c))
+            continue
         for rest in product(k_range, repeat=g - 2):
             free = free_all - sum(map(mul, rest, rest_weights))
             if w1:
@@ -502,10 +558,7 @@ def brute_search(
             n = len(candidates) + fits
             if n > max_candidates:
                 raise _box_too_large(f"at least {n} candidates", max_candidates)
-            candidates.extend(
-                ConstructionParams(g, (k1,) + rest, coeffs[0], coeffs[-1], middle=middle, c=c)
-                for k1 in k1s
-            )
+            candidates.extend(ConstructionParams(g, (k1,) + rest, a, b, middle=middle, c=c) for k1 in k1s)
     # every candidate has chi = d >= 1, so certify never finds it degenerate
     target, shared = (1,) * (g - 1) + (d,), {}
     results = [cert for cert in (certify(p, shared) for p in candidates) if cert.ptype == target]

@@ -60,8 +60,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[int, ...]:
 def _smith_diagonal(a: list[list[int]]) -> tuple[int, ...]:
     """``smith_normal_form`` of a square integer matrix given as a list of
     int lists, unchecked; the input is consumed.  The package calls it on
-    the block of a form (``torusmodel.AltForm.snf_diagonal``), which is
-    square and integer by construction."""
+    the block of a class (``torusmodel.block_type``), which is square and
+    integer by construction."""
     n = len(a)
     diag, t = [], 0
     while t < n:

@@ -11,10 +11,13 @@ factor never falls as more factors are kept, so the min-max order is a
 single-machine scheduling problem that an exchange argument solves in
 O(g^2) ratios, not g! orders.  Its witness chain is then read off the
 Bareiss minors of the g x g block of the form, and the two must agree.
-The flag functions take the form alone, a view of its class
-(``torusmodel.AltForm``), and read the class's formula through its
-``scan``, so the two sides of every cross-check describe the same form;
-this module defines no formula.
+The flag search runs on a class's numbers (``flag_search``): its
+coefficients, multipliers and c, which the formula reads
+(``torusmodel.restriction_scan``), and its block, which the Bareiss
+minors read.  ``best_flag_bound`` hands it a form's numbers, and
+``constructor`` those of each class it certifies, so both sides of every
+cross-check describe the same class and there is one flag search; this
+module defines no formula.
 
 Scope bookkeeping keeps the logic auditable: a bound either holds for
 the one construction it was computed on ("specific-construction"), for
@@ -42,6 +45,7 @@ from .torusmodel import (
     LatticeInvariantError,
     OracleDisagreement,
     curve_degrees,
+    restriction_scan,
 )
 
 class InconsistentBoundsError(ValueError):
@@ -233,15 +237,16 @@ def flag_profile(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
     order = tuple(order)
     if sorted(order) != list(range(form.g)):
         raise ValueError("order must be a permutation of the factor indices")
-    return _flag_chain(form, order)
+    return _flag_chain(form.block, order)
 
 
-def _flag_chain(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
-    """``flag_profile`` of an ample form along an order already known to be
-    a permutation of its positions, without checking either."""
-    m, rev = form.block, order[::-1]
-    minors = _leading_minors([[m[u][v] for v in rev] for u in rev])
-    if len(minors) != form.g or any(p <= 0 for p in minors):
+def _flag_chain(block: Sequence[Sequence[int]], order: Sequence[int]) -> tuple[int, ...]:
+    """``flag_profile`` of an ample form, given its block, along an order
+    already known to be a permutation of its positions, without checking
+    either."""
+    rev = order[::-1]
+    minors = _leading_minors([[block[u][v] for v in rev] for u in rev])
+    if len(minors) != len(block) or any(p <= 0 for p in minors):
         raise LatticeInvariantError("ample restriction with nonpositive chi")
     return tuple(reversed(minors))
 
@@ -249,21 +254,33 @@ def _flag_chain(form: AltForm, order: Sequence[int]) -> tuple[int, ...]:
 def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
     """Minimum flag bound over all drop orders: (bound, witness order, chi chain).
 
-    Factors are indexed by position in the form (0..g-1).  The formula
-    side reads the a_i and k_i of the factor at each position, and the
-    class's c, through ``form.keep``, so a restriction's flag search runs
-    the same code as a class's.
+    ``flag_search`` on the form's numbers: the a_i and k_i of the factor at
+    each position, the class's c, its ``full_scan`` and its block.
+    """
+    _check_ample(form)
+    cls = form.cls
+    return flag_search([cls.a[i] for i in form.keep], form.factor_k, cls.c, *form.full_scan, form.block)
+
+
+def flag_search(
+    a: Sequence[int], k: Sequence[int], c: int, chi: int, drops: Sequence[int], block: Sequence[Sequence[int]]
+) -> tuple[Fraction, tuple[int, ...], tuple[int, ...]]:
+    """``best_flag_bound`` of an ample class on the factors at positions
+    0..g-1, from its numbers: coefficients ``a`` and multipliers ``k`` per
+    position, ``c``, the formula scan (chi, drops) of every position
+    (``torusmodel.restriction_scan``) and the block M (rows indexed by
+    position, ``torusmodel.class_block``), which is only read.
 
     Dropping factor i from the kept factors S costs f_i(S) = chi(S - i)/chi(S),
     with chi(S) the formula chi of that restriction and chi = 1 on nothing
     kept, so the last drop, of j, costs 1/chi({j}).  A flag's bound is the
     largest cost along it.  Where the drop orders number g!, two greedy
-    passes find the minimum, each from one ``form.scan`` per set (O(|S|),
-    ``torusmodel.restriction_scan``), O(g^2) in all; both start from
-    ``form.full_scan``, a one-factor set, whose only drop leaves chi 1,
-    needs no scan, and the witness pass reuses the value pass's scans for
-    as long as the two have dropped the same factors, since they then
-    stand on the same set:
+    passes find the minimum, each from one ``restriction_scan`` per set
+    (O(|S|)), O(g^2) in all; both start from the given scan of the full
+    set, a one-factor set, whose only drop leaves chi 1, needs no scan,
+    and the witness pass reuses the value pass's scans for as long as the
+    two have dropped the same factors, since they then stand on the same
+    set:
 
     - value: from the full set, repeatedly drop an i of least f_i(S); the
       bound B is the largest cost paid;
@@ -291,48 +308,48 @@ def best_flag_bound(form: AltForm) -> tuple[Fraction, tuple[int, ...], tuple[int
     f_max problem (E. L. Lawler, Management Science 19(5), 1973).
 
     The chi chain is the ``flag_profile`` of the witness order, the Bareiss
-    minors of the form's block, a second oracle independent of the formula:
+    minors of the block, a second oracle independent of the formula:
     the chain must equal the formula chain and its bound the greedy's, else
-    OracleDisagreement.  It runs through ``_flag_chain``, since the form was
-    checked above and the witness is a permutation by construction.
+    OracleDisagreement.  It runs through ``_flag_chain``, since the class
+    is ample and the witness is a permutation by construction.
     """
-    _check_ample(form)
     # Costs are num/den pairs compared by cross-multiplication (denominators
     # are positive): Fraction arithmetic would cost a gcd per step.  The costs
     # at one set share its chi as denominator, so the least leaves the least chi.
-    keep, (chi_s, drops), num, den = list(range(form.g)), form.full_scan, 0, 1
+    keep, (chi_s, scan), num, den = list(range(len(a))), (chi, drops), 0, 1
     walk = []  # the value pass's steps: (factor dropped, drops of the set left)
     while keep:
-        chi_t, i = min(zip(drops, keep))
+        chi_t, i = min(zip(scan, keep))
         if chi_t * den > num * chi_s:
             num, den = chi_t, chi_s
         keep.remove(i)
-        chi_s, drops = form.scan(keep) if keep[1:] else (chi_t, [1])
-        walk.append((i, drops))
-    order, keep, formula_chain, drops = [], list(range(form.g)), [form.full_scan[0]], form.full_scan[1]
+        chi_s, scan = restriction_scan(a, k, c, keep) if keep[1:] else (chi_t, [1])
+        walk.append((i, scan))
+    order, keep, formula_chain, scan = [], list(range(len(a))), [chi], drops
     same = True  # whether both passes have dropped the same factors so far
     while keep:
         # Exchange guarantees a drop within the bound; were there none, the
         # last factor goes, and its cost above the bound fails the check below.
-        for i, chi_t in zip(keep, drops):
+        for i, chi_t in zip(keep, scan):
             if chi_t * den <= num * formula_chain[-1]:
                 break
-        step, drops = walk[len(order)]
+        step, scan = walk[len(order)]
         same = same and i == step
         order.append(i)
         keep.remove(i)
         formula_chain.append(chi_t)
         if not same:
-            drops = form.scan(keep)[1] if keep[1:] else [1]
+            scan = restriction_scan(a, k, c, keep)[1] if keep[1:] else [1]
     formula_chain.pop()  # chi = 1 on nothing kept
-    chis = _flag_chain(form, order)
+    chis = _flag_chain(block, order)
     pf_num, pf_den = 1, chis[-1]
     for prev, nxt in zip(chis, chis[1:]):
         if nxt * pf_den > pf_num * prev:
             pf_num, pf_den = nxt, prev
     if chis != tuple(formula_chain) or pf_num * den != num * pf_den:
         raise OracleDisagreement(
-            f"flag chain oracles disagree on {form} along order {order}: "
+            f"flag chain oracles disagree on a = {list(a)}, k = {list(k)}, c = {c} "
+            f"along order {order}: "
             f"formula {formula_chain} (bound {Fraction(num, den)}), "
             f"pfaffian {list(chis)} (bound {Fraction(pf_num, pf_den)})"
         )

@@ -18,11 +18,14 @@ where E_{F_i} is the standard symplectic block on factor i with sign
 convention E(e_{2i}, e_{2i+1}) = +1, E_std is that block on the last
 factor, and S is the 2 x 2g lattice matrix of the defining map of G.
 E pairs even coordinates only with odd ones, so it is fixed by a g x g
-block M (``AltForm.block``), and chi, the type and ampleness are read off
+block M (``class_block``), and chi, the type and ampleness are read off
 M; only the tests write E, as the oracle those readings are checked
 against.  A form (``AltForm``) is a view of its class: the class and the
 indices of the factors it keeps, all of them (``alt_form``) or some
-(``restrict``), so a form and its class cannot be paired wrongly.
+(``restrict``), so a form and its class cannot be paired wrongly.  The
+kernels take a class's numbers (coefficients, multipliers, c) and its
+block as int lists, so a certificate needs no form; the form functions
+hand them a form's.
 
 The choice tau = i makes the complex structure J rational (blocks
 [[0, -1/k_i], [k_i, 0]]), so every invariant below (Euler characteristic,
@@ -77,15 +80,7 @@ class ConstructionSpace:
     k: tuple[int, ...]
 
     def __post_init__(self):
-        if self.g < 1:
-            raise ValueError("dimension g must be >= 1")
-        if self.g > MAX_DIMENSION:
-            raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
-        object.__setattr__(self, "k", tuple(map(index, self.k)))
-        if len(self.k) != self.g - 1:
-            raise ValueError("need exactly g-1 isogeny multipliers")
-        if min(self.k, default=1) < 1:
-            raise ValueError("isogeny multipliers must be >= 1")
+        object.__setattr__(self, "k", checked_multipliers(self.g, self.k))
         object.__setattr__(self, "k_full", self.k + (1,))
 
 
@@ -98,14 +93,39 @@ class DivisorClass:
     c: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(map(index, self.a)))
-        object.__setattr__(self, "c", index(self.c))
-        if len(self.a) != self.space.g:
-            raise ValueError("need one coefficient per factor")
-        if min(self.a) < 0 or self.c < 0:
-            raise ValueError("coefficients must be nonnegative")
-        if not any(self.a) and not self.c:
-            raise ValueError("the zero class is not allowed")
+        a, c = checked_coefficients(self.space.g, self.a, self.c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
+
+
+def checked_multipliers(g: int, k: Sequence[int]) -> tuple[int, ...]:
+    """The multipliers of a space of dimension g as a tuple of ints, once
+    g is in [1, MAX_DIMENSION], k holds g - 1 ints and each is >= 1; else
+    ValueError, or TypeError for a non-integer."""
+    if g < 1:
+        raise ValueError("dimension g must be >= 1")
+    if g > MAX_DIMENSION:
+        raise ValueError(f"dimension g must be <= {MAX_DIMENSION}")
+    k = tuple(map(index, k))
+    if len(k) != g - 1:
+        raise ValueError("need exactly g-1 isogeny multipliers")
+    if min(k, default=1) < 1:
+        raise ValueError("isogeny multipliers must be >= 1")
+    return k
+
+
+def checked_coefficients(g: int, a: Sequence[int], c: int) -> tuple[tuple[int, ...], int]:
+    """(a, c) of a class on g factors as ints, once a holds g of them and
+    the class is nonnegative and not zero; else ValueError, or TypeError
+    for a non-integer."""
+    a, c = tuple(map(index, a)), index(c)
+    if len(a) != g:
+        raise ValueError("need one coefficient per factor")
+    if min(a) < 0 or c < 0:
+        raise ValueError("coefficients must be nonnegative")
+    if not any(a) and not c:
+        raise ValueError("the zero class is not allowed")
+    return a, c
 
 
 def standard_class(space: ConstructionSpace, a: int, b: int) -> DivisorClass:
@@ -145,9 +165,12 @@ class AltForm:
     the g x g block M[keep, keep] of the class's block M (``block``), the
     basis denominator k_i of each kept factor, which fixes the complex
     structure J (``factor_k``), and g = len(keep).  So every form is the
-    block of a class, by construction.  The block, the Smith diagonal and
-    ``full_scan`` are computed at most once per form and kept in its
-    ``__dict__`` (``_memo``), so two forms of one class share none of them.
+    block of a class, by construction.  The block and ``full_scan`` are
+    computed at most once per form and kept in its ``__dict__``
+    (``_memo``), so two forms of one class share neither.  The readers
+    below and in ``threshold`` run the kernels that ``constructor``
+    certifies with on the class's numbers: ``restriction_scan``,
+    ``class_block``, ``block_type`` and ``threshold.flag_search``.
     """
 
     cls: DivisorClass
@@ -169,65 +192,55 @@ class AltForm:
 
     @_memo
     def full_scan(self) -> tuple[int, tuple[int, ...]]:
-        """``scan`` of every position, with the drops as a tuple: every reader shares it."""
+        """``restriction_scan`` of the class on the kept factors, in their
+        order, with the drops as a tuple: every reader shares it."""
         cls = self.cls
         chi, drops = restriction_scan(cls.a, cls.space.k_full, cls.c, self.keep)
         return chi, tuple(drops)
 
-    def scan(self, positions: Sequence[int]) -> tuple[int, list[int]]:
-        """``restriction_scan`` of the class on the factors at these positions (0..g-1)."""
-        cls, keep = self.cls, self.keep
-        return restriction_scan(cls.a, cls.space.k_full, cls.c, [keep[s] for s in positions])
-
     @_memo
     def block(self) -> tuple[tuple[int, ...], ...]:
-        """M[keep, keep] as a tuple of integer rows, M the block of the class:
-        row s, column t is M[keep[s]][keep[t]].
-
-        E pairs even coordinates only with odd ones: each F_i pairs
-        coordinate 2i with 2i + 1, and G = f^* of the point class of the
-        last curve, for f the defining map with columns (x_i, 0) at 2i and
-        (0, y_i) at 2i + 1, pairs u and v by
-        c * (f_u[0] * f_v[1] - f_u[1] * f_v[0]), which vanishes unless one
-        is even and the other odd.  With x = (-k_0, ..., -k_{g-2}, 1) and
-        y = (-1, ..., -1, 1), E is then fixed by its g x g block
-
-            M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
-
-        and every other entry of E is 0; only M[keep, keep] is built, one
-        entry at a time, as M[i][j] = a_i * [i = j] + c * x_i * y_j.  The
-        pairing E(x, Jy) is symmetric with no check needed: every summand
-        of E is f^* E_std for a C-linear map f onto one curve (the
-        projection for F_i; for G the defining homomorphism, z |-> -k_i z
-        on factor i < g-1 and the identity on the last), so E(x, Jy) =
-        sum E_std(fx, J fy), and E_std(u, Jv) is symmetric on the curve.
-        Both E and J restrict to the principal submatrix on the kept
-        factors' lattice coordinates, so a restriction's block is M[S, S].
-        The property tests check all of this against E written out from M.
-        """
-        cls, keep = self.cls, self.keep
-        a, x = cls.a, [-k for k in cls.space.k] + [1]
-        cy = [-cls.c] * len(cls.space.k) + [cls.c]  # c * y
-        return tuple([tuple([x[i] * cy[j] + (a[i] if i == j else 0) for j in keep]) for i in keep])
-
-    @_memo
-    def snf_diagonal(self) -> tuple[int, ...]:
-        """The Smith diagonal of the block M, g entries: E's elementary
-        divisors are these, each twice.
-
-        Listing the even coordinates first turns E into [[0, M], [-M^T, 0]];
-        right-multiplying by the unimodular [[0, -I], [I, 0]] gives
-        diag(M, M^T), and M^T has the Smith diagonal of M.  So the
-        elementary divisors of E pair up, and the Smith form runs on g x g
-        entries instead of 2g x 2g.  The block is square and integer by
-        construction, so the kernel runs unchecked on a copy of it."""
-        return _smith_diagonal([list(row) for row in self.block])
+        """M[keep, keep] as a tuple of integer rows, M the block of the class
+        (``class_block``): row s, column t is M[keep[s]][keep[t]]."""
+        cls = self.cls
+        return tuple(map(tuple, class_block(cls.a, cls.space.k_full, cls.c, self.keep)))
 
 
 def alt_form(cls: DivisorClass) -> AltForm:
     """Alternating matrix of a class on the period lattice: the view that
     keeps every factor, in order, so its block is M (``AltForm.block``)."""
     return AltForm(cls, range(cls.space.g))
+
+
+def class_block(a: Sequence[int], k: Sequence[int], c: int, keep: Sequence[int]) -> list[list[int]]:
+    """M[keep, keep] as integer rows, each a fresh list, for M the block of
+    the class with coefficients a, multipliers k (the last one 1) and c.
+
+    E pairs even coordinates only with odd ones: each F_i pairs
+    coordinate 2i with 2i + 1, and G = f^* of the point class of the
+    last curve, for f the defining map with columns (x_i, 0) at 2i and
+    (0, y_i) at 2i + 1, pairs u and v by
+    c * (f_u[0] * f_v[1] - f_u[1] * f_v[0]), which vanishes unless one
+    is even and the other odd.  With x = (-k_0, ..., -k_{g-2}, 1) and
+    y = (-1, ..., -1, 1), E is then fixed by its g x g block
+
+        M = diag(a) + c * x * y^T,   E[2i][2j+1] = M[i][j] = -E[2j+1][2i],
+
+    and every other entry of E is 0; only M[keep, keep] is built, one
+    entry at a time, as M[i][j] = a_i * [i = j] + c * x_i * y_j.  The
+    pairing E(x, Jy) is symmetric with no check needed: every summand
+    of E is f^* E_std for a C-linear map f onto one curve (the
+    projection for F_i; for G the defining homomorphism, z |-> -k_i z
+    on factor i < g-1 and the identity on the last), so E(x, Jy) =
+    sum E_std(fx, J fy), and E_std(u, Jv) is symmetric on the curve.
+    Both E and J restrict to the principal submatrix on the kept
+    factors' lattice coordinates, so a restriction's block is M[S, S].
+    The property tests check all of this against E written out from M.
+    """
+    last = len(a) - 1
+    x = [-ki for ki in k[:last]] + [1]
+    cy = [-c] * last + [c]  # c * y
+    return [[x[i] * cy[j] + (a[i] if i == j else 0) for j in keep] for i in keep]
 
 
 def restriction_scan(a: Sequence[int], k: Sequence[int], c: int, keep: Sequence[int]) -> tuple[int, list[int]]:
@@ -297,15 +310,30 @@ def chi_pfaffian(form: AltForm) -> int:
 
 
 def polarization_type(form: AltForm) -> tuple[int, ...]:
-    """Type (d_1, ..., d_g) of the class: the Smith diagonal of the block
-    (``AltForm.snf_diagonal``), with no entry 0 (DegenerateFormError) and
-    the formula chi as its product (LatticeInvariantError), so the Smith
-    form is checked against an independent oracle.  The chain d_1 | d_2 |
-    ... holds by the Smith form itself."""
-    diag = form.snf_diagonal
+    """Type (d_1, ..., d_g) of the class: ``block_type`` of the form's block
+    and formula chi."""
+    return block_type([list(row) for row in form.block], form.full_scan[0])
+
+
+def block_type(block: list[list[int]], chi: int) -> tuple[int, ...]:
+    """The type of a class from its block M[keep, keep] given as int lists,
+    consumed, and its formula chi: the Smith diagonal of the block, with no
+    entry 0 (DegenerateFormError) and chi as its product
+    (LatticeInvariantError), so the Smith form is checked against an
+    independent oracle.  The chain d_1 | d_2 | ... holds by the Smith form
+    itself.
+
+    E's elementary divisors are this diagonal, each twice: listing the
+    even coordinates first turns E into [[0, M], [-M^T, 0]];
+    right-multiplying by the unimodular [[0, -I], [I, 0]] gives
+    diag(M, M^T), and M^T has the Smith diagonal of M.  So the Smith form
+    runs on g x g entries instead of 2g x 2g.  The block is square and
+    integer by construction, so the kernel (``_smith_diagonal``) runs
+    unchecked."""
+    diag = _smith_diagonal(block)
     if 0 in diag:
         raise DegenerateFormError("form is degenerate")
-    if prod(diag) != form.full_scan[0]:
+    if prod(diag) != chi:
         raise LatticeInvariantError("type product does not match chi")
     return diag
 

@@ -18,6 +18,8 @@ betabound search --g 3 --d 20 --generalized | python -c "import json,sys; s=sys.
 betabound search --g 2 --d 12 --generalized | python -c "import json,sys; s=sys.stdin.read(); assert s == json.dumps(json.loads(s), indent=2, sort_keys=True) + '\n'"
 test "$(betabound search --g 3 --d 40 --format markdown | sed -n 's/^- \([a-z_]*\): .*/\1/p' | sort)" = "$(betabound search --g 3 --d 40 | python -c "import json,sys; print('\n'.join(sorted(json.load(sys.stdin)['results'])))")"
 rc=0; betabound search --g 3 --d 7 --max-c 0 || rc=$?; test "$rc" -eq 2
+betabound search --g 5 --d 20 --max-k 6 | python -c "import json,sys; s=sys.stdin.read(); e=json.loads(s); assert s == json.dumps(e, indent=2, sort_keys=True) + '\n' and e['results']['count'] == 112"
+rc=0; betabound search --g 3 --d 30 --generalized --max-c 0 || rc=$?; test "$rc" -eq 2
 rc=0; timeout 5 betabound search --g 12 --d 26 --max-a 1 --max-b 1 --max-k 3 || rc=$?; test "$rc" -eq 2
 timeout 10 betabound search --g 3 --d 10000000000 --generalized --max-c -1 | python -c "import json,sys; assert json.load(sys.stdin)['results']['count'] == 0"
 timeout 10 betabound search --g 2 --d 10000000000000000 --max-a -1 > /dev/null

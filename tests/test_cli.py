@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import betabound.cli
 import betabound.constructor
 import betabound.surfacetable
+import betabound.threshold
 import betabound.torusmodel
 from betabound.cli import (
     EXIT_NO_CERTIFICATE,
@@ -100,6 +101,7 @@ class TestBetaCommand:
 
     @pytest.mark.parametrize("command", ["chi", "type", "kgroup", "ample", "beta"])
     def test_class_commands_build_one_form(self, monkeypatch, command):
+        # beta certifies on the class's numbers and builds none
         built = []
 
         def counted(cls):
@@ -109,7 +111,7 @@ class TestBetaCommand:
         for module in (betabound.cli, betabound.constructor):
             monkeypatch.setattr(module, "alt_form", counted)
         run([command, "--g", "3", "--k", "9,3", "--a", "1,1,3", "--c", "1"])
-        assert len(built) == 1
+        assert len(built) == (command != "beta")
 
     def test_non_ample_class_exits_four(self, capsys):
         code = main(["beta", "--g", "2", "--k", "3", "--a", "0,0", "--c", "1"])
@@ -524,7 +526,8 @@ class TestCliContract:
             assert capsys.readouterr().err.startswith("internal oracle failure: minor test says ample=")
 
     def test_flag_chain_disagreement_exits_three(self, monkeypatch, capsys):
-        real = betabound.torusmodel.restriction_scan
+        # the full set's scan of a certified class is certify's own
+        real = betabound.constructor.restriction_scan
 
         def off_by_one(a, k, c, keep):
             chi, drops = real(a, k, c, keep)
@@ -534,7 +537,7 @@ class TestCliContract:
                 drops = drops[:-1] + [drops[-1] + 1]
             return chi, drops
 
-        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", off_by_one)
+        monkeypatch.setattr(betabound.constructor, "restriction_scan", off_by_one)
         assert main(["beta", "--g", "4", "--k", "3,2,1", "--a", "1,1,1,2", "--c", "1"]) == EXIT_ORACLE
         err = capsys.readouterr().err
         assert err.startswith("internal oracle failure: flag chain oracles disagree")
@@ -566,6 +569,22 @@ class TestCliContract:
         argv = ["kgroup", "--g", "2", "--k", "3", "--a", "0,1", "--c", "1"] + (["--full"] if full else [])
         assert main(argv) == EXIT_ORACLE
         assert capsys.readouterr().err.startswith("internal oracle failure: type product does not match chi")
+
+    @pytest.mark.parametrize("module, name, corrupt, message", [
+        ("torusmodel", "_smith_diagonal", lambda diag: diag[:-1] + (2 * diag[-1],), "type product does not match chi"),
+        ("threshold", "_leading_minors", lambda minors: minors[:-1] + [minors[-1] + 1], "flag chain oracles disagree"),
+        ("constructor", "restriction_scan", lambda scan: (scan[0] + 1, scan[1]), "flag chain oracles disagree"),
+    ], ids=["smith-last-doubled", "bareiss-head-off", "formula-head-off"])
+    def test_search_exits_three_when_a_kernel_is_wrong(self, monkeypatch, capsys, module, name, corrupt, message):
+        # each oracle pair bites on every search candidate: a Smith kernel
+        # whose product is not chi, a Bareiss chain whose head is not det M,
+        # a formula chi off by one; each patched where certify reads it
+        module = getattr(betabound, module)
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: corrupt(real(*args)))
+        assert main(["search", "--g", "3", "--d", "12"]) == EXIT_ORACLE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("internal oracle failure: " + message)
 
     def test_strict_recipe_bound_not_below_its_threshold_exits_three(self, monkeypatch, capsys):
         real = betabound.constructor.recipe_strict

@@ -8,6 +8,8 @@ import betabound.threshold
 import betabound.torusmodel
 from betabound import (
     Bound,
+    np_from_beta,
+    np_report,
     ConstructionParams,
     DegenerateFormError,
     NoRecipeError,
@@ -132,13 +134,14 @@ class TestCertify:
             certify(ConstructionParams(g=2, k=(2,), a=0, b=0, middle=(), c=1))
 
     def test_oracle_disagreement_is_raised(self, monkeypatch):
-        real = betabound.torusmodel.restriction_scan
-        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", lambda *args: (41, real(*args)[1]))
+        real = betabound.constructor.restriction_scan
+        monkeypatch.setattr(betabound.constructor, "restriction_scan", lambda *args: (41, real(*args)[1]))
         with pytest.raises(OracleDisagreement):
             certify(recipe_strict(3, 40))
 
     def test_certify_evaluates_the_full_set_formula_once(self, monkeypatch):
-        # the chi check and both flag walks read one scan of the full set
+        # the chi check and both flag walks read one scan of the full set,
+        # whichever module runs a scan
         real, full = betabound.torusmodel.restriction_scan, []
 
         def spy(a, k, c, keep):
@@ -146,7 +149,8 @@ class TestCertify:
                 full.append(tuple(keep))
             return real(a, k, c, keep)
 
-        monkeypatch.setattr(betabound.torusmodel, "restriction_scan", spy)
+        for module in (betabound.constructor, betabound.threshold, betabound.torusmodel):
+            monkeypatch.setattr(module, "restriction_scan", spy)
         certify(recipe_strict(3, 40))
         assert full == [(0, 1, 2)]
 
@@ -220,14 +224,18 @@ class TestCertify:
             if a.params != b.params and (a.bound, a.curve_lower) == (b.bound, b.curve_lower)
             and a.curve_lower < Fraction(1, 2)
         )
+
+        def numbers(cert):
+            return cert.params.coefficients(), cert.params.k + (1,), cert.params.c
+
         shared = {}
-        plain = [_certify(c.params.divisor_class(), None, (), shared) for c in (first, second)]
-        ruled = [
-            _certify(c.params.divisor_class(), None, (necessary_lower_bounds,), shared)
-            for c in (first, second)
-        ]
-        assert [key[0] for key in shared] == ["interval", "interval"]
+        plain = [_certify(*numbers(c), None, (), shared) for c in (first, second)]
+        ruled = [_certify(*numbers(c), None, (necessary_lower_bounds,), shared) for c in (first, second)]
+        # the rules move the lower bound only, so the N_p report, keyed by
+        # the p_beta of the upper bound, is shared across the two intervals
+        assert sorted(key[0] for key in shared) == ["interval", "interval", "np"]
         assert plain[0].interval is plain[1].interval and ruled[0].interval is ruled[1].interval
+        assert plain[0].np is plain[1].np is ruled[0].np is ruled[1].np
         assert plain[0].ptype == plain[1].ptype == (1, 1, 14)
         assert ruled[0].interval == certify_class(first.params.divisor_class(), lowers=(necessary_lower_bounds,)).interval
         assert plain[0].interval == certify_class(first.params.divisor_class()).interval != ruled[0].interval
@@ -339,6 +347,12 @@ class TestBruteSearch:
         assert first[0].to_json()["interval"] is not first[0].to_json()["interval"]
         assert first[0].np.to_json() is not first[0].np.to_json()
         assert len({id(cert.interval) for cert in first}) == len(owners)
+        # the N_p report reads only the p_beta of the upper bound, so it is
+        # shared by every certificate with that p_beta, across bounds
+        assert all(cert.np == np_report(3, 40, cert.interval) for cert in first)
+        reports = {np_from_beta(cert.interval): cert.np for cert in first}
+        assert all(cert.np is reports[np_from_beta(cert.interval)] for cert in first)
+        assert len(reports) == len({id(cert.np) for cert in first}) < len({c.bound for c in first})
         # the sharing lives for one call: a second search shares nothing with it
         second = brute_search(3, 40)
         assert [c.interval for c in second] == [c.interval for c in first]
@@ -365,7 +379,7 @@ class TestBruteSearch:
         (3, 12, SearchBox(3, 3, 12, 2), True),
     ])
     def test_one_interval_per_distinct_key(self, monkeypatch, g, d, box, generalized):
-        certified, calls = [], {"combine_interval": 0, "np_report": 0, "polarization_type": 0, "k_group": 0}
+        certified, calls = [], {"combine_interval": 0, "np_report": 0, "block_type": 0, "k_group": 0}
         for name in calls:
             def spy(*args, _name=name, _original=getattr(betabound.constructor, name), **kwargs):
                 calls[_name] += 1
@@ -381,11 +395,49 @@ class TestBruteSearch:
         results = brute_search(g, d, box=box, generalized=generalized)
         # every candidate is certified, wrong types included
         keys = {(c.chi, c.bound, c.curve_lower) for c in certified}
-        assert len(certified) > len(keys) and len(results) <= len(certified)
-        # the type, checked against chi, once per candidate; K(l) only
-        # when a certificate is written, which the search does not do
-        assert calls == {"combine_interval": len(keys), "np_report": len(keys),
-                         "polarization_type": len(certified), "k_group": 0}
+        reports = {(c.chi, np_from_beta(c.interval)) for c in certified}
+        assert len(certified) > len(keys) > len(reports) and len(results) <= len(certified)
+        # the interval once per (chi, flag bound, curve bound), the N_p
+        # report once per (chi, p_beta), which is all it reads; the type,
+        # checked against chi, once per candidate; K(l) only when a
+        # certificate is written, which the search does not do
+        assert calls == {"combine_interval": len(keys), "np_report": len(reports),
+                         "block_type": len(certified), "k_group": 0}
+
+    @pytest.mark.parametrize("g, d, box, generalized", [
+        (3, 40, None, False),
+        (4, 20, None, False),
+        (3, 12, SearchBox(3, 3, 12, 2), True),
+    ])
+    def test_each_candidate_runs_every_oracle_once(self, monkeypatch, g, d, box, generalized):
+        # one formula scan of the full set, one Bareiss chain (in witness
+        # order) and one Smith diagonal per certified candidate; the flag
+        # search scans only proper subsets (the enumeration's chi_affine
+        # scans a shape through torusmodel's name, unspied)
+        calls = {"full_scan": 0, "flag_full_scan": 0, "_leading_minors": 0, "_smith_diagonal": 0}
+        real_scan = betabound.torusmodel.restriction_scan
+        for module, name in ((betabound.constructor, "full_scan"), (betabound.threshold, "flag_full_scan")):
+            def scan(a, k, c, keep, _name=name):
+                calls[_name] += len(keep) == len(a)
+                return real_scan(a, k, c, keep)
+            monkeypatch.setattr(module, "restriction_scan", scan)
+        for module, name in ((betabound.threshold, "_leading_minors"), (betabound.torusmodel, "_smith_diagonal"),
+                             (betabound.torusmodel, "_leading_minors"), (betabound.exactmath, "_smith_diagonal")):
+            def spy(rows, _name=name, _real=getattr(module, name)):
+                calls[_name] += 1
+                return _real(rows)
+            monkeypatch.setattr(module, name, spy)
+        certified, real_certify = [], betabound.constructor.certify
+
+        def certify_spy(params, shared=None):
+            certified.append(params)
+            return real_certify(params, shared)
+
+        monkeypatch.setattr(betabound.constructor, "certify", certify_spy)
+        brute_search(g, d, box=box, generalized=generalized)
+        assert len(certified) > 0
+        assert calls == {"full_scan": len(certified), "flag_full_scan": 0, "_leading_minors": len(certified),
+                         "_smith_diagonal": len(certified)}
 
     def test_never_worse_than_recipe_inside_box(self):
         for g, d in ((2, 9), (3, 8), (3, 15)):

@@ -5,12 +5,14 @@ import json
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from unittest import mock
 
 import pytest
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import betabound.constructor
 import betabound.exactmath
 from betabound import (
     AltForm,
@@ -61,7 +63,10 @@ from betabound.torusmodel import chi_affine, restriction_scan
 from util import (
     IntMatrix,
     bipartite,
+    enumerated_params,
     exact_det,
+    flag_floor,
+    flag_floors,
     form_e,
     hermitian_pairing,
     is_positive_definite,
@@ -222,7 +227,7 @@ def test_smith_diagonal_doubled_is_skew_form_of_bipartite(m):
 @example([[2, 4], [3, 6]])
 def test_smith_kernel_is_the_public_form_unchecked(m):
     # smith_normal_form checks and copies its input, then runs the kernel
-    # that AltForm.snf_diagonal runs on a copy of its block
+    # that torusmodel.block_type runs on a block
     assert _smith_diagonal([list(row) for row in m]) == smith_normal_form(m)
 
 
@@ -411,7 +416,7 @@ def test_class_form_smith_diagonal_matches_generic(cls):
     # skew oracle on the whole form
     form = alt_form(cls)
     e = form_e(form)
-    doubled = tuple(d for d in form.snf_diagonal for _ in (0, 1))
+    doubled = tuple(d for d in smith_normal_form(form.block) for _ in (0, 1))
     assert doubled == smith_normal_form(e) == skew_normal_form(e)
 
 
@@ -467,12 +472,10 @@ def test_restriction_scan_matches_restriction_pfaffians(cls, mask):
 
     head, drops = restriction_scan(cls.a, cls.space.k_full, cls.c, keep)
     assert (head, drops) == scan_by_det(keep)
-    # a form reads the same scan by position, in its own factor order
+    # a form reads the same scan, in its own factor order
     chi, full_drops = scan_by_det(range(g))
-    assert form.scan(keep) == (head, drops) and form.full_scan == (chi, tuple(full_drops))
-    view = AltForm(cls, keep[::-1])
-    assert view.scan(range(len(keep))) == (head, drops[::-1])
-    assert view.full_scan == (head, tuple(drops[::-1]))
+    assert form.full_scan == (chi, tuple(full_drops))
+    assert AltForm(cls, keep[::-1]).full_scan == (head, tuple(drops[::-1]))
 
 
 @SETTINGS
@@ -870,6 +873,73 @@ def test_search_order_is_the_certificate_sort_key(search):
     results = brute_search(*search)
     expected = sorted(results[::-1], key=Certificate.sort_key)
     assert [id(cert) for cert in results] == [id(cert) for cert in expected]
+
+
+@st.composite
+def enumeration_boxes(draw):
+    """(g, d, box, generalized) with g = 2..5, boxes that may hold zero
+    coefficients and c = 0 (zero weights), small enough for the plain loop;
+    d is either any small degree or the chi of a class drawn in the box, so
+    most draws have candidates."""
+    g, generalized = draw(st.integers(2, 5)), draw(st.booleans())
+    top_a, top_k = {2: (4, 12), 3: (3, 7), 4: (2, 4), 5: (1 if generalized else 2, 3)}[g]
+    box = draw(st.builds(SearchBox, st.integers(0, top_a), st.integers(0, top_a), st.integers(1, top_k), st.integers(0, 2)))
+    d = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        a = st.integers(0, box.max_a)
+        coeffs = [draw(a) for _ in range(g - 1)] if generalized else [draw(a)] + [1] * (g - 2)
+        coeffs.append(draw(st.integers(0, box.max_b)))
+        c = draw(st.integers(0, box.max_c)) if generalized else 1
+        p, q = 1, 0
+        for a_i, k_i in zip(coeffs, [draw(st.integers(1, box.max_k)) for _ in range(g - 1)] + [1]):
+            p, q = p * a_i, q * a_i + k_i * p
+        d = max(p + c * q, 1)
+    return g, d, box, generalized
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumeration_boxes())
+# a = 0 leaves k_(g-1) weightless, c = 0 every k_i, and g = 5 walks a head of two
+@example((3, 10, SearchBox(3, 3, 7), False))
+@example((3, 9, SearchBox(0, 3, 7), False))
+@example((3, 4, SearchBox(2, 2, 4, 0), True))
+@example((4, 12, SearchBox(2, 2, 4, 1), True))
+@example((5, 20, SearchBox(2, 2, 3), False))
+def test_search_certifies_the_plain_loop_in_order(search):
+    # the progression of k_(g-1) finds exactly the multipliers with chi = d,
+    # in the order of the plain loop, so candidate lists and the candidate
+    # limit's counts are those of a walk over every tuple
+    certified, real = [], betabound.constructor.certify
+
+    def spy(params, shared=None):
+        certified.append(params)
+        return real(params, shared)
+
+    with mock.patch.object(betabound.constructor, "certify", spy):
+        brute_search(*search)
+    assert certified == enumerated_params(*search)
+
+
+def test_flag_floor_is_the_paper_threshold():
+    # F(g, d) < 1/(p + 2) exactly when d >= sum_{i <= g} (p + 2)^i: the
+    # paper's degree threshold is the exact limit of flag certificates
+    for g in (2, 3):
+        floors = flag_floors(g, 199)
+        for q in (2, 3, 4):
+            for d in range(1, 200):
+                assert (floors[d] < Fraction(1, q)) == (d >= np_threshold(g, q - 2)), (g, q, d)
+    assert flag_floor(3, 19) == Fraction(8, 19)
+
+
+@SETTINGS
+@given(small_searches())
+@example((3, 19, SearchBox(3, 3, 5), False))
+@example((3, 12, SearchBox(3, 3, 5), True))
+def test_search_bounds_never_beat_the_flag_floor(search):
+    g, d = search[:2]
+    floor = flag_floor(g, d)
+    for cert in brute_search(*search):
+        assert cert.bound >= floor
 
 
 @st.composite

@@ -117,26 +117,26 @@ class TestAltForm:
             AltForm(THREEFOLD_40, (0, 0, 1))
 
     def test_readings_are_computed_once_per_form(self, monkeypatch):
-        # block, Smith diagonal and full scan: one computation each per form,
-        # kept on that form alone, so an equal form of the same class
-        # computes its own; none of them eliminates
+        # block and full scan: one computation each per form, kept on that
+        # form alone, so an equal form of the same class computes its own;
+        # neither eliminates nor runs the Smith kernel
         calls = collections.Counter()
-        for name in ("_leading_minors", "_smith_diagonal", "restriction_scan"):
+        for name in ("_leading_minors", "_smith_diagonal", "restriction_scan", "class_block"):
             def spy(*args, _name=name, _real=getattr(betabound.torusmodel, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(betabound.torusmodel, name, spy)
-        readings = ("block", "snf_diagonal", "full_scan")
+        readings = ("block", "full_scan")
         first, second = alt_form(THREEFOLD_40), alt_form(THREEFOLD_40)
         assert first == second and first is not second
         values = [getattr(first, name) for name in readings * 3]
         assert values == [getattr(second, name) for name in readings * 3]
-        assert calls == {"_smith_diagonal": 2, "restriction_scan": 2}
+        assert calls == {"class_block": 2, "restriction_scan": 2}
         for name in readings:
             assert first.__dict__[name] == second.__dict__[name]
             assert isinstance(getattr(AltForm, name).__doc__, str)
             assert first.__dict__[name] is not second.__dict__[name]
-        assert values[1] == (1, 1, 40) and values[2] == (40, (13, 31, 13))
+        assert values[0] == ((10, 9, -9), (3, 4, -3), (-1, -1, 4)) and values[1] == (40, (13, 31, 13))
 
     def test_no_public_function_takes_a_class_and_a_form(self):
         for name in betabound.__all__:

@@ -21,7 +21,11 @@ library's chi (the determinant of the block) and the minor test on the
 rescaled pairing the reference for its ampleness test (on M * diag(k)).
 Likewise the Fraction pairing and its positive-definiteness test are
 the reference the integer ampleness test is compared with, and the full
-enumeration with chi by Pfaffian the reference for the search.  The
+enumeration with chi by Pfaffian the reference for the search; the plain
+loop over every multiplier tuple, with chi by the (P, Q) recurrence, is
+the reference for the order in which the search certifies its candidates.
+The dynamic program over integer chains is the flag floor, the least
+bound any flag of a degree-d class can certify.  The
 upward scans over m and p are the references for the closed-form
 inverses of the (N_p) threshold; they take about d^(1/g) steps.  The
 recursive cofactor expansion is the signed reference for the library's
@@ -399,6 +403,67 @@ def reference_search(g: int, d: int, box: SearchBox, generalized: bool) -> list[
             if cert.ptype == target:
                 results.append(cert)
     return sorted(results, key=Certificate.sort_key)
+
+
+def enumerated_params(g: int, d: int, box: SearchBox, generalized: bool) -> list[ConstructionParams]:
+    """The candidates ``brute_search`` certifies, in its order, by a plain
+    loop: every coefficient shape (coefficients, then c, as the search
+    sweeps them), and for each every k in [1, max_k]^(g-1), k_2..k_(g-1)
+    lexicographic and k_1 innermost, kept when the class has chi = d.
+
+    chi is P + c * Q over all factors, by the recurrence (P, Q) of S + i =
+    (a_i * P, a_i * Q + k_i * P) (``subset_chis``): no affine solve.
+    """
+    k_range = range(1, box.max_k + 1)
+    if generalized:
+        shapes = product(*[range(box.max_a + 1)] * (g - 1), range(box.max_b + 1), range(box.max_c + 1))
+    else:
+        shapes = ((a,) + (1,) * (g - 2) + (b, 1) for a in range(box.max_a + 1) for b in range(box.max_b + 1))
+    found = []
+    for *coeffs, c in shapes:
+        for rest in product(k_range, repeat=g - 2):
+            for k1 in k_range:
+                k, p, q = (k1,) + rest, 1, 0
+                for a_i, k_i in zip(coeffs, k + (1,)):
+                    p, q = p * a_i, q * a_i + k_i * p
+                if p + c * q == d:
+                    found.append(ConstructionParams(g, k, coeffs[0], coeffs[-1], middle=tuple(coeffs[1:-1]), c=c))
+    return found
+
+
+def flag_floors(g: int, top: int) -> list[Fraction | None]:
+    """F(g, d) for d = 0, ..., top (entry 0 is None): the least bound of a
+    chain of g positive integers chi_1, ..., chi_g = d, the bound being
+    max(1/chi_1, chi_(t-1)/chi_t), as a flag of a degree-d class reads its
+    chi chain upwards (the lemma in the ``syzygy`` docstring).  So no flag
+    certificate of degree d has a bound below F(g, d).
+
+    A dynamic program over chain lengths: with one entry F = 1/x, and a
+    chain of length t ending at x extends one of length t - 1 ending at y,
+    at bound max(y/x, F(t - 1, y)).  y > x costs a ratio above 1, and the
+    constant chain (x, ..., x) costs 1 at most, so y runs over 1..x only;
+    O(g * top^2) steps.  Bounds are (num, den) pairs compared by
+    cross-multiplication.
+    """
+    best = [None] + [(1, x) for x in range(1, top + 1)]
+    for _ in range(g - 1):
+        nxt = [None]
+        for x in range(1, top + 1):
+            least = None
+            for y in range(1, x + 1):
+                num, den = best[y]
+                if y * den > num * x:
+                    num, den = y, x
+                if least is None or num * least[1] < least[0] * den:
+                    least = (num, den)
+            nxt.append(least)
+        best = nxt
+    return [None] + [Fraction(num, den) for num, den in best[1:]]
+
+
+def flag_floor(g: int, d: int) -> Fraction:
+    """F(g, d) of ``flag_floors``."""
+    return flag_floors(g, d)[d]
 
 
 def flag_upper_bound(cls: DivisorClass, order: Sequence[int]) -> Fraction:
