@@ -239,66 +239,92 @@ def _json_text(value) -> str:
     int too long to print raises ValueError, as ``int.__repr__`` does.
     With ``indent`` the stdlib call cannot use its C encoder (Python <=
     3.13), and its pure-Python fallback takes over twice as long.
+
+    The text is appended, fragment by fragment, to one list that is
+    joined once, so no part of it is copied per nesting level.
     """
-    return _write(value, "", {}, {})
+    out = []
+    _write(value, "", out, {})
+    return "".join(out)
 
 
-def _write(value, pad: str, frames: dict, texts: dict) -> str:
-    """``_json_text`` of a value written at indent ``pad``.
+def _write(value, pad: str, out: list, levels: dict) -> bool:
+    """Append the ``_json_text`` of a value written at indent ``pad`` to
+    ``out``, and return whether the value is a nonempty container.
 
     Exact str and int children, most of a search's leaves, are written
-    inline.  ``frames`` maps the key tuple of each dict met, in insertion
-    order, to its keys in sorted order, each with its quoted text and
-    ": ", so a shape that recurs, such as a search's certificates or a
-    table's rows, has its keys sorted and quoted once per call.
+    inline.  ``levels`` maps each indent met to what is written there:
+    the strings that open, separate and close a container's items; the
+    dict shapes, each key tuple in insertion order mapped to its keys in
+    sorted order and their quoted texts with ": " (the first opening the
+    dict), so a shape that recurs, such as a search's certificates or a
+    table's rows, is sorted and quoted once per call and indent; and a
+    record of each nonempty container met there, by id.
 
-    ``texts`` maps each nonempty container met, by (id, indent), to ""
-    the first time and to its text the second, and from then on its
-    parent reads that text instead of recursing: a sub-tree one tree holds
-    many times, such as the parts a search's certificates share
-    (``Certificate.to_json``), is written, and its node visited, at most
-    twice per indent, however often it is held.  A node met once
-    keeps no text, so peak memory does not grow by the output.  Ids are
+    That record is the container's span of ``out``, a (start, end)
+    pair, after its first meeting.  At the second, the parent joins the span into the
+    container's text, which becomes the record, and appends it; from
+    then on it appends that one text.  So a sub-tree one tree holds many
+    times, such as the parts a search's certificates share
+    (``Certificate.to_json``), is rendered, and its nodes visited, once
+    per indent, however often it is held.  Only a container met twice
+    keeps a text, so peak memory does not grow by the output.  Ids are
     compared only within one call, while the tree being written keeps
     every node alive; nothing is kept between calls.
     """
     is_dict = isinstance(value, dict)
     if is_dict or isinstance(value, (list, tuple)):
         if not value:
-            return "{}" if is_dict else "[]"
-        node = (id(value), pad)
-        seen = texts.get(node)  # None or "": a stored text is read by the parent
-        inner = pad + "  "
-        parts = []
+            out.append("{}" if is_dict else "[]")
+            return False
+        level = levels.get(pad)
+        if level is None:
+            inner = pad + "  "
+            level = levels[pad] = (inner, ",\n" + inner, "[\n" + inner, "\n" + pad + "]", "\n" + pad + "}", {}, {})
+        inner, sep, list_open, list_close, dict_close, frames, met = level
         if is_dict:
             shape = tuple(value)
             frame = frames.get(shape)
             if frame is None:
-                frame = frames[shape] = [(key, _quote(key) + ": ") for key in sorted(value)]
-            for key, prefix in frame:
-                item = value[key]
-                kind = type(item)
-                text = _quote(item) if kind is str else int.__repr__(item) if kind is int else texts.get((id(item), inner)) or _write(item, inner, frames, texts)
-                parts.append(prefix + text)
-            text = "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+                keys = sorted(value)
+                frame = frames[shape] = (keys, ["{\n" + inner + _quote(keys[0]) + ": "] + [sep + _quote(key) + ": " for key in keys[1:]])
+            items, close = zip(frame[1], map(value.__getitem__, frame[0])), dict_close
         else:
-            for item in value:
-                kind = type(item)
-                parts.append(_quote(item) if kind is str else int.__repr__(item) if kind is int else texts.get((id(item), inner)) or _write(item, inner, frames, texts))
-            text = "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
-        texts[node] = "" if seen is None else text
-        return text
+            items, close = zip((list_open,) + (sep,) * (len(value) - 1), value), list_close
+        append = out.append
+        for prefix, item in items:
+            kind = type(item)
+            if kind is str:
+                append(prefix + _quote(item))
+            elif kind is int:
+                append(prefix + int.__repr__(item))
+            else:
+                append(prefix)
+                record = met.get(id(item))
+                if record is None:
+                    start = len(out)
+                    if _write(item, inner, out, levels):
+                        met[id(item)] = start, len(out)
+                elif type(record) is str:
+                    append(record)
+                else:
+                    text = met[id(item)] = "".join(out[record[0] : record[1]])
+                    append(text)
+        append(close)
+        return True
     if isinstance(value, str):
-        return _quote(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(_quote(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return False
 
 
 def render(envelope: dict) -> str:

@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 from operator import index, mul
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .exactmath import integer_root
 from .surfacetable import SurfaceRuleResult, surface_beta
@@ -134,7 +134,7 @@ class NoRecipeError(ValueError):
     """No recipe parameter choice exists for the requested degree."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConstructionParams:
     """Parameters of one construction: multipliers and coefficients.
 
@@ -144,6 +144,11 @@ class ConstructionParams:
     defaults in generalized searches.  The entries are checked here, once,
     by the checks of ``ConstructionSpace`` and ``DivisorClass``, so
     ``certify`` runs on the numbers and builds neither.
+
+    ``__init__`` is written out, with the signature the fields give, so
+    that each field is set once, after the checks, in one update of the
+    instance dict (the class is frozen); equality, hashing, repr and
+    ``dataclasses.replace`` are the dataclass's own.
     """
 
     g: int
@@ -157,17 +162,28 @@ class ConstructionParams:
     middle: tuple[int, ...] | None = None
     c: int = 1
 
-    def __post_init__(self):
-        g = index(self.g)
+    def __init__(
+        self,
+        g: int,
+        k: Sequence[int],
+        a: int,
+        b: int,
+        case: str = CASE_EXPLICIT,
+        m: int | None = None,
+        r: int | None = None,
+        s: int | None = None,
+        middle: Sequence[int] | None = None,
+        c: int = 1,
+    ):
+        g = index(g)
         if g < 2:
             raise ValueError("constructions need g >= 2")
-        k = checked_multipliers(g, self.k)
-        middle = (1,) * (g - 2) if self.middle is None else tuple(map(index, self.middle))
+        k = checked_multipliers(g, k)
+        middle = (1,) * (g - 2) if middle is None else tuple(map(index, middle))
         if len(middle) != g - 2:
             raise ValueError("need exactly g-2 interior coefficients")
-        (a, *middle, b), c = checked_coefficients(g, (self.a,) + middle + (self.b,), self.c)
-        # frozen: the fields are set through the instance dict
-        self.__dict__.update(g=g, k=k, middle=tuple(middle), a=a, b=b, c=c)
+        coeffs, c = checked_coefficients(g, (a,) + middle + (b,), c)
+        self.__dict__.update(g=g, k=k, a=coeffs[0], b=coeffs[-1], case=case, m=m, r=r, s=s, middle=coeffs[1:-1], c=c)
 
     def space(self) -> ConstructionSpace:
         return ConstructionSpace(self.g, self.k)
@@ -199,9 +215,12 @@ class ConstructionParams:
         return payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Certificate:
-    """A construction with all its independently verified invariants."""
+    """A construction with all its independently verified invariants.
+
+    Like ``ConstructionParams``, it sets its fields in one update of the
+    instance dict."""
 
     params: ConstructionParams | None
     chi: int
@@ -212,6 +231,12 @@ class Certificate:
     curve_lower: Fraction
     interval: BetaInterval
     np: NpCertificate
+
+    def __init__(self, params, chi, ptype, bound, witness_order, flag_chis, curve_lower, interval, np):
+        self.__dict__.update(
+            params=params, chi=chi, ptype=ptype, bound=bound, witness_order=witness_order,
+            flag_chis=flag_chis, curve_lower=curve_lower, interval=interval, np=np,
+        )
 
     def sort_key(self) -> tuple:
         return (self.bound, self.flag_chis) + self.params.sort_key()

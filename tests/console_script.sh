@@ -11,6 +11,7 @@ rc=0; betabound search --g 2 --d 9223372036854775808 || rc=$?; test "$rc" -eq 2
 rc=0; timeout 10 betabound search --g 100000000000000000000000 --d 5 || rc=$?; test "$rc" -eq 2
 betabound search --g 3 --d 40 | python -c "import json,sys; s=sys.stdin.read(); assert s == json.dumps(json.loads(s), indent=2, sort_keys=True) + '\n'"
 betabound search --g 4 --d 10 | python -c "import json,sys; s=sys.stdin.read(); assert s == json.dumps(json.loads(s), indent=2, sort_keys=True) + '\n'"
+betabound search --g 4 --d 40 | python -c "import json,sys; s=sys.stdin.read(); e=json.loads(s); assert s == json.dumps(e, indent=2, sort_keys=True) + '\n' and e['results']['count'] == 5764"
 test "$(betabound search --g 3 --d 60 --format csv | tail -n +2 | wc -l)" -eq "$(betabound search --g 3 --d 60 | python -c "import json,sys; print(json.load(sys.stdin)['results']['count'])")"
 betabound table --max 300 | python -c "import json,sys; s=sys.stdin.read(); assert s == json.dumps(json.loads(s), indent=2, sort_keys=True) + '\n'"
 betabound search --g 2 --d 24 --generalized | python -c "import json,sys; s=sys.stdin.read(); e=json.loads(s); assert s == json.dumps(e, indent=2, sort_keys=True) + '\n' and e['results']['count'] == 76"

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -429,31 +430,36 @@ class TestCliContract:
         with pytest.raises(ValueError):
             _json_text({"chi": 10**5000})
 
-    def test_writer_builds_a_shared_sub_tree_twice_per_indent(self, monkeypatch):
-        # a node held 30 times at each of two indents: its sub-tree is written
-        # when the node is first met and again to store its text at the second
-        # meeting, at each indent, and every later meeting reuses that text
+    def test_writer_renders_a_shared_sub_tree_once_per_indent(self, monkeypatch):
+        # a node held 30 times at each of two indents: its sub-tree is rendered
+        # when the node is first met, at each indent, and every later meeting
+        # appends that rendering's text, one object, without a call
         inner = [1, "x"]
         node = {"a": inner, "b": True}
         tree = {"flat": [node] * 30, "deep": [[node] for _ in range(30)]}
-        calls = collections.Counter()
+        calls, buffers = collections.Counter(), []
         real = betabound.cli._write
 
-        def spy(value, pad, *rest):
+        def spy(value, pad, out, *rest):
             calls[id(value), pad] += 1
-            return real(value, pad, *rest)
+            if not pad:
+                buffers.append(out)
+            return real(value, pad, out, *rest)
 
         monkeypatch.setattr(betabound.cli, "_write", spy)
         assert _json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
-        # (the writer looks a child's text up before it recurses, so later
-        # meetings make no call)
-        assert calls[id(node), " " * 4] == calls[id(node), " " * 6] == 2
-        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 2
-        # nothing is kept between calls: a second render writes it afresh
+        assert calls[id(node), " " * 4] == calls[id(node), " " * 6] == 1
+        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 1
+        for pad in (" " * 4, " " * 6):
+            text = json.dumps(node, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+            reused = [part for part in buffers[0] if part == text]
+            # meetings 2..30 at this indent append the one text joined at the second
+            assert len(reused) == 29 and all(part is reused[0] for part in reused)
+        # nothing is kept between calls: a second render renders it afresh
         _json_text(tree)
-        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 4
+        assert calls[id(inner), " " * 6] == calls[id(inner), " " * 8] == 2
 
-    def test_writer_writes_what_a_search_shares_at_most_twice(self, monkeypatch):
+    def test_writer_renders_what_a_search_shares_once(self, monkeypatch):
         envelope = run(["search", "--g", "3", "--d", "40"])
         certs = envelope["results"]["certificates"]
         calls = collections.Counter()
@@ -466,18 +472,32 @@ class TestCliContract:
 
         monkeypatch.setattr(betabound.cli, "_write", spy)
         assert render(envelope) == json.dumps(envelope, indent=2, sort_keys=True)
+        assert max(sum(other["interval"] is cert["interval"] for other in certs) for cert in certs) > 2
         for cert in certs:
-            # a shared part is written once per certificate holding it, at
-            # most twice, and so is what it holds, however many hold them:
-            # after that its parent reads its text without a call
-            held = sum(other["interval"] is cert["interval"] for other in certs)
-            assert calls[id(cert["interval"])] == min(held, 2)
+            # every certificate sits at one indent, so a shared part and what
+            # it holds are rendered once, however many certificates hold them
             for node in (
-                cert["interval"]["lower"], cert["interval"]["upper"], cert["type"]["value"], cert["k_group"]["value"],
-                cert["flag_bound"], cert["flag_bound"]["order"], cert["flag_bound"]["chis"], cert["params"]["coefficients"],
+                cert["interval"], cert["interval"]["lower"], cert["interval"]["upper"], cert["np"],
+                cert["type"]["value"], cert["k_group"]["value"], cert["flag_bound"], cert["flag_bound"]["order"],
+                cert["flag_bound"]["chis"], cert["params"]["coefficients"],
             ):
-                assert calls[id(node)] <= 2
-        assert sum(calls.values()) < len(containers(envelope))
+                assert calls[id(node)] == 1
+        # one rendering per distinct nonempty container
+        assert sum(calls.values()) == len({id(node) for node in containers(envelope)}) < len(containers(envelope))
+
+    def test_writer_keeps_only_the_text_of_a_node_met_twice(self):
+        # a search envelope holds most of its text in shared parts; rendering
+        # it peaks below three times its length, so a node met once keeps no
+        # text and nothing is copied per nesting level
+        envelope = run(["search", "--g", "3", "--d", "400"])
+        tracemalloc.start()
+        try:
+            text = render(envelope)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 7 * 10**6
+        assert peak < 3 * len(text)
 
     def test_writer_keeps_nothing_between_calls(self):
         # a node edited between two renders is written as it now stands

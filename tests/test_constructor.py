@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,64 @@ class TestCertify:
         # int() would certify a = (1, 1, 3), c = 1, k = (9, 3), with chi 40
         with pytest.raises(TypeError):
             certify_class(DivisorClass(ConstructionSpace(3, (9.7, 3)), (1.9, 1, 3.5), 1.2))
+
+
+class TestRecords:
+    """ConstructionParams and Certificate write their own __init__; the
+    dataclass contract around it holds."""
+
+    def test_replace_runs_the_checks(self):
+        params = ConstructionParams(g=3, k=(9, 3), a=1, b=3)
+        with pytest.raises(ValueError, match="isogeny multipliers must be >= 1"):
+            dataclasses.replace(params, k=(0, 1))
+        with pytest.raises(ValueError, match="need exactly g-2 interior coefficients"):
+            dataclasses.replace(params, g=4, k=(9, 3, 1))
+        with pytest.raises(TypeError):
+            dataclasses.replace(params, a=1.5)
+        assert dataclasses.replace(params, k=[2, 1]) == ConstructionParams(g=3, k=(2, 1), a=1, b=3)
+
+    def test_list_inputs_become_tuples(self):
+        params = ConstructionParams(g=4, k=[3, 2, 5], a=1, b=2, middle=[1, 2])
+        assert type(params.k) is tuple and params.k == (3, 2, 5)
+        assert type(params.middle) is tuple and params.middle == (1, 2)
+        assert params == ConstructionParams(g=4, k=(3, 2, 5), a=1, b=2, middle=(1, 2))
+
+    def test_positional_and_keyword_construction_agree(self):
+        positional = ConstructionParams(4, (3, 2, 5), 1, 2, CASE_RECIPE_WEAK, 2, 1, 7, (1, 2), 0)
+        keyword = ConstructionParams(c=0, middle=(1, 2), s=7, r=1, m=2, case=CASE_RECIPE_WEAK, b=2, a=1, k=(3, 2, 5), g=4)
+        assert positional == keyword and hash(positional) == hash(keyword)
+        assert repr(positional) == (
+            "ConstructionParams(g=4, k=(3, 2, 5), a=1, b=2, case='recipe-weak', m=2, r=1, s=7, middle=(1, 2), c=0)"
+        )
+        assert ConstructionParams(3, (9, 3), 1, 3) == ConstructionParams(3, (9, 3), 1, 3, middle=(1,), c=1)
+        assert ConstructionParams(3, (9, 3), 1, 3) != ConstructionParams(3, (9, 3), 1, 3, c=2)
+        cert = certify(positional)
+        again = betabound.constructor.Certificate(*(getattr(cert, f.name) for f in dataclasses.fields(cert)))
+        assert again == cert and hash(again) == hash(cert)
+
+    def test_fields_are_frozen(self):
+        params = ConstructionParams(g=3, k=(9, 3), a=1, b=3)
+        cert = certify(params)
+        for record, name in ((params, "k"), (params, "middle"), (cert, "chi"), (cert, "params")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+        assert params.k == (9, 3) and cert.params is params
+
+    def test_fields_are_unchanged(self):
+        assert [(f.name, f.default) for f in dataclasses.fields(ConstructionParams)] == [
+            ("g", dataclasses.MISSING), ("k", dataclasses.MISSING), ("a", dataclasses.MISSING),
+            ("b", dataclasses.MISSING), ("case", "explicit"), ("m", None), ("r", None), ("s", None),
+            ("middle", None), ("c", 1),
+        ]
+        assert [f.name for f in dataclasses.fields(betabound.constructor.Certificate)] == [
+            "params", "chi", "ptype", "bound", "witness_order", "flag_chis", "curve_lower", "interval", "np",
+        ]
+
+    def test_a_recipe_keeps_its_m_r_and_s(self):
+        # strict at (3, 40): m = 3, 40 = 3 * 13 + 1, k_1 = 13 - (1 + 3) * 1 = 9
+        assert recipe_strict(3, 40) == ConstructionParams(3, (9, 3), 1, 3, CASE_RECIPE_STRICT, 3, 1, 13)
+        params = recipe_weak(4, 81)
+        assert (params.m, params.r, params.s, params.middle, params.c) == (3, 1, 40, (1, 1), 1)
 
 
 class TestRecipeGuarantees:

@@ -1055,6 +1055,36 @@ def test_json_writer_matches_stdlib_on_shared_nodes(value):
 
 
 @st.composite
+def trees_sharing_across_indents(draw):
+    """JSON trees holding one nonempty child node, inside a shared parent
+    that holds empty containers too, each of the two placed at three to
+    five distinct depths."""
+    child = draw(st.dictionaries(st.text(max_size=3), json_values, min_size=1, max_size=3) | st.lists(json_values, min_size=1, max_size=3))
+    parent = draw(st.sampled_from(({"child": child, "empty": {}}, [child, [], child], ([child], ()))))
+    placed = []
+    for node in (child, parent):
+        for depth in draw(st.lists(st.integers(0, 4), min_size=3, max_size=5, unique=True)):
+            held = node
+            for _ in range(depth):
+                held = draw(st.sampled_from(([held], {"x": held}, [held, {}], ({"x": held, "y": []},))))
+            placed.append(held)
+    placed = draw(st.permutations(placed))
+    return draw(st.sampled_from((placed, {str(i): held for i, held in enumerate(placed)})))
+
+
+_child = {"a": [1, "x"], "b": {}}
+_parent = {"c": _child, "e": []}
+
+
+@SETTINGS
+@given(trees_sharing_across_indents())
+@example([_child, [_child], [[_child]], _parent, {"p": _parent}, [[_parent, {}]], [[[_parent]]]])
+@example({"z": [[[_parent]]], "y": _child, "x": [_parent, _parent, [_child, _child]], "w": ((), {})})
+def test_json_writer_matches_stdlib_across_indents(value):
+    assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@st.composite
 def repeated_shapes(draw):
     """A list of dicts on one key set, inserted in two orders, holding any
     JSON values (bool, None, int and str subclasses, containers), sometimes
